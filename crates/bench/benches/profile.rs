@@ -17,7 +17,7 @@
 //! re-measures with looser, noise-tolerant floors (EXPERIMENTS C16).
 
 use devharness::bench::{BenchmarkId, Harness, Throughput};
-use devudf_bench::{seed_numbers, MEAN_DEVIATION_STRAIGHT_BODY};
+use devudf_bench::{udf_engine, MEAN_DEVIATION_STRAIGHT_BODY};
 use monetlite::{Engine, ExecutionModel};
 use pylite::ExecMode;
 
@@ -25,16 +25,13 @@ const ROWS: usize = 10_000;
 const QUERY: &str = "SELECT f(i) FROM numbers";
 
 fn engine(inline: bool) -> Engine {
-    let db = Engine::new();
-    db.set_model(ExecutionModel::OperatorAtATime);
-    db.set_exec_mode(ExecMode::Bytecode);
-    db.set_inline(inline);
-    seed_numbers(&db, ROWS);
-    db.execute(&format!(
-        "CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON {{\n{MEAN_DEVIATION_STRAIGHT_BODY}}}"
-    ))
-    .unwrap();
-    db
+    udf_engine(
+        ExecutionModel::OperatorAtATime,
+        ExecMode::Bytecode,
+        inline,
+        ROWS,
+        MEAN_DEVIATION_STRAIGHT_BODY,
+    )
 }
 
 fn main() {

@@ -9,8 +9,8 @@
 use std::rc::Rc;
 
 use devharness::bench::{BenchmarkId, Harness, Throughput};
-use devudf_bench::MEAN_DEVIATION_FIXED_BODY;
-use pylite::{Array, ExecMode, FsProvider, Interp, MemFs, Value};
+use devudf_bench::scenario_a_interp;
+use pylite::{ExecMode, FsProvider, Interp, MemFs};
 
 const MODES: [ExecMode; 2] = [ExecMode::Ast, ExecMode::Bytecode];
 
@@ -19,23 +19,10 @@ const MODES: [ExecMode; 2] = [ExecMode::Ast, ExecMode::Bytecode];
 fn bench_scenario_a(h: &mut Harness) {
     let mut group = h.benchmark_group("scenario_a");
     group.sample_size(40);
-    let def = format!(
-        "def mean_deviation(column):\n{}",
-        MEAN_DEVIATION_FIXED_BODY
-            .lines()
-            .map(|l| format!("    {l}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    let call = pylite::parse_module("result = mean_deviation(col)\n").unwrap();
     for rows in [1_000usize, 10_000] {
-        let col: Vec<i64> = (0..rows as i64).map(|i| i % 97).collect();
         group.throughput(Throughput::Elements(rows as u64));
         for mode in MODES {
-            let mut interp = Interp::new();
-            interp.set_exec_mode(mode);
-            interp.eval_module(&def).unwrap();
-            interp.set_global("col", Value::array(Array::Int(col.clone())));
+            let (mut interp, call) = scenario_a_interp(mode, rows);
             group.bench_with_input(BenchmarkId::new(mode.as_str(), rows), &rows, |b, _| {
                 b.iter(|| interp.run_module(&call).unwrap())
             });

@@ -32,7 +32,8 @@ fn payload() -> Vec<u8> {
 }
 
 /// The legacy v0 single-blob codec, inlined from the wire path it
-/// replaces: whole-payload LZ, then plaintext checksum + ChaCha20.
+/// replaced: whole-payload LZ, then plaintext checksum + ChaCha20 under
+/// one nonce.
 mod legacy {
     use codecs::{chacha20, kdf, lz};
 
@@ -44,7 +45,7 @@ mod legacy {
             let tag = codecs::fnv1a_32(&blob);
             blob.extend_from_slice(&tag.to_le_bytes());
             let key = kdf::derive_key(password, SALT);
-            let nonce = kdf::derive_nonce(transfer_id);
+            let nonce = kdf::derive_block_nonce(transfer_id, 0);
             chacha20::ChaCha20::new(&key, &nonce, 1).apply(&mut blob);
         }
         blob
@@ -54,7 +55,7 @@ mod legacy {
         let mut blob = payload.to_vec();
         if encrypt {
             let key = kdf::derive_key(password, SALT);
-            let nonce = kdf::derive_nonce(transfer_id);
+            let nonce = kdf::derive_block_nonce(transfer_id, 0);
             chacha20::ChaCha20::new(&key, &nonce, 1).apply(&mut blob);
             let tag = blob.split_off(blob.len() - 4);
             assert_eq!(

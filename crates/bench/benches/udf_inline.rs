@@ -14,8 +14,8 @@
 //! one call per row.
 
 use devharness::bench::{BenchmarkId, Harness, Throughput};
-use devudf_bench::{seed_numbers, CLAMP_SCORE_BODY, MEAN_DEVIATION_STRAIGHT_BODY};
-use monetlite::{Engine, ExecutionModel};
+use devudf_bench::{udf_engine, CLAMP_SCORE_BODY, MEAN_DEVIATION_STRAIGHT_BODY};
+use monetlite::ExecutionModel;
 use pylite::ExecMode;
 
 const CONFIGS: [(&str, ExecMode, bool); 3] = [
@@ -24,19 +24,6 @@ const CONFIGS: [(&str, ExecMode, bool); 3] = [
     ("inlined", ExecMode::Bytecode, true),
 ];
 
-fn engine(model: ExecutionModel, mode: ExecMode, inline: bool, rows: usize, body: &str) -> Engine {
-    let db = Engine::new();
-    db.set_model(model);
-    db.set_exec_mode(mode);
-    db.set_inline(inline);
-    seed_numbers(&db, rows);
-    db.execute(&format!(
-        "CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON {{\n{body}}}"
-    ))
-    .unwrap();
-    db
-}
-
 /// Scenario A: vectorized straight-line mean deviation, operator-at-a-time.
 fn bench_scenario_a(h: &mut Harness) {
     let mut group = h.benchmark_group("scenario_a");
@@ -44,7 +31,7 @@ fn bench_scenario_a(h: &mut Harness) {
     for rows in [1_000usize, 10_000] {
         group.throughput(Throughput::Elements(rows as u64));
         for (label, mode, inline) in CONFIGS {
-            let db = engine(
+            let db = udf_engine(
                 ExecutionModel::OperatorAtATime,
                 mode,
                 inline,
@@ -66,7 +53,7 @@ fn bench_scenario_b(h: &mut Harness) {
     for rows in [1_000usize, 10_000] {
         group.throughput(Throughput::Elements(rows as u64));
         for (label, mode, inline) in CONFIGS {
-            let db = engine(
+            let db = udf_engine(
                 ExecutionModel::TupleAtATime,
                 mode,
                 inline,

@@ -12,7 +12,8 @@
 //!   `codecs_bench` (C8), `vcs` (C9). Each writes a `BENCH_<suite>.json`
 //!   artifact at the workspace root (see EXPERIMENTS.md for the schema).
 
-use monetlite::Engine;
+use monetlite::{Engine, ExecutionModel};
+use pylite::{Array, ExecMode, Interp, Value};
 use wireproto::{Client, Server, ServerConfig};
 
 /// Table 1 of the paper: "Most Popular Development Environments" — PYPL
@@ -134,6 +135,49 @@ pub fn seed_numbers(db: &Engine, rows: usize) {
         db.execute(&format!("INSERT INTO numbers VALUES {}", chunk.join(", ")))
             .unwrap();
     }
+}
+
+/// An engine over `rows` of [`seed_numbers`] with the UDF `f(column)`
+/// defined by `body`, configured as the C15/C16 suites (and their
+/// `bench_guard` rows) run `SELECT f(i) FROM numbers`.
+pub fn udf_engine(
+    model: ExecutionModel,
+    mode: ExecMode,
+    inline: bool,
+    rows: usize,
+    body: &str,
+) -> Engine {
+    let db = Engine::new();
+    db.set_model(model);
+    db.set_exec_mode(mode);
+    db.set_inline(inline);
+    seed_numbers(&db, rows);
+    db.execute(&format!(
+        "CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON {{\n{body}}}"
+    ))
+    .unwrap();
+    db
+}
+
+/// Scenario A of C14: an interpreter under `mode` holding the fixed
+/// `mean_deviation` and a `col` of `rows` integers, plus the parsed call
+/// module that runs it once.
+pub fn scenario_a_interp(mode: ExecMode, rows: usize) -> (Interp, pylite::ast::Module) {
+    let def = format!(
+        "def mean_deviation(column):\n{}",
+        MEAN_DEVIATION_FIXED_BODY
+            .lines()
+            .map(|l| format!("    {l}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    let mut interp = Interp::new();
+    interp.set_exec_mode(mode);
+    interp.eval_module(&def).unwrap();
+    let col: Vec<i64> = (0..rows as i64).map(|i| i % 97).collect();
+    interp.set_global("col", Value::array(Array::Int(col)));
+    let call = pylite::parse_module("result = mean_deviation(col)\n").unwrap();
+    (interp, call)
 }
 
 /// A demo server with `numbers` (given row count) plus the buggy Listing-4
@@ -291,7 +335,7 @@ mod tests {
         let mut dev = bench_session(&server, "selftest");
         dev.import_all().unwrap();
         let outcome = dev.run_udf("mean_deviation").unwrap();
-        assert!(matches!(outcome.result, pylite::Value::Float(_)));
+        assert!(matches!(outcome.result, Value::Float(_)));
         std::fs::remove_dir_all(dev.project.root()).ok();
         server.shutdown();
     }

@@ -33,28 +33,13 @@ pub fn derive_key(password: &str, salt: &[u8]) -> [u8; 32] {
     state
 }
 
-/// Derive a 96-bit ChaCha20 nonce from a per-transfer identifier.
-///
-/// The wire protocol assigns each extract transfer a fresh id; hashing it
-/// keeps nonces unique per (key, transfer) pair.
-pub fn derive_nonce(transfer_id: u64) -> [u8; 12] {
-    let mut h = Sha256::new();
-    h.update(b"devudf-nonce-v1");
-    h.update(&transfer_id.to_le_bytes());
-    let digest = h.finalize();
-    let mut nonce = [0u8; 12];
-    nonce.copy_from_slice(&digest[..12]);
-    nonce
-}
-
 /// Derive a 96-bit ChaCha20 nonce for one block of a chunked transfer.
 ///
 /// The chunked container (see `wireproto::transfer`, DESIGN §11) encrypts
 /// every block independently so blocks can be processed in parallel; each
 /// (transfer, block) pair therefore needs its own nonce under the shared
-/// transfer key. A distinct domain tag keeps block nonces disjoint from
-/// the legacy whole-payload nonces of [`derive_nonce`] even when a
-/// transfer id collides.
+/// transfer key. The wire protocol assigns each extract transfer a fresh
+/// id, and hashing (id, block index) keeps nonces unique per key.
 pub fn derive_block_nonce(transfer_id: u64, block_index: u64) -> [u8; 12] {
     let mut h = Sha256::new();
     h.update(b"devudf-block-nonce-v1");
@@ -76,7 +61,6 @@ mod tests {
             derive_key("monetdb", b"salt"),
             derive_key("monetdb", b"salt")
         );
-        assert_eq!(derive_nonce(7), derive_nonce(7));
         assert_eq!(derive_block_nonce(7, 3), derive_block_nonce(7, 3));
     }
 
@@ -97,16 +81,9 @@ mod tests {
     }
 
     #[test]
-    fn nonce_uniqueness() {
-        assert_ne!(derive_nonce(1), derive_nonce(2));
-    }
-
-    #[test]
     fn block_nonces_unique_per_transfer_and_block() {
         assert_ne!(derive_block_nonce(1, 0), derive_block_nonce(1, 1));
         assert_ne!(derive_block_nonce(1, 0), derive_block_nonce(2, 0));
-        // Domain separation from the legacy whole-payload nonce.
-        assert_ne!(derive_block_nonce(9, 0), derive_nonce(9));
     }
 
     #[test]

@@ -11,8 +11,8 @@ use monetlite::{FsyncPolicy, StorageOptions};
 use pylite::ExecMode;
 use wireproto::{ClientOptions, RetryPolicy, TransferOptions};
 
-/// Serializable mirror of [`wireproto::TransferOptions`] plus the local
-/// codec-parallelism knob.
+/// Serializable mirror of [`wireproto::TransferOptions`] plus the
+/// client-side extract cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TransferSettings {
     /// Compress the extracted data during transfer.
@@ -21,11 +21,6 @@ pub struct TransferSettings {
     pub encrypt: bool,
     /// Transfer only a uniform random sample of this many rows.
     pub sample: Option<usize>,
-    /// Worker threads for the chunked payload codec on the client side
-    /// (`None` = share the process-global pool sized by
-    /// `DEVUDF_POOL_THREADS`). Local knob: changes decode speed, never
-    /// the bytes on the wire.
-    pub parallelism: Option<usize>,
     /// Container block size in bytes (`None` = the wire default,
     /// [`wireproto::DEFAULT_BLOCK_SIZE`]).
     pub block_size: Option<usize>,
@@ -34,8 +29,7 @@ pub struct TransferSettings {
 }
 
 /// Settings of the client-side extract cache: on by default — the
-/// iterative edit→extract→debug loop is the paper's whole premise, and
-/// against an old server the client falls back transparently.
+/// iterative edit→extract→debug loop is the paper's whole premise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSettings {
     /// Use the `ExtractDelta` protocol with a local block cache.
@@ -62,18 +56,19 @@ impl CacheSettings {
     }
 
     fn from_json(v: &Value) -> std::io::Result<CacheSettings> {
-        let enabled = v
-            .get("enabled")
-            .and_then(Value::as_bool)
-            .ok_or_else(|| invalid("transfer.cache.enabled missing"))?;
-        let entries = match v.get("entries") {
-            None | Some(Value::Null) => CacheSettings::default().entries,
-            Some(k) => match k.as_u64() {
-                Some(n) if n > 0 => n as usize,
-                _ => return Err(invalid("transfer.cache.entries must be a positive count")),
-            },
-        };
-        Ok(CacheSettings { enabled, entries })
+        Ok(CacheSettings {
+            enabled: v
+                .get("enabled")
+                .and_then(Value::as_bool)
+                .ok_or_else(|| invalid("transfer.cache.enabled missing"))?,
+            entries: optional(
+                v,
+                "transfer.cache.entries",
+                "a positive count",
+                CacheSettings::default().entries,
+                positive_count,
+            )?,
+        })
     }
 }
 
@@ -155,21 +150,15 @@ impl RetrySettings {
                 .and_then(Value::as_u64)
                 .ok_or_else(|| invalid(format!("retry.{name} missing")))
         };
-        let opt_ms = |name: &str| match v.get(name) {
-            None | Some(Value::Null) => Ok(None),
-            Some(k) => k
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| invalid(format!("retry.{name} must be milliseconds"))),
-        };
+        let opt_ms = |path| optional(v, path, "milliseconds", None, |k| k.as_u64().map(Some));
         Ok(RetrySettings {
             max_attempts: ms("max_attempts").and_then(|n| {
                 u32::try_from(n).map_err(|_| invalid("retry.max_attempts out of range"))
             })?,
             initial_backoff_ms: ms("initial_backoff_ms")?,
             max_backoff_ms: ms("max_backoff_ms")?,
-            deadline_ms: opt_ms("deadline_ms")?,
-            io_timeout_ms: opt_ms("io_timeout_ms")?,
+            deadline_ms: opt_ms("retry.deadline_ms")?,
+            io_timeout_ms: opt_ms("retry.io_timeout_ms")?,
         })
     }
 }
@@ -250,26 +239,20 @@ impl StorageSettings {
                 .and_then(Value::as_str)
                 .map(str::to_string)
                 .ok_or_else(|| invalid("storage.data_dir missing"))?,
-            // Unknown spellings fail loudly with the allowed set — same
-            // rule as `interp`.
-            fsync: match v.get("fsync") {
-                None | Some(Value::Null) => FsyncPolicy::default(),
-                Some(m) => {
-                    let text = m.as_str().unwrap_or_default();
-                    FsyncPolicy::parse(text).ok_or_else(|| {
-                        invalid(format!(
-                            "storage.fsync must be one of {} (got '{text}')",
-                            FsyncPolicy::ALLOWED
-                        ))
-                    })?
-                }
-            },
-            snapshot_every: match v.get("snapshot_every") {
-                None | Some(Value::Null) => StorageOptions::default().snapshot_every,
-                Some(k) => k
-                    .as_u64()
-                    .ok_or_else(|| invalid("storage.snapshot_every must be a record count"))?,
-            },
+            fsync: optional(
+                v,
+                "storage.fsync",
+                &format!("one of {}", FsyncPolicy::ALLOWED),
+                FsyncPolicy::default(),
+                |m| m.as_str().and_then(FsyncPolicy::parse),
+            )?,
+            snapshot_every: optional(
+                v,
+                "storage.snapshot_every",
+                "a record count",
+                StorageOptions::default().snapshot_every,
+                Value::as_u64,
+            )?,
         })
     }
 }
@@ -346,6 +329,47 @@ fn invalid(message: impl Into<String>) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, message.into())
 }
 
+/// The rule every optional key follows. Keys added after the first
+/// settings format may be absent from older files, so an absent or `null`
+/// key yields `default`. Any other value must parse, or loading fails
+/// with an error naming the key (`path`, dotted from the file root; its
+/// last segment is looked up in `section`), what it accepts and what it
+/// got — a typo never silently becomes a default.
+fn optional<T>(
+    section: &Value,
+    path: &str,
+    expected: &str,
+    default: T,
+    parse: impl FnOnce(&Value) -> Option<T>,
+) -> std::io::Result<T> {
+    let key = path.rsplit('.').next().unwrap_or(path);
+    match section.get(key) {
+        None | Some(Value::Null) => Ok(default),
+        Some(value) => parse(value).ok_or_else(|| {
+            invalid(format!(
+                "{path} must be {expected} (got {})",
+                value.to_string_compact()
+            ))
+        }),
+    }
+}
+
+/// A count that must not be zero (sizes, capacities).
+fn positive_count(v: &Value) -> Option<usize> {
+    v.as_u64().filter(|n| *n > 0).map(|n| n as usize)
+}
+
+/// An [`optional`] section: an object parsed by its own `from_json`.
+fn optional_section<T: Default>(
+    v: &Value,
+    path: &str,
+    from_json: impl FnOnce(&Value) -> std::io::Result<T>,
+) -> std::io::Result<T> {
+    optional(v, path, "an object", Ok(T::default()), |s| {
+        s.as_object().map(|_| from_json(s))
+    })?
+}
+
 impl TransferSettings {
     fn to_json(self) -> Value {
         Value::Object(vec![
@@ -356,10 +380,6 @@ impl TransferSettings {
                 Value::from(self.sample.map(|k| k as u64)),
             ),
             (
-                "parallelism".to_string(),
-                Value::from(self.parallelism.map(|n| n as u64)),
-            ),
-            (
                 "block_size".to_string(),
                 Value::from(self.block_size.map(|n| n as u64)),
             ),
@@ -368,15 +388,6 @@ impl TransferSettings {
     }
 
     fn from_json(v: &Value) -> std::io::Result<TransferSettings> {
-        // `parallelism`/`block_size` are absent in settings files written
-        // before the chunked pipeline existed — optional, like `sample`.
-        let opt_count = |name: &str, zero_ok: bool| match v.get(name) {
-            None | Some(Value::Null) => Ok(None),
-            Some(k) => match k.as_u64() {
-                Some(n) if zero_ok || n > 0 => Ok(Some(n as usize)),
-                _ => Err(invalid(format!("transfer.{name} must be a positive count"))),
-            },
-        };
         Ok(TransferSettings {
             compress: v
                 .get("compress")
@@ -386,15 +397,13 @@ impl TransferSettings {
                 .get("encrypt")
                 .and_then(Value::as_bool)
                 .ok_or_else(|| invalid("transfer.encrypt missing"))?,
-            sample: opt_count("sample", true)?,
-            parallelism: opt_count("parallelism", false)?,
-            block_size: opt_count("block_size", false)?,
-            // Absent in settings files written before the delta cache
-            // existed — default (enabled) rather than reject.
-            cache: match v.get("cache") {
-                None | Some(Value::Null) => CacheSettings::default(),
-                Some(c) => CacheSettings::from_json(c)?,
-            },
+            sample: optional(v, "transfer.sample", "a row count", None, |k| {
+                k.as_u64().map(|n| Some(n as usize))
+            })?,
+            block_size: optional(v, "transfer.block_size", "a positive count", None, |k| {
+                positive_count(k).map(Some)
+            })?,
+            cache: optional_section(v, "transfer.cache", CacheSettings::from_json)?,
         })
     }
 }
@@ -445,34 +454,15 @@ impl Settings {
                 v.get("transfer")
                     .ok_or_else(|| invalid("settings field 'transfer' missing"))?,
             )?,
-            // Absent in settings files written before the retry layer
-            // existed — default rather than reject.
-            retry: match v.get("retry") {
-                None | Some(Value::Null) => RetrySettings::default(),
-                Some(r) => RetrySettings::from_json(r)?,
-            },
-            // Absent in settings files written before the bytecode VM
-            // existed — default (inline) rather than reject. Unknown
-            // spellings fail loudly with the allowed set.
-            interp: match v.get("interp") {
-                None | Some(Value::Null) => InterpMode::default(),
-                Some(m) => {
-                    let text = m.as_str().unwrap_or_default();
-                    InterpMode::parse(text).ok_or_else(|| {
-                        invalid(format!(
-                            "settings field 'interp' must be one of {} (got '{text}')",
-                            InterpMode::ALLOWED
-                        ))
-                    })?
-                }
-            },
-            // Absent in settings files written before embedded mode
-            // existed — default (in-memory) rather than reject. Unknown
-            // values inside the section fail loudly.
-            storage: match v.get("storage") {
-                None | Some(Value::Null) => StorageSettings::default(),
-                Some(s) => StorageSettings::from_json(s)?,
-            },
+            retry: optional_section(v, "retry", RetrySettings::from_json)?,
+            interp: optional(
+                v,
+                "interp",
+                &format!("one of {}", InterpMode::ALLOWED),
+                InterpMode::default(),
+                |m| m.as_str().and_then(InterpMode::parse),
+            )?,
+            storage: optional_section(v, "storage", StorageSettings::from_json)?,
         })
     }
 
@@ -509,7 +499,6 @@ impl Settings {
             retry: self.retry.policy(),
             read_timeout: io_timeout,
             write_timeout: io_timeout,
-            parallelism: self.transfer.parallelism,
             cache: self
                 .transfer
                 .cache
@@ -583,9 +572,6 @@ impl Settings {
         if let Some(k) = self.transfer.sample {
             parts.push(format!("sample {k} rows"));
         }
-        if let Some(n) = self.transfer.parallelism {
-            parts.push(format!("{n} codec threads"));
-        }
         if let Some(b) = self.transfer.block_size {
             parts.push(format!("{} KiB blocks", b / 1024));
         }
@@ -646,6 +632,24 @@ mod tests {
         d
     }
 
+    const PLAIN: &str = r#"{"compress": false, "encrypt": false, "sample": null}"#;
+
+    /// Parse a settings document holding the connection fields, the
+    /// `transfer` object `transfer` and the top-level members `extra`.
+    fn parse(transfer: &str, extra: &str) -> std::io::Result<Settings> {
+        let text = format!(
+            r#"{{"host": "localhost", "port": 50000, "database": "demo",
+                "user": "monetdb", "password": "monetdb", "debug_query": "",
+                "transfer": {transfer}{extra}}}"#
+        );
+        Settings::from_json(&json::parse(&text).map_err(|e| invalid(e.to_string()))?)
+    }
+
+    /// The load error of a document, as text.
+    fn error(transfer: &str, extra: &str) -> String {
+        parse(transfer, extra).unwrap_err().to_string()
+    }
+
     #[test]
     fn save_load_round_trip() {
         let dir = temp_dir("roundtrip");
@@ -653,7 +657,6 @@ mod tests {
         s.debug_query = "SELECT mean_deviation(i) FROM numbers".to_string();
         s.transfer.compress = true;
         s.transfer.sample = Some(500);
-        s.transfer.parallelism = Some(4);
         s.transfer.block_size = Some(64 * 1024);
         s.retry.max_attempts = 5;
         s.retry.deadline_ms = None;
@@ -664,22 +667,60 @@ mod tests {
     }
 
     #[test]
-    fn settings_file_without_retry_section_loads_with_defaults() {
-        // Settings written before the retry layer existed must keep
-        // loading (the `retry` key is optional).
-        let dir = temp_dir("noretry");
-        let path = Settings::path_in(&dir);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(
-            &path,
-            r#"{"host": "localhost", "port": 50000, "database": "demo",
-                "user": "monetdb", "password": "monetdb", "debug_query": "",
-                "transfer": {"compress": false, "encrypt": false, "sample": null}}"#,
-        )
-        .unwrap();
-        let s = Settings::load(&dir).unwrap();
-        assert_eq!(s.retry, RetrySettings::default());
-        std::fs::remove_dir_all(dir).ok();
+    fn settings_file_without_optional_keys_loads_defaults() {
+        // Files written before the chunked pipeline, the retry layer, the
+        // delta cache, the bytecode VM or embedded mode lack their keys;
+        // files written while the client-local codec pool existed carry
+        // `transfer.parallelism`, which is ignored.
+        for transfer in [
+            PLAIN,
+            r#"{"compress": false, "encrypt": false, "parallelism": 4}"#,
+        ] {
+            let s = parse(transfer, "").unwrap();
+            assert_eq!(s.transfer, TransferSettings::default());
+            assert_eq!(s.retry, RetrySettings::default());
+            assert_eq!(s.interp, InterpMode::Inline);
+            assert_eq!(s.storage, StorageSettings::default());
+        }
+    }
+
+    #[test]
+    fn invalid_values_fail_loudly_naming_the_key_and_allowed_set() {
+        // A typo must never silently become a default.
+        for (transfer, extra, want) in [
+            (
+                r#"{"compress": true, "encrypt": false, "block_size": 0}"#,
+                "",
+                "transfer.block_size must be a positive count",
+            ),
+            (
+                r#"{"compress": false, "encrypt": false, "cache": {"enabled": true, "entries": 0}}"#,
+                "",
+                "transfer.cache.entries must be a positive count",
+            ),
+            (PLAIN, r#", "retry": 5"#, "retry must be an object"),
+            (
+                PLAIN,
+                r#", "storage": {"data_dir": "d", "snapshot_every": "lots"}"#,
+                "storage.snapshot_every",
+            ),
+        ] {
+            let err = error(transfer, extra);
+            assert!(err.contains(want), "{err}");
+        }
+        for bad in ["jit", "bytcode", "Inline"] {
+            let err = error(PLAIN, &format!(r#", "interp": "{bad}""#));
+            assert!(err.contains("'ast', 'bytecode' or 'inline'"), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
+        for bad in ["alway", "Always", "on", "fdatasync"] {
+            let err = error(
+                PLAIN,
+                &format!(r#", "storage": {{"data_dir": "d", "fsync": "{bad}"}}"#),
+            );
+            assert!(err.contains("'always' or 'never'"), "{err}");
+            assert!(err.contains(bad), "{err}");
+        }
     }
 
     #[test]
@@ -724,51 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn parallelism_plumbs_into_client_options() {
-        let mut s = Settings::default();
-        assert_eq!(s.client_options().parallelism, None);
-        s.transfer.parallelism = Some(4);
-        assert_eq!(s.client_options().parallelism, Some(4));
-    }
-
-    #[test]
-    fn settings_file_without_parallelism_keys_loads() {
-        // Files written before the chunked pipeline lack the new keys.
-        let dir = temp_dir("nopar");
-        let path = Settings::path_in(&dir);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(
-            &path,
-            r#"{"host": "localhost", "port": 50000, "database": "demo",
-                "user": "monetdb", "password": "monetdb", "debug_query": "",
-                "transfer": {"compress": true, "encrypt": false, "sample": null}}"#,
-        )
-        .unwrap();
-        let s = Settings::load(&dir).unwrap();
-        assert_eq!(s.transfer.parallelism, None);
-        assert_eq!(s.transfer.block_size, None);
-        assert!(s.transfer.compress);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn zero_parallelism_or_block_size_is_rejected() {
-        let dir = temp_dir("zeropar");
-        let path = Settings::path_in(&dir);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(
-            &path,
-            r#"{"host": "localhost", "port": 50000, "database": "demo",
-                "user": "monetdb", "password": "monetdb", "debug_query": "",
-                "transfer": {"compress": true, "encrypt": false, "sample": null,
-                             "parallelism": 0}}"#,
-        )
-        .unwrap();
-        assert!(Settings::load(&dir).is_err());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
     fn cache_is_on_by_default_and_plumbs_into_client_options() {
         let mut s = Settings::default();
         assert_eq!(s.transfer.cache, CacheSettings::default());
@@ -780,26 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn settings_file_without_cache_section_loads_enabled() {
-        // Files written before the delta cache existed default to on —
-        // the client degrades transparently against old servers anyway.
-        let dir = temp_dir("nocache");
-        let path = Settings::path_in(&dir);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(
-            &path,
-            r#"{"host": "localhost", "port": 50000, "database": "demo",
-                "user": "monetdb", "password": "monetdb", "debug_query": "",
-                "transfer": {"compress": false, "encrypt": false, "sample": null}}"#,
-        )
-        .unwrap();
-        let s = Settings::load(&dir).unwrap();
-        assert_eq!(s.transfer.cache, CacheSettings::default());
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn cache_settings_round_trip_and_reject_zero_entries() {
+    fn cache_settings_round_trip() {
         let dir = temp_dir("cache-rt");
         let mut s = Settings::default();
         s.transfer.cache = CacheSettings {
@@ -808,21 +785,11 @@ mod tests {
         };
         s.save(&dir).unwrap();
         assert_eq!(Settings::load(&dir).unwrap(), s);
-        let path = Settings::path_in(&dir);
-        std::fs::write(
-            &path,
-            r#"{"host": "localhost", "port": 50000, "database": "demo",
-                "user": "monetdb", "password": "monetdb", "debug_query": "",
-                "transfer": {"compress": false, "encrypt": false, "sample": null,
-                             "cache": {"enabled": true, "entries": 0}}}"#,
-        )
-        .unwrap();
-        assert!(Settings::load(&dir).is_err());
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
-    fn exec_mode_round_trips_defaults_and_rejects_garbage() {
+    fn exec_mode_round_trips_and_defaults() {
         let dir = temp_dir("interp");
         let mut s = Settings::default();
         assert_eq!(s.interp, InterpMode::Inline);
@@ -836,40 +803,6 @@ mod tests {
         let loaded = Settings::load(&dir).unwrap().interp;
         assert_eq!(loaded, InterpMode::Bytecode);
         assert!(!loaded.inline());
-        // Files written before the bytecode VM existed lack the key.
-        let path = Settings::path_in(&dir);
-        std::fs::write(
-            &path,
-            r#"{"host": "localhost", "port": 50000, "database": "demo",
-                "user": "monetdb", "password": "monetdb", "debug_query": "",
-                "transfer": {"compress": false, "encrypt": false, "sample": null}}"#,
-        )
-        .unwrap();
-        assert_eq!(Settings::load(&dir).unwrap().interp, InterpMode::Inline);
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn unknown_interp_value_fails_loudly_with_allowed_set() {
-        let dir = temp_dir("interp_bad");
-        let path = Settings::path_in(&dir);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        // A typo like "bytcode" must not silently fall back to a default.
-        for bad in ["jit", "bytcode", "Inline"] {
-            std::fs::write(
-                &path,
-                format!(
-                    r#"{{"host": "localhost", "port": 50000, "database": "demo",
-                        "user": "monetdb", "password": "monetdb", "debug_query": "",
-                        "transfer": {{"compress": false, "encrypt": false, "sample": null}},
-                        "interp": "{bad}"}}"#
-                ),
-            )
-            .unwrap();
-            let err = Settings::load(&dir).unwrap_err().to_string();
-            assert!(err.contains("'ast', 'bytecode' or 'inline'"), "{err}");
-            assert!(err.contains(bad), "{err}");
-        }
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -914,11 +847,6 @@ mod tests {
         let d = s.render_dialog();
         // The dialog truncates long values; the prefix must be visible.
         assert!(d.contains("compress + encrypt + sample"), "{d}");
-        s.transfer = TransferSettings {
-            parallelism: Some(4),
-            ..Default::default()
-        };
-        assert!(s.render_dialog().contains("4 codec threads"));
     }
 
     #[test]
@@ -930,7 +858,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_section_round_trips_and_defaults() {
+    fn storage_section_round_trips() {
         let dir = temp_dir("storage");
         let mut s = Settings::default();
         assert_eq!(s.storage, StorageSettings::default());
@@ -945,54 +873,6 @@ mod tests {
         assert_eq!(loaded.data_dir, "/tmp/devudf-data");
         assert_eq!(loaded.fsync, FsyncPolicy::Never);
         assert_eq!(loaded.snapshot_every, 0);
-        // Files written before embedded mode existed lack the section.
-        let path = Settings::path_in(&dir);
-        std::fs::write(
-            &path,
-            r#"{"host": "localhost", "port": 50000, "database": "demo",
-                "user": "monetdb", "password": "monetdb", "debug_query": "",
-                "transfer": {"compress": false, "encrypt": false, "sample": null}}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            Settings::load(&dir).unwrap().storage,
-            StorageSettings::default()
-        );
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn unknown_storage_values_fail_loudly_with_allowed_set() {
-        let dir = temp_dir("storage_bad");
-        let path = Settings::path_in(&dir);
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        // A typo like "alway" must not silently fall back to a default.
-        for bad in ["alway", "Always", "on", "fdatasync"] {
-            std::fs::write(
-                &path,
-                format!(
-                    r#"{{"host": "localhost", "port": 50000, "database": "demo",
-                        "user": "monetdb", "password": "monetdb", "debug_query": "",
-                        "transfer": {{"compress": false, "encrypt": false, "sample": null}},
-                        "storage": {{"data_dir": "d", "fsync": "{bad}"}}}}"#
-                ),
-            )
-            .unwrap();
-            let err = Settings::load(&dir).unwrap_err().to_string();
-            assert!(err.contains("'always' or 'never'"), "{err}");
-            assert!(err.contains(bad), "{err}");
-        }
-        // Non-numeric cadence is rejected, not defaulted.
-        std::fs::write(
-            &path,
-            r#"{"host": "localhost", "port": 50000, "database": "demo",
-                "user": "monetdb", "password": "monetdb", "debug_query": "",
-                "transfer": {"compress": false, "encrypt": false, "sample": null},
-                "storage": {"data_dir": "d", "snapshot_every": "lots"}}"#,
-        )
-        .unwrap();
-        let err = Settings::load(&dir).unwrap_err().to_string();
-        assert!(err.contains("storage.snapshot_every"), "{err}");
         std::fs::remove_dir_all(dir).ok();
     }
 

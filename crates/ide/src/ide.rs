@@ -46,16 +46,6 @@ impl HeadlessIde {
         self.dev.settings.render_dialog()
     }
 
-    /// Settings-dialog knob: worker threads for the chunked transfer
-    /// codec (`None` shares the process-global pool). Persists with the
-    /// project settings and takes effect on the next (re)connect —
-    /// exactly like editing the connection parameters in the dialog.
-    pub fn set_transfer_parallelism(&mut self, threads: Option<usize>) -> Result<()> {
-        self.dev.settings.transfer.parallelism = threads;
-        self.dev.settings.save(self.dev.project.root())?;
-        Ok(())
-    }
-
     /// Figure 3a: build the Import dialog from the live server state.
     pub fn open_import_dialog(&mut self) -> Result<ImportDialog> {
         Ok(ImportDialog::new(self.dev.server_functions()?))
@@ -139,28 +129,6 @@ mod tests {
         let dialog = ide.render_settings_dialog();
         assert!(dialog.contains("Host:"));
         assert!(dialog.contains("SELECT mean_deviation(i)"));
-        std::fs::remove_dir_all(ide.dev.project.root()).ok();
-        server.shutdown();
-    }
-
-    #[test]
-    fn transfer_parallelism_knob_persists_and_renders() {
-        let server = demo_server();
-        let mut ide = temp_ide(&server, "parallel");
-        assert!(!ide.render_settings_dialog().contains("codec threads"));
-        ide.set_transfer_parallelism(Some(4)).unwrap();
-        assert!(ide.render_settings_dialog().contains("4 codec threads"));
-        // The knob persists with the project settings on disk.
-        let reloaded = Settings::load(ide.dev.project.root()).unwrap();
-        assert_eq!(reloaded.transfer.parallelism, Some(4));
-        ide.set_transfer_parallelism(None).unwrap();
-        assert_eq!(
-            Settings::load(ide.dev.project.root())
-                .unwrap()
-                .transfer
-                .parallelism,
-            None
-        );
         std::fs::remove_dir_all(ide.dev.project.root()).ok();
         server.shutdown();
     }

@@ -46,16 +46,11 @@ pub struct ClientOptions {
     /// Wrap the transport in a [`FaultInjectingTransport`] with this
     /// policy (tests/benchmarks).
     pub fault: Option<FaultPolicy>,
-    /// Worker threads for decoding chunked transfer payloads: `None`
-    /// shares the process-global pool (sized by `DEVUDF_POOL_THREADS`),
-    /// `Some(n)` gives this client its own `n`-thread pool. Local knob
-    /// only — never crosses the wire, never changes the bytes on it.
-    pub parallelism: Option<usize>,
     /// Content-addressed delta cache for repeated extracts: `Some(n)`
     /// keeps up to `n` extract payloads ([`crate::delta::BlockCache`])
     /// and upgrades [`Client::extract_inputs`] to the `ExtractDelta`
-    /// protocol (falling back transparently against older servers);
-    /// `None` disables caching and always runs the classic full extract.
+    /// protocol; `None` disables caching and always runs the classic
+    /// full extract.
     pub cache: Option<usize>,
 }
 
@@ -67,7 +62,6 @@ impl Default for ClientOptions {
             read_timeout: Some(DEFAULT_IO_TIMEOUT),
             write_timeout: Some(DEFAULT_IO_TIMEOUT),
             fault: None,
-            parallelism: None,
             cache: None,
         }
     }
@@ -108,19 +102,8 @@ pub struct Client {
     next_transfer_id: u64,
     last_udf_stdout: String,
     fault_stats: Option<FaultStatsHandle>,
-    /// Private decode pool when `ClientOptions::parallelism` was set;
-    /// `None` falls back to the process-global pool.
-    pool: Option<devharness::Pool>,
     /// Delta block cache when `ClientOptions::cache` was set.
     cache: Option<BlockCache>,
-    /// Cleared permanently the first time the server rejects the
-    /// `ExtractDelta` tag — every later extract takes the classic path
-    /// without re-probing (one wasted round trip per connection, max).
-    delta_supported: bool,
-    /// Cleared permanently the first time the server rejects the `Traced`
-    /// envelope tag — every later [`Client::query_traced`] degrades to a
-    /// plain query without re-probing (same version gate as deltas).
-    trace_supported: bool,
 }
 
 impl std::fmt::Debug for Client {
@@ -227,10 +210,7 @@ impl Client {
             next_transfer_id: 1,
             last_udf_stdout: String::new(),
             fault_stats,
-            pool: options.parallelism.map(devharness::Pool::new),
             cache: options.cache.map(BlockCache::new),
-            delta_supported: true,
-            trace_supported: true,
         };
         // Login is idempotent: under fault injection / flaky networks the
         // initial handshake retries like any read.
@@ -410,17 +390,14 @@ impl Client {
     /// into one id space and stitched under the wire span — ready for
     /// [`obs::trace::assemble`] / [`obs::trace::render_tree`].
     ///
-    /// Degrades transparently in every direction: with telemetry disabled
-    /// (or compiled out) the frame sent is byte-identical to
-    /// [`Client::query`] and the span list is empty; against a server
-    /// that predates the envelope the first attempt fails on the unknown
-    /// tag and the client permanently falls back to plain queries.
+    /// With telemetry disabled (or compiled out) the frame sent is
+    /// byte-identical to [`Client::query`] and the span list is empty.
     pub fn query_traced(
         &mut self,
         sql: &str,
     ) -> Result<(WireResult, Vec<obs::trace::SpanRecord>), WireError> {
         let trace = obs::trace::new_trace_id();
-        if trace == 0 || !self.trace_supported {
+        if trace == 0 {
             return Ok((self.query(sql)?, Vec::new()));
         }
         obs::trace::start_capture(trace);
@@ -453,20 +430,7 @@ impl Client {
         };
         drop(ctx);
         let mut records = obs::trace::take_capture(trace);
-        let (server_spans, inner) = match exchange {
-            Ok(v) => v,
-            Err(WireError::Server {
-                ref code,
-                ref message,
-                ..
-            }) if code == "ProtocolError" && message.contains("unknown message tag") => {
-                // Old-format server: remember and repeat as a plain query.
-                self.trace_supported = false;
-                obs::counter!("wire.client.trace_fallbacks").inc();
-                return Ok((self.query(sql)?, Vec::new()));
-            }
-            Err(e) => return Err(e),
-        };
+        let (server_spans, inner) = exchange?;
         // Stitch: server span ids live in their own namespace — shift
         // them into the top half of the id space (client ids are minted
         // from 1 and can never reach it) and hang the server's roots off
@@ -551,30 +515,15 @@ impl Client {
     /// With a delta cache configured ([`ClientOptions::cache`]) and no
     /// sampling requested, the call goes through the `ExtractDelta`
     /// protocol: unchanged payloads cost zero payload bytes, partially
-    /// changed ones ship only the changed blocks. Against a server that
-    /// predates the protocol the first attempt fails on the unknown
-    /// message tag and the client permanently falls back to the classic
-    /// full extract — same results, PR 4 bytes.
+    /// changed ones ship only the changed blocks.
     pub fn extract_inputs(
         &mut self,
         query: &str,
         udf: &str,
         options: TransferOptions,
     ) -> Result<(Value, TransferStats), WireError> {
-        if self.cache.is_some() && self.delta_supported && options.sample.is_none() {
-            match self.extract_delta(query, udf, options) {
-                Err(WireError::Server {
-                    ref code,
-                    ref message,
-                    ..
-                }) if code == "ProtocolError" && message.contains("unknown message tag") => {
-                    // Old-format server: remember and fall through to the
-                    // classic extract below.
-                    self.delta_supported = false;
-                    obs::counter!("transfer.delta.fallbacks").inc();
-                }
-                other => return other,
-            }
+        if self.cache.is_some() && options.sample.is_none() {
+            return self.extract_delta(query, udf, options);
         }
         let transfer_id = self.next_transfer_id;
         self.next_transfer_id += 1;
@@ -595,18 +544,9 @@ impl Client {
                     raw_len: raw_len as usize,
                     wire_len: payload.len(),
                 };
-                let pool = self
-                    .pool
-                    .as_ref()
-                    .unwrap_or_else(|| devharness::pool::global());
-                let value = transfer::decode_payload_with(
-                    pool,
-                    &payload,
-                    &options,
-                    &self.password,
-                    transfer_id,
-                )
-                .map_err(|e| WireError::Protocol(e.to_string()))?;
+                let value =
+                    transfer::decode_payload(&payload, &options, &self.password, transfer_id)
+                        .map_err(|e| WireError::Protocol(e.to_string()))?;
                 Ok((value, stats))
             }
             other => Err(WireError::Protocol(format!(
@@ -684,12 +624,8 @@ impl Client {
                         Some(entry) => entry.digest_map(),
                         None => std::collections::HashMap::new(),
                     };
-                    let pool = self
-                        .pool
-                        .as_ref()
-                        .unwrap_or_else(|| devharness::pool::global());
                     transfer::reconstruct_delta(
-                        pool,
+                        devharness::pool::global(),
                         raw_len,
                         &options,
                         &self.password,
@@ -752,6 +688,8 @@ mod tests {
     use super::*;
     use crate::message::WireValue;
     use crate::server::ServerConfig;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::{Arc, Mutex};
 
     fn demo_server() -> Server {
         Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), |db| {
@@ -892,40 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_with_private_decode_pool_matches_global() {
-        let server = demo_server();
-        let pooled_opts = ClientOptions {
-            parallelism: Some(2),
-            ..ClientOptions::default()
-        };
-        let mut pooled =
-            Client::connect_in_proc_with(&server, "monetdb", "monetdb", "demo", pooled_opts)
-                .unwrap();
-        let mut shared = connect(&server);
-        let transfer = TransferOptions {
-            compress: true,
-            encrypt: true,
-            ..Default::default()
-        };
-        let (a, _) = pooled
-            .extract_inputs(
-                "SELECT mean_deviation(i) FROM numbers",
-                "mean_deviation",
-                transfer,
-            )
-            .unwrap();
-        let (b, _) = shared
-            .extract_inputs(
-                "SELECT mean_deviation(i) FROM numbers",
-                "mean_deviation",
-                transfer,
-            )
-            .unwrap();
-        assert!(a.py_eq(&b));
-        server.shutdown();
-    }
-
-    #[test]
     fn extract_with_sampling_reduces_rows_and_bytes() {
         let server = Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), |db| {
             db.execute("CREATE TABLE big (i INTEGER)").unwrap();
@@ -1028,110 +932,127 @@ mod tests {
         server.shutdown();
     }
 
-    /// Mimics a server that predates the delta protocol: any `ExtractDelta`
-    /// frame (tag 7) is answered with the exact error an old decoder
-    /// produces, everything else passes through to the real server.
-    struct OldServerTransport {
+    /// Passes frames through to the real server, logging each one. While
+    /// `refusals` is positive a frame is refused with `ServerBusy`
+    /// (deterministic backpressure without racing real queues); a frame
+    /// tagged `unknown_tag` gets the exact error of a decoder that lacks
+    /// the tag.
+    struct StubTransport {
         inner: InProcTransport,
-        delta_frames: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+        unknown_tag: Option<u8>,
+        refusals: Arc<AtomicU32>,
+        frames: Arc<Mutex<Vec<Vec<u8>>>>,
     }
 
-    impl crate::transport::ClientTransport for OldServerTransport {
+    impl crate::transport::ClientTransport for StubTransport {
         fn round_trip(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-            if frame.first() == Some(&7) {
-                self.delta_frames
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Ok(Message::Error {
-                    code: "ProtocolError".into(),
-                    message: "unknown message tag 7".into(),
+            self.frames
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .push(frame.to_vec());
+            let refuse = |code: &str, message: String| {
+                Ok(Message::Error {
+                    code: code.to_string(),
+                    message,
                     traceback: None,
                 }
-                .encode());
+                .encode())
+            };
+            if self.refusals.load(Ordering::Relaxed) > 0 {
+                self.refusals.fetch_sub(1, Ordering::Relaxed);
+                return refuse(
+                    "ServerBusy",
+                    "write queue is full; retry after backoff".into(),
+                );
+            }
+            if frame.first() == self.unknown_tag.as_ref() {
+                return refuse("ProtocolError", format!("unknown message tag {}", frame[0]));
             }
             self.inner.round_trip(frame)
         }
+    }
+
+    type FrameLog = Arc<Mutex<Vec<Vec<u8>>>>;
+
+    /// A client logged in to `server` over a [`StubTransport`], with the
+    /// stub's refusal counter and frame log.
+    fn stub_client(
+        server: &Server,
+        unknown_tag: Option<u8>,
+        options: ClientOptions,
+    ) -> (Client, Arc<AtomicU32>, FrameLog) {
+        let (core, session) = server.in_proc_connection();
+        let refusals = Arc::new(AtomicU32::new(0));
+        let frames = FrameLog::default();
+        let transport = StubTransport {
+            inner: InProcTransport { core, session },
+            unknown_tag,
+            refusals: refusals.clone(),
+            frames: frames.clone(),
+        };
+        let client =
+            Client::login(Box::new(transport), "monetdb", "monetdb", "demo", options).unwrap();
+        (client, refusals, frames)
     }
 
     #[test]
-    fn delta_client_falls_back_against_an_old_server() {
+    fn unknown_tag_is_a_typed_protocol_error_not_a_downgrade() {
+        let _serial = obs::metrics::test_lock();
+        obs::set_enabled(true);
+        obs::trace::clear_subscribers();
         let server = demo_server();
-        let (core, session) = server.in_proc_connection();
-        let delta_frames = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let transport = OldServerTransport {
-            inner: InProcTransport { core, session },
-            delta_frames: delta_frames.clone(),
-        };
-        let options = ClientOptions {
-            cache: Some(4),
-            ..ClientOptions::default()
-        };
-        let mut client =
-            Client::login(Box::new(transport), "monetdb", "monetdb", "demo", options).unwrap();
-        let query = "SELECT mean_deviation(i) FROM numbers";
-        let (a, stats_a) = client
-            .extract_inputs(query, "mean_deviation", TransferOptions::plain())
-            .unwrap();
-        // The probe failed on the unknown tag and the classic extract
-        // carried the data.
-        assert!(!client.delta_supported);
-        assert!(stats_a.wire_len > 0);
-        // Later extracts skip the probe entirely: exactly one tag-7 frame
-        // ever crossed this connection.
-        let (b, _) = client
-            .extract_inputs(query, "mean_deviation", TransferOptions::plain())
-            .unwrap();
-        assert_eq!(delta_frames.load(std::sync::atomic::Ordering::Relaxed), 1);
-        assert!(a.py_eq(&b));
-        server.shutdown();
-    }
-
-    /// Refuses frames with `ServerBusy` while the shared counter is
-    /// positive, then passes everything through to the real server —
-    /// deterministic backpressure without racing real queues.
-    struct BusyServerTransport {
-        inner: InProcTransport,
-        refusals: std::sync::Arc<std::sync::atomic::AtomicU32>,
-    }
-
-    impl crate::transport::ClientTransport for BusyServerTransport {
-        fn round_trip(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-            use std::sync::atomic::Ordering;
-            if self.refusals.load(Ordering::Relaxed) > 0 {
-                self.refusals.fetch_sub(1, Ordering::Relaxed);
-                return Ok(Message::Error {
-                    code: "ServerBusy".into(),
-                    message: "write queue is full; retry after backoff".into(),
-                    traceback: None,
-                }
-                .encode());
+        // Tag 7 is `ExtractDelta` (sent when the cache is on), tag 8 the
+        // `Traced` envelope.
+        for unknown_tag in [7u8, 8] {
+            let options = ClientOptions {
+                cache: Some(4),
+                ..ClientOptions::default()
+            };
+            let (mut client, _, frames) = stub_client(&server, Some(unknown_tag), options);
+            let err = if unknown_tag == 7 {
+                client
+                    .extract_inputs(
+                        "SELECT mean_deviation(i) FROM numbers",
+                        "mean_deviation",
+                        TransferOptions::plain(),
+                    )
+                    .map(|_| ())
+                    .unwrap_err()
+            } else {
+                client
+                    .query_traced("SELECT sum(i) FROM numbers")
+                    .map(|_| ())
+                    .unwrap_err()
+            };
+            match err {
+                WireError::Server { code, .. } => assert_eq!(code, "ProtocolError"),
+                other => panic!("tag {unknown_tag}: {other:?}"),
             }
-            self.inner.round_trip(frame)
+            assert_eq!(
+                frames.lock().unwrap().len(),
+                2,
+                "tag {unknown_tag}: login and the one rejected frame, no retry another way"
+            );
         }
+        server.shutdown();
     }
 
     #[test]
     fn busy_replies_retry_even_non_idempotent_commands() {
         let server = demo_server();
-        let refusals = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let (core, session) = server.in_proc_connection();
-        let transport = BusyServerTransport {
-            inner: InProcTransport { core, session },
-            refusals: refusals.clone(),
-        };
         let options = ClientOptions::with_retry(RetryPolicy {
             max_attempts: 5,
             initial_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(4),
             deadline: Some(Duration::from_secs(5)),
         });
-        let mut client =
-            Client::login(Box::new(transport), "monetdb", "monetdb", "demo", options).unwrap();
+        let (mut client, refusals, _) = stub_client(&server, None, options);
         // An INSERT is not idempotent, but `ServerBusy` means the server
         // refused the command before executing anything — the retry layer
         // replays it instead of giving up after one attempt.
-        refusals.store(2, std::sync::atomic::Ordering::Relaxed);
+        refusals.store(2, Ordering::Relaxed);
         client.query("INSERT INTO numbers VALUES (99)").unwrap();
-        assert_eq!(refusals.load(std::sync::atomic::Ordering::Relaxed), 0);
+        assert_eq!(refusals.load(Ordering::Relaxed), 0);
         let t = client
             .query("SELECT i FROM numbers WHERE i = 99")
             .unwrap()
@@ -1144,21 +1065,8 @@ mod tests {
     #[test]
     fn busy_surfaces_raw_when_retries_are_disabled() {
         let server = demo_server();
-        let refusals = std::sync::Arc::new(std::sync::atomic::AtomicU32::new(0));
-        let (core, session) = server.in_proc_connection();
-        let transport = BusyServerTransport {
-            inner: InProcTransport { core, session },
-            refusals: refusals.clone(),
-        };
-        let mut client = Client::login(
-            Box::new(transport),
-            "monetdb",
-            "monetdb",
-            "demo",
-            ClientOptions::default(),
-        )
-        .unwrap();
-        refusals.store(1, std::sync::atomic::Ordering::Relaxed);
+        let (mut client, refusals, _) = stub_client(&server, None, ClientOptions::default());
+        refusals.store(1, Ordering::Relaxed);
         let err = client.query("INSERT INTO numbers VALUES (99)").unwrap_err();
         assert!(matches!(err, WireError::Busy(_)), "{err:?}");
         assert!(err.is_transient());
@@ -1201,78 +1109,6 @@ mod tests {
         server.shutdown();
     }
 
-    /// Mimics a server that predates the trace envelope: any `Traced`
-    /// frame (tag 8) is answered with an old decoder's exact error.
-    struct PreTraceServerTransport {
-        inner: InProcTransport,
-        traced_frames: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl crate::transport::ClientTransport for PreTraceServerTransport {
-        fn round_trip(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-            if frame.first() == Some(&8) {
-                self.traced_frames
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return Ok(Message::Error {
-                    code: "ProtocolError".into(),
-                    message: "unknown message tag 8".into(),
-                    traceback: None,
-                }
-                .encode());
-            }
-            self.inner.round_trip(frame)
-        }
-    }
-
-    #[test]
-    fn traced_client_falls_back_against_an_old_server() {
-        let _serial = obs::metrics::test_lock();
-        obs::set_enabled(true);
-        obs::trace::clear_subscribers();
-        let server = demo_server();
-        let (core, session) = server.in_proc_connection();
-        let traced_frames = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let transport = PreTraceServerTransport {
-            inner: InProcTransport { core, session },
-            traced_frames: traced_frames.clone(),
-        };
-        let mut client = Client::login(
-            Box::new(transport),
-            "monetdb",
-            "monetdb",
-            "demo",
-            ClientOptions::default(),
-        )
-        .unwrap();
-        let (a, spans) = client.query_traced("SELECT sum(i) FROM numbers").unwrap();
-        assert_eq!(a.into_table().unwrap().rows[0][0], WireValue::Int(21));
-        assert!(spans.is_empty(), "fallback returns no spans");
-        assert!(!client.trace_supported);
-        // Later traced queries skip the probe entirely: exactly one tag-8
-        // frame ever crossed this connection.
-        let (_, spans2) = client.query_traced("SELECT sum(i) FROM numbers").unwrap();
-        assert!(spans2.is_empty());
-        assert_eq!(traced_frames.load(std::sync::atomic::Ordering::Relaxed), 1);
-        server.shutdown();
-    }
-
-    /// Records every frame a client sends, so tests can compare wire
-    /// bytes across clients.
-    struct RecordingTransport {
-        inner: InProcTransport,
-        frames: std::sync::Arc<std::sync::Mutex<Vec<Vec<u8>>>>,
-    }
-
-    impl crate::transport::ClientTransport for RecordingTransport {
-        fn round_trip(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
-            self.frames
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(frame.to_vec());
-            self.inner.round_trip(frame)
-        }
-    }
-
     #[test]
     fn untraced_query_traced_is_byte_identical_to_plain_query() {
         let _serial = obs::metrics::test_lock();
@@ -1280,25 +1116,8 @@ mod tests {
         // leave no mark on the wire.
         obs::set_enabled(false);
         let server = demo_server();
-        let recorded = |server: &Server| {
-            let (core, session) = server.in_proc_connection();
-            let frames = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-            let transport = RecordingTransport {
-                inner: InProcTransport { core, session },
-                frames: frames.clone(),
-            };
-            let client = Client::login(
-                Box::new(transport),
-                "monetdb",
-                "monetdb",
-                "demo",
-                ClientOptions::default(),
-            )
-            .unwrap();
-            (client, frames)
-        };
-        let (mut plain, plain_frames) = recorded(&server);
-        let (mut traced, traced_frames) = recorded(&server);
+        let (mut plain, _, plain_frames) = stub_client(&server, None, ClientOptions::default());
+        let (mut traced, _, traced_frames) = stub_client(&server, None, ClientOptions::default());
         let sql = "SELECT mean_deviation(i) FROM numbers";
         plain.query(sql).unwrap();
         let (_, spans) = traced.query_traced(sql).unwrap();

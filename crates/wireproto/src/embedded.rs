@@ -8,14 +8,11 @@
 //! [`Embedded`] implements it by calling [`monetlite::Engine`] directly
 //! in the same process — no frames, no pickling, no socket.
 //!
-//! The embedded transport keeps the wire server's read/write discipline:
-//! each call is classified with the same [`monetlite::classify_sql`] /
-//! [`monetlite::classify_extract`] the PR-9 `ServerCore` router uses, and
-//! reads run against an epoch-stamped snapshot engine (hydrated lazily,
-//! cached until the live catalog's version moves) while writes go to the
-//! live engine. That makes the embedded path behaviourally identical to
-//! the server's scheduler — a query routed differently would be a bug a
-//! differential test can catch.
+//! An embedded engine has exactly one owner, reached through `&mut self`,
+//! so there is no concurrent writer to isolate reads from: every call runs
+//! on the live engine, which answers exactly as the server's snapshot
+//! readers would. The embedded-vs-TCP differential test holds the two
+//! paths to the same results.
 //!
 //! What embedding deliberately skips: the three transfer options.
 //! Compression and encryption protect bytes **on the wire**, and
@@ -46,7 +43,7 @@
 //! assert_eq!(stats.wire_len, 0);
 //! ```
 
-use monetlite::{classify_extract, classify_sql, CommandClass, Engine};
+use monetlite::Engine;
 use pylite::Value;
 
 use crate::client::{Client, FunctionInfo};
@@ -128,15 +125,10 @@ impl EngineTransport for Client {
     }
 }
 
-/// The in-process transport: a [`monetlite::Engine`] called directly,
-/// with the wire server's read/write classification and snapshot-read
-/// discipline (see the module docs).
+/// The in-process transport: a [`monetlite::Engine`] called directly
+/// (see the module docs).
 pub struct Embedded {
     engine: Engine,
-    /// Cached hydrated reader, keyed by the snapshot epoch it was built
-    /// from — the embedded analogue of the server's per-thread reader
-    /// cache.
-    reader: Option<(u64, Engine)>,
     last_udf_stdout: String,
 }
 
@@ -150,7 +142,6 @@ impl Embedded {
     pub fn from_engine(engine: Engine) -> Embedded {
         Embedded {
             engine,
-            reader: None,
             last_udf_stdout: String::new(),
         }
     }
@@ -171,33 +162,15 @@ impl Embedded {
     pub fn engine(&self) -> &Engine {
         &self.engine
     }
-
-    /// The engine a read may run on: a private engine hydrated from the
-    /// current snapshot, rebuilt only when the live catalog moved.
-    fn reader_engine(&mut self) -> Engine {
-        let epoch = self.engine.catalog_version();
-        match &self.reader {
-            Some((cached, engine)) if *cached == epoch => engine.clone(),
-            _ => {
-                let engine = self.engine.snapshot().hydrate();
-                self.reader = Some((epoch, engine.clone()));
-                engine
-            }
-        }
-    }
 }
 
 impl EngineTransport for Embedded {
     fn query(&mut self, sql: &str) -> Result<WireResult, WireError> {
         obs::counter!("wire.embedded.queries").inc();
-        let engine = match self.engine.with_catalog(|c| classify_sql(sql, c)) {
-            CommandClass::Write => self.engine.clone(),
-            CommandClass::Read => self.reader_engine(),
-        };
-        match engine.execute(sql) {
+        match self.engine.execute(sql) {
             Ok(result) => {
                 // Mirrors the wire: stdout rides only a successful reply.
-                self.last_udf_stdout = engine.take_udf_stdout();
+                self.last_udf_stdout = self.engine.take_udf_stdout();
                 Ok(WireResult::from_query_result(&result))
             }
             Err(e) => Err(WireError::from_db(&e)),
@@ -264,14 +237,8 @@ impl EngineTransport for Embedded {
         _options: TransferOptions,
     ) -> Result<(Value, TransferStats), WireError> {
         obs::counter!("wire.embedded.extracts").inc();
-        let engine = match self
+        let value = self
             .engine
-            .with_catalog(|c| classify_extract(query, udf, c))
-        {
-            CommandClass::Write => self.engine.clone(),
-            CommandClass::Read => self.reader_engine(),
-        };
-        let value = engine
             .extract_inputs(query, udf)
             .map_err(|e| WireError::from_db(&e))?;
         // Zero-serialization: the value never left the process, so both
@@ -324,29 +291,6 @@ mod tests {
             WireResult::Affected { rows, .. } => assert_eq!(rows, 1),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn reads_run_on_a_cached_snapshot_reader() {
-        let mut db = seeded();
-        db.query("SELECT i FROM t").unwrap();
-        let (epoch1, reader1) = {
-            let (e, r) = db.reader.as_ref().expect("reader cached");
-            (*e, r.clone())
-        };
-        // A second read at the same epoch reuses the same hydrated engine.
-        db.query("SELECT i FROM t").unwrap();
-        let (epoch2, reader2) = {
-            let (e, r) = db.reader.as_ref().unwrap();
-            (*e, r.clone())
-        };
-        assert_eq!(epoch1, epoch2);
-        assert_eq!(reader1.catalog_version(), reader2.catalog_version());
-        // A write moves the live epoch; the next read re-hydrates.
-        db.query("INSERT INTO t VALUES (9)").unwrap();
-        let t = db.query("SELECT i FROM t").unwrap().into_table().unwrap();
-        assert_eq!(t.rows.len(), 4);
-        assert!(db.reader.as_ref().unwrap().0 > epoch2);
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //! Repeated extracts — the paper's iterative debug loop — skip unchanged
 //! data entirely: a content-addressed block cache ([`delta`]) plus
 //! per-table epochs power an `ExtractDelta` round-trip that answers
-//! `NotModified` or ships only changed blocks, degrading transparently to
-//! a full extract against peers that predate the feature (DESIGN §12).
+//! `NotModified` or ships only changed blocks (DESIGN §12).
 //!
 //! # Architecture
 //!

@@ -308,10 +308,9 @@ pub enum Message {
     },
     /// Trace envelope (PR 8 version gate, DESIGN §15): `inner` is a fully
     /// encoded client message, `trace` the client-minted trace id. A
-    /// traced server answers with [`Message::TracedReply`]; an old server
-    /// fails on the unknown tag — the client's cue to fall back to plain
-    /// frames permanently. Untraced clients never send this, so their
-    /// wire bytes are untouched by the feature.
+    /// traced server answers with [`Message::TracedReply`]. Untraced
+    /// clients never send this, so their wire bytes are untouched by the
+    /// feature.
     Traced {
         /// Client-minted trace id (never 0 on the wire).
         trace: u64,
@@ -551,10 +550,10 @@ fn put_options(out: &mut Vec<u8>, o: &TransferOptions) {
     put_options_impl(out, o, false)
 }
 
-/// [`put_options`] with the delta version-gate bit set. Only the delta
-/// messages carry it: an old server that sees an `ExtractDelta` frame
-/// fails on the unknown message tag (the client's cue to fall back), and
-/// the bit keeps a delta frame from ever being misparsed as a plain one.
+/// [`put_options`] with the delta framing-check bit set. Only the delta
+/// messages carry it: a peer that lacks the `ExtractDelta` tag answers
+/// with a typed `ProtocolError`, and the bit keeps a delta frame from
+/// ever being misparsed as a plain one.
 fn put_options_delta(out: &mut Vec<u8>, o: &TransferOptions) {
     put_options_impl(out, o, true)
 }

@@ -37,10 +37,10 @@
 //! one thread and eight threads produce identical payloads (CI asserts
 //! this with pinned `DEVUDF_POOL_THREADS`).
 //!
-//! Plain transfers (no compress, no encrypt) stay in the legacy v0 format
-//! — the raw pickle — with zero framing overhead, and v0 single-blob
-//! compressed/encrypted payloads from older peers still decode:
-//! [`decode_payload`] dispatches on the container magic + version byte.
+//! Plain transfers (no compress, no encrypt) carry the raw pickle with
+//! zero framing overhead. Every compressed or encrypted payload is a v1
+//! container; [`decode_payload`] rejects anything else as a malformed
+//! container.
 //!
 //! # Content-addressed delta layer
 //!
@@ -181,8 +181,6 @@ pub enum TransferError {
     BlockIntegrity { block: usize, encrypted: bool },
     /// A block failed to decompress / had the wrong stored size.
     BlockCodec { block: usize, detail: String },
-    /// Error in the legacy (v0) single-blob pipeline.
-    Legacy(String),
 }
 
 impl std::fmt::Display for TransferError {
@@ -214,7 +212,6 @@ impl std::fmt::Display for TransferError {
                     "transfer error: block {block} failed to decode: {detail}"
                 )
             }
-            TransferError::Legacy(msg) => write!(f, "transfer error: {msg}"),
         }
     }
 }
@@ -230,8 +227,7 @@ const TRANSFER_SALT: &[u8] = b"devudf-transfer-v1";
 /// 2⁻³², which deters nobody — see the module docs.
 const INTEGRITY_TAG_LEN: usize = 4;
 
-/// v1 container magic. Distinct from the pickle magic `PKL1` that opens a
-/// legacy plain payload, so [`decode_payload`] can dispatch by sniffing.
+/// v1 container magic.
 const CONTAINER_MAGIC: [u8; 4] = *b"DUC1";
 /// v1 container version byte.
 const CONTAINER_VERSION: u8 = 1;
@@ -520,13 +516,6 @@ fn read_varint_usize(
         .map_err(|e| container_err(format!("bad {what} varint: {e}")))?;
     *cursor += used;
     usize::try_from(v).map_err(|_| container_err(format!("{what} out of range")))
-}
-
-/// True when `payload` opens with the v1 container magic + version.
-/// A legacy plain payload opens with the pickle magic `PKL1`, a legacy
-/// compressed/encrypted blob with a varint/ciphertext — neither collides.
-pub fn is_container(payload: &[u8]) -> bool {
-    payload.len() >= 6 && payload[..4] == CONTAINER_MAGIC && payload[4] == CONTAINER_VERSION
 }
 
 /// Unpack a v1 chunked container produced by [`encode_blocks`], decoding
@@ -927,7 +916,7 @@ pub fn unpickle_inputs(data: &[u8]) -> Result<Value, TransferError> {
 
 /// Server side: pickle the (possibly sampled) inputs and apply the selected
 /// codecs on the process-global pool. Returns (wire payload, raw pickle
-/// length). See [`encode_payload_with`] to supply a specific pool.
+/// length).
 pub fn encode_payload(
     inputs: &Value,
     options: &TransferOptions,
@@ -935,133 +924,41 @@ pub fn encode_payload(
     transfer_id: u64,
     seed: u64,
 ) -> Result<(Vec<u8>, usize), TransferError> {
-    encode_payload_with(pool::global(), inputs, options, password, transfer_id, seed)
-}
-
-/// [`encode_payload`] with an explicit worker pool.
-pub fn encode_payload_with(
-    pool: &Pool,
-    inputs: &Value,
-    options: &TransferOptions,
-    password: &str,
-    transfer_id: u64,
-    seed: u64,
-) -> Result<(Vec<u8>, usize), TransferError> {
     let effective = match options.sample {
         Some(k) => sample_inputs(inputs, k, mix_seed(seed, transfer_id))?,
         None => inputs.clone(),
     };
-    let payload =
-        pickle::dumps(&effective).map_err(|e| TransferError::Pickle(format!("pickle: {e}")))?;
+    let payload = pickle_inputs(&effective)?;
     let raw_len = payload.len();
     if !options.compress && !options.encrypt {
-        // Plain transfers keep the zero-overhead legacy format: the raw
-        // pickle itself is the wire payload.
+        // Plain transfers carry the raw pickle, zero framing overhead.
         return Ok((payload, raw_len));
     }
     Ok((
-        encode_blocks(pool, &payload, options, password, transfer_id),
+        encode_blocks(pool::global(), &payload, options, password, transfer_id),
         raw_len,
     ))
 }
 
-/// Legacy (v0) single-blob encoder: compress-then-encrypt the whole
-/// pickle in one piece. Kept for compatibility tests and as the
-/// single-core baseline in benchmarks; new code emits the chunked
-/// container via [`encode_payload`].
-pub fn encode_payload_legacy(
-    inputs: &Value,
-    options: &TransferOptions,
-    password: &str,
-    transfer_id: u64,
-    seed: u64,
-) -> Result<(Vec<u8>, usize), TransferError> {
-    let effective = match options.sample {
-        Some(k) => sample_inputs(inputs, k, mix_seed(seed, transfer_id))?,
-        None => inputs.clone(),
-    };
-    let mut payload =
-        pickle::dumps(&effective).map_err(|e| TransferError::Pickle(format!("pickle: {e}")))?;
-    let raw_len = payload.len();
-    if options.compress {
-        payload = lz::compress(&payload);
-    }
-    if options.encrypt {
-        // Integrity envelope: an FNV-1a checksum of the plaintext rides
-        // *inside* the ciphertext, so a wrong-password decrypt fails
-        // loudly instead of unpickling garbage.
-        let tag = codecs::fnv1a_32(&payload);
-        payload.extend_from_slice(&tag.to_le_bytes());
-        let key = transfer_key(password);
-        let nonce = kdf::derive_nonce(transfer_id);
-        let mut cipher = chacha20::ChaCha20::new(&key, &nonce, 1);
-        cipher.apply(&mut payload);
-    }
-    Ok((payload, raw_len))
-}
-
-/// Client side: reverse the codecs and unpickle on the process-global
-/// pool. The client derives the same key from the password it already
-/// holds — the key never crosses the wire. Dispatches on the container
-/// magic, so legacy v0 single-blob payloads still decode.
+/// Client side: reverse the codecs on the process-global pool and
+/// unpickle. The client derives the same key from the password it already
+/// holds — the key never crosses the wire. A compressed or encrypted
+/// payload must be a v1 container; a plain payload is the pickle.
 pub fn decode_payload(
     payload: &[u8],
     options: &TransferOptions,
     password: &str,
     transfer_id: u64,
 ) -> Result<Value, TransferError> {
-    decode_payload_with(pool::global(), payload, options, password, transfer_id)
-}
-
-/// [`decode_payload`] with an explicit worker pool.
-pub fn decode_payload_with(
-    pool: &Pool,
-    payload: &[u8],
-    options: &TransferOptions,
-    password: &str,
-    transfer_id: u64,
-) -> Result<Value, TransferError> {
-    let data = if (options.compress || options.encrypt) && is_container(payload) {
-        decode_blocks(pool, payload, options, password, transfer_id)?
+    let decoded;
+    let data = if options.compress || options.encrypt {
+        decoded = decode_blocks(pool::global(), payload, options, password, transfer_id)?;
+        &decoded[..]
     } else {
-        decode_legacy_bytes(payload, options, password, transfer_id)?
+        payload
     };
-    pickle::loads(&data)
+    pickle::loads(data)
         .map_err(|e| TransferError::Pickle(format!("unpickle (wrong password?): {e}")))
-}
-
-/// Reverse the legacy v0 single-blob codecs (no container framing).
-fn decode_legacy_bytes(
-    payload: &[u8],
-    options: &TransferOptions,
-    password: &str,
-    transfer_id: u64,
-) -> Result<Vec<u8>, TransferError> {
-    let mut data = payload.to_vec();
-    if options.encrypt {
-        let key = transfer_key(password);
-        let nonce = kdf::derive_nonce(transfer_id);
-        let mut cipher = chacha20::ChaCha20::new(&key, &nonce, 1);
-        cipher.apply(&mut data);
-        // Verify the plaintext checksum appended by the legacy encoder.
-        if data.len() < INTEGRITY_TAG_LEN {
-            return Err(TransferError::Legacy(
-                "encrypted payload too short for integrity tag".into(),
-            ));
-        }
-        let tag_bytes = data.split_off(data.len() - INTEGRITY_TAG_LEN);
-        let expected = u32::from_le_bytes(tag_bytes.try_into().expect("4-byte tag"));
-        if codecs::fnv1a_32(&data) != expected {
-            return Err(TransferError::Legacy(
-                "integrity check failed after decryption (wrong password?)".into(),
-            ));
-        }
-    }
-    if options.compress {
-        data = lz::decompress(&data)
-            .map_err(|e| TransferError::Legacy(format!("decompress (wrong password?): {e}")))?;
-    }
-    Ok(data)
 }
 
 #[cfg(test)]
@@ -1097,12 +994,44 @@ mod tests {
         }
     }
 
+    fn is_container(payload: &[u8]) -> bool {
+        payload.starts_with(&CONTAINER_MAGIC)
+    }
+
+    /// `(encoding byte, body byte range)` of every block of a container,
+    /// read from its header.
+    fn bodies(container: &[u8]) -> Vec<(u8, std::ops::Range<usize>)> {
+        fn take(buf: &[u8], cur: &mut usize) -> usize {
+            let (v, used) = read_u64(&buf[*cur..]).unwrap();
+            *cur += used;
+            v as usize
+        }
+        let mut cur = 6usize;
+        let _block_size = take(container, &mut cur);
+        let _raw_total = take(container, &mut cur);
+        let nblocks = take(container, &mut cur);
+        let mut table = Vec::with_capacity(nblocks);
+        for _ in 0..nblocks {
+            let enc = container[cur];
+            cur += 1;
+            let _raw_len = take(container, &mut cur);
+            table.push((enc, take(container, &mut cur)));
+        }
+        table
+            .into_iter()
+            .map(|(enc, wire_len)| {
+                cur += wire_len;
+                (enc, cur - wire_len..cur)
+            })
+            .collect()
+    }
+
     #[test]
     fn plain_round_trip() {
         let inputs = sample_dict(100);
         let (payload, raw) =
             encode_payload(&inputs, &TransferOptions::plain(), "pw", 1, 7).unwrap();
-        // Plain stays legacy v0: the raw pickle, zero framing overhead.
+        // Plain is the raw pickle, zero framing overhead.
         assert_eq!(payload.len(), raw);
         assert!(!is_container(&payload));
         let back = decode_payload(&payload, &TransferOptions::plain(), "pw", 1).unwrap();
@@ -1166,7 +1095,7 @@ mod tests {
         for compress in [false, true] {
             for encrypt in [false, true] {
                 if !compress && !encrypt {
-                    continue; // plain is the v0 passthrough, covered above
+                    continue; // plain is the raw pickle, covered above
                 }
                 let opts = TransferOptions {
                     compress,
@@ -1192,15 +1121,13 @@ mod tests {
             ..Default::default()
         }
         .with_block_size(8 * 1024);
-        let reference = Pool::new(1);
-        let (expect, raw) = encode_payload_with(&reference, &inputs, &opts, "pw", 9, 7).unwrap();
+        let raw = pickle_inputs(&inputs).unwrap();
+        let expect = encode_blocks(&Pool::new(1), &raw, &opts, "pw", 9);
         for threads in [2, 4, 8] {
             let pool = Pool::new(threads);
-            let (payload, raw2) = encode_payload_with(&pool, &inputs, &opts, "pw", 9, 7).unwrap();
-            assert_eq!(raw, raw2);
+            let payload = encode_blocks(&pool, &raw, &opts, "pw", 9);
             assert_eq!(payload, expect, "{threads}-thread pool changed wire bytes");
-            let back = decode_payload_with(&pool, &payload, &opts, "pw", 9).unwrap();
-            assert!(back.py_eq(&inputs));
+            assert_eq!(decode_blocks(&pool, &payload, &opts, "pw", 9).unwrap(), raw);
         }
     }
 
@@ -1231,55 +1158,41 @@ mod tests {
         .with_block_size(8 * 1024);
         let pool = Pool::new(4);
         let clean = encode_blocks(&pool, &data, &opts, "pw", 3);
-        // Parse the header to find each body's offset in the payload.
-        fn take(buf: &[u8], cur: &mut usize) -> usize {
-            let (v, used) = read_u64(&buf[*cur..]).unwrap();
-            *cur += used;
-            v as usize
-        }
-        let mut cur = 6usize;
-        let _block_size = take(&clean, &mut cur);
-        let _raw_total = take(&clean, &mut cur);
-        let nblocks = take(&clean, &mut cur);
-        assert!(nblocks >= 4, "want a multi-block payload, got {nblocks}");
-        let mut wire_lens = Vec::with_capacity(nblocks);
-        for _ in 0..nblocks {
-            cur += 1; // enc byte
-            let _raw_len = take(&clean, &mut cur);
-            wire_lens.push(take(&clean, &mut cur));
-        }
+        let bodies = bodies(&clean);
+        assert!(bodies.len() >= 4, "want a multi-block payload");
         // Flip one byte inside each block body in turn; decode must blame
         // exactly that block (every body is ≥ 5 bytes, so +2 stays inside).
-        let mut off = cur;
-        for (block, wire_len) in wire_lens.into_iter().enumerate() {
+        for (block, (_, body)) in bodies.into_iter().enumerate() {
             let mut bad = clean.clone();
-            bad[off + 2] ^= 0x10;
+            bad[body.start + 2] ^= 0x10;
             match decode_blocks(&pool, &bad, &opts, "pw", 3) {
                 Err(TransferError::BlockIntegrity { block: got, .. }) => {
                     assert_eq!(got, block, "wrong block blamed");
                 }
                 other => panic!("block {block}: expected BlockIntegrity, got {other:?}"),
             }
-            off += wire_len;
         }
     }
 
     #[test]
-    fn legacy_v0_blob_still_decodes() {
-        let inputs = sample_dict(200);
-        for opts in [
-            TransferOptions::compressed(),
-            TransferOptions::encrypted(),
-            TransferOptions {
-                compress: true,
-                encrypt: true,
+    fn coded_payload_that_is_not_a_container_is_rejected() {
+        // A compressed or encrypted payload is always a v1 container:
+        // a raw pickle, a whole-payload LZ blob or a stub shorter than
+        // the fixed header is a malformed container, never a panic.
+        let pickle = pickle_inputs(&sample_dict(200)).unwrap();
+        let lz_blob = lz::compress(&pickle);
+        for (compress, encrypt) in [(true, false), (false, true), (true, true)] {
+            let opts = TransferOptions {
+                compress,
+                encrypt,
                 ..Default::default()
-            },
-        ] {
-            let (payload, _) = encode_payload_legacy(&inputs, &opts, "pw", 6, 7).unwrap();
-            assert!(!is_container(&payload));
-            let back = decode_payload(&payload, &opts, "pw", 6).unwrap();
-            assert!(back.py_eq(&inputs), "legacy decode failed for {opts:?}");
+            };
+            for payload in [&pickle[..], &lz_blob[..], &b"DUC"[..]] {
+                match decode_payload(payload, &opts, "pw", 6) {
+                    Err(TransferError::Container(_)) => {}
+                    other => panic!("c={compress} e={encrypt} len={}: {other:?}", payload.len()),
+                }
+            }
         }
     }
 
@@ -1586,31 +1499,15 @@ mod tests {
             let container = encode_blocks(&pool, &data, &opts, "pw", 17);
             let ship = vec![true; data.len().div_ceil(8 * 1024)];
             let delta = encode_delta_blocks(&pool, &data, &opts, "pw", 17, &ship);
-            // Walk the container header to find each body.
-            let mut cur = 6usize;
-            let (_, used) = read_u64(&container[cur..]).unwrap();
-            cur += used;
-            let (_, used) = read_u64(&container[cur..]).unwrap();
-            cur += used;
-            let (nblocks, used) = read_u64(&container[cur..]).unwrap();
-            cur += used;
-            assert_eq!(nblocks as usize, delta.len());
-            let mut metas = Vec::new();
-            for _ in 0..nblocks {
-                let enc = container[cur];
-                cur += 1;
-                let (_, used) = read_u64(&container[cur..]).unwrap();
-                cur += used;
-                let (wire_len, used) = read_u64(&container[cur..]).unwrap();
-                cur += used;
-                metas.push((enc, wire_len as usize));
-            }
-            for (i, (enc, wire_len)) in metas.into_iter().enumerate() {
-                let body = &container[cur..cur + wire_len];
-                cur += wire_len;
+            let bodies = bodies(&container);
+            assert_eq!(bodies.len(), delta.len());
+            for (i, (enc, body)) in bodies.into_iter().enumerate() {
                 assert_eq!(delta[i].index, i as u64);
                 assert_eq!(delta[i].enc, enc, "c={compress} e={encrypt} block {i}");
-                assert_eq!(delta[i].body, body, "c={compress} e={encrypt} block {i}");
+                assert_eq!(
+                    delta[i].body, &container[body],
+                    "c={compress} e={encrypt} block {i}"
+                );
             }
         }
     }

@@ -71,6 +71,15 @@ echo "digests identical"
 echo "==> bench guards (transfer codec + bytecode VM + UDF inlining + observability + concurrency + embedded)"
 cargo run --offline --release -q -p devudf-bench --bin bench_guard
 
+# devbench (the repo's end-to-end benchmark, devbench/README.md) lives
+# outside the workspace, so the steps above never compile it. Build it and
+# run a short correctness smoke of all four workloads: every answer is
+# checked against a shadow model and the exit code is 0 only when all pass,
+# so a workspace API the benchmark uses cannot break unnoticed.
+echo "==> devbench build + 2-second smoke of every workload"
+cargo build --offline --release --manifest-path devbench/Cargo.toml
+cargo run --offline --release -q --manifest-path devbench/Cargo.toml -- --seconds 2
+
 # Embedded-mode smoke, no server anywhere: create a persistent data
 # directory, then drive the import -> run loop over the in-process
 # transport in a *separate* invocation (so the catalog demonstrably
