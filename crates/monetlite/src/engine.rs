@@ -732,9 +732,8 @@ impl Engine {
                 .collect(),
         };
         let removed = keep.iter().filter(|k| !**k).count();
-        let filtered = table.filter(&keep);
         let mut inner = self.inner.borrow_mut();
-        *inner.catalog.table_mut(table_name)? = filtered;
+        unchanged_since(inner.catalog.table_mut(table_name)?, table)?.retain_rows(&keep);
         Ok(QueryResult::Affected {
             rows: removed,
             message: format!("{removed} row(s) deleted"),
@@ -752,32 +751,30 @@ impl Engine {
             None => vec![true; table.row_count()],
             Some(p) => exec::eval::predicate_mask(self, &table, p)?,
         };
-        // Evaluate each assignment columnar against the full table.
-        let mut new_columns = (*table.columns).clone();
+        let rows: Vec<usize> = (0..mask.len()).filter(|&row| mask[row]).collect();
+        // Evaluate each assignment columnar against the pre-update table and
+        // coerce the new values, so a failed cast changes nothing.
+        let mut writes = Vec::with_capacity(assignments.len());
         for (col_name, expr) in assignments {
             let idx = table
                 .column_index(col_name)
                 .ok_or_else(|| DbError::catalog(format!("no such column '{col_name}'")))?;
             let evaluated = exec::eval::eval_expr(self, Some(&table), expr)?;
             let target_type = table.columns[idx].sql_type();
-            let mut rebuilt = crate::types::Column::empty(col_name.clone(), target_type);
-            for (row, selected) in mask.iter().enumerate() {
-                let v = if *selected {
-                    match &evaluated {
-                        exec::Evaluated::Scalar(s) => s.clone(),
-                        exec::Evaluated::Column(c) => c.get(row),
-                    }
-                } else {
-                    table.columns[idx].get(row)
-                };
-                rebuilt.push(&v)?;
-            }
-            new_columns[idx] = rebuilt;
+            let values = rows
+                .iter()
+                .map(|&row| evaluated.get(row).coerce(target_type))
+                .collect::<Result<Vec<_>, _>>()?;
+            writes.push((idx, values));
         }
-        let updated = mask.iter().filter(|m| **m).count();
+        let updated = rows.len();
         let mut inner = self.inner.borrow_mut();
-        let slot = inner.catalog.table_mut(table_name)?;
-        slot.set_columns(new_columns);
+        let columns = unchanged_since(inner.catalog.table_mut(table_name)?, table)?.columns_mut();
+        for (idx, values) in writes {
+            for (&row, value) in rows.iter().zip(values) {
+                columns[idx].set(row, value);
+            }
+        }
         Ok(QueryResult::Affected {
             rows: updated,
             message: format!("{updated} row(s) updated"),
@@ -915,6 +912,21 @@ impl Drop for UdfDepthGuard {
         let mut inner = self.engine.inner.borrow_mut();
         inner.udf_depth = inner.udf_depth.saturating_sub(1);
     }
+}
+
+/// The live table an UPDATE or DELETE writes in place, provided it still
+/// holds the storage its row positions were computed on (`read`); a UDF's
+/// loopback write during evaluation replaces that storage. Dropping `read`
+/// leaves the storage unshared, so the write copies nothing unless a
+/// snapshot holds it.
+fn unchanged_since(live: &mut Table, read: Table) -> Result<&mut Table, DbError> {
+    if !std::sync::Arc::ptr_eq(&live.columns, &read.columns) {
+        return Err(DbError::exec(format!(
+            "table '{}' changed while the statement was evaluated",
+            read.name
+        )));
+    }
+    Ok(live)
 }
 
 /// Human-readable statement kind (shared by EXPLAIN and EXPLAIN ANALYZE).
@@ -1192,6 +1204,50 @@ mod tests {
             .into_table()
             .unwrap();
         assert_eq!(t.row(0)[0], SqlValue::Int(51)); // 1 + 20 + 30
+    }
+
+    #[test]
+    fn update_and_delete_write_in_place_unless_a_snapshot_shares_storage() {
+        let db = engine_with_numbers();
+        let storage = |db: &Engine| {
+            db.with_catalog(|c| std::sync::Arc::as_ptr(&c.table("t").unwrap().columns))
+        };
+        let sum = |db: &Engine| {
+            db.execute("SELECT sum(i), count(i) FROM t")
+                .unwrap()
+                .into_table()
+                .unwrap()
+                .row(0)
+        };
+        // A snapshot holds the storage: the write copies, the snapshot
+        // keeps its rows.
+        let snap = db.snapshot();
+        let shared = storage(&db);
+        db.execute("UPDATE t SET i = 10 WHERE i = 1").unwrap();
+        assert_ne!(storage(&db), shared);
+        assert_eq!(
+            sum(&Engine::from_snapshot(&snap)),
+            vec![SqlValue::Int(15), SqlValue::Int(5)]
+        );
+        drop(snap);
+        // Unshared: UPDATE and DELETE reuse the storage; a failed cast
+        // changes no row.
+        let own = storage(&db);
+        db.execute("UPDATE t SET i = NULL WHERE i = 2").unwrap();
+        db.execute("DELETE FROM t WHERE i = 5").unwrap();
+        assert!(db.execute("UPDATE t SET i = 'x' WHERE i = 3").is_err());
+        assert_eq!(storage(&db), own);
+        assert_eq!(sum(&db), vec![SqlValue::Int(17), SqlValue::Int(3)]);
+        // A UDF that rewrites the table mid-UPDATE fails the statement
+        // instead of writing to stale row positions.
+        db.execute(
+            "CREATE FUNCTION shrink(x INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\ntry:\n    _conn.execute('DELETE FROM t WHERE i = 4')\nexcept:\n    pass\nreturn x\n}",
+        )
+        .unwrap();
+        let err = db
+            .execute("UPDATE t SET i = shrink(1) WHERE i = 3")
+            .unwrap_err();
+        assert!(err.message.contains("changed while"), "{}", err.message);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl Table {
         Arc::try_unwrap(self.columns).unwrap_or_else(|shared| (*shared).clone())
     }
 
-    /// Replace the column vector wholesale (bulk rewrites like UPDATE).
-    pub fn set_columns(&mut self, columns: Vec<Column>) {
-        self.columns = Arc::new(columns);
-    }
-
     /// Number of rows (0 for a table with no columns).
     pub fn row_count(&self) -> usize {
         self.columns.first().map(|c| c.len()).unwrap_or(0)
@@ -125,6 +120,14 @@ impl Table {
         Table {
             name: self.name.clone(),
             columns: Arc::new(self.columns.iter().map(|c| c.filter(mask)).collect()),
+        }
+    }
+
+    /// [`Table::filter`] in place (DELETE): the kept rows move down inside
+    /// the existing storage, which is copied only if a snapshot shares it.
+    pub fn retain_rows(&mut self, mask: &[bool]) {
+        for column in self.columns_mut() {
+            column.retain(mask);
         }
     }
 

@@ -271,6 +271,32 @@ impl Column {
         Ok(())
     }
 
+    /// Overwrite row `row` with a value already coerced to the column's
+    /// type ([`SqlValue::coerce`]). NULL sets the mask and zeroes the slot,
+    /// as [`Column::push`] does.
+    pub fn set(&mut self, row: usize, value: SqlValue) {
+        let null = value.is_null();
+        if null && self.nulls.len() < self.len() {
+            self.nulls.resize(self.len(), false);
+        }
+        if let Some(flag) = self.nulls.get_mut(row) {
+            *flag = null;
+        }
+        match (&mut self.data, value) {
+            (ColumnData::Int(v), SqlValue::Int(x)) => v[row] = x,
+            (ColumnData::Double(v), SqlValue::Double(x)) => v[row] = x,
+            (ColumnData::Str(v), SqlValue::Str(x)) => v[row] = x,
+            (ColumnData::Bool(v), SqlValue::Bool(x)) => v[row] = x,
+            (ColumnData::Blob(v), SqlValue::Blob(x)) => v[row] = x,
+            (ColumnData::Int(v), SqlValue::Null) => v[row] = 0,
+            (ColumnData::Double(v), SqlValue::Null) => v[row] = 0.0,
+            (ColumnData::Str(v), SqlValue::Null) => v[row] = String::new(),
+            (ColumnData::Bool(v), SqlValue::Null) => v[row] = false,
+            (ColumnData::Blob(v), SqlValue::Null) => v[row] = Vec::new(),
+            _ => unreachable!("set() takes a value coerced to the column's type"),
+        }
+    }
+
     /// Build a column from scalar values, inferring the type from the first
     /// non-null value (NULL-only columns default to INTEGER).
     pub fn from_values(name: impl Into<String>, values: &[SqlValue]) -> Result<Column, DbError> {
@@ -319,6 +345,22 @@ impl Column {
             data,
             nulls,
         }
+    }
+
+    /// [`Column::filter`] in place.
+    pub fn retain(&mut self, mask: &[bool]) {
+        fn keep<T>(v: &mut Vec<T>, mask: &[bool]) {
+            let mut mask = mask.iter();
+            v.retain(|_| mask.next().copied().unwrap_or(false));
+        }
+        match &mut self.data {
+            ColumnData::Int(v) => keep(v, mask),
+            ColumnData::Double(v) => keep(v, mask),
+            ColumnData::Str(v) => keep(v, mask),
+            ColumnData::Bool(v) => keep(v, mask),
+            ColumnData::Blob(v) => keep(v, mask),
+        }
+        keep(&mut self.nulls, mask);
     }
 
     /// Reorder rows by `perm` (row `i` of the result is old row `perm[i]`).
@@ -450,6 +492,9 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert!(f.is_null(0));
         assert_eq!(f.get(1), SqlValue::Int(2));
+        let mut r = c.clone();
+        r.retain(&[false, true, true, false]);
+        assert_eq!(r, f);
         let p = c.permute(&[3, 0]);
         assert_eq!(p.get(0), SqlValue::Int(3));
         assert_eq!(p.get(1), SqlValue::Int(0));
