@@ -53,16 +53,7 @@ fn main() {
     });
 
     group.bench_with_input(BenchmarkId::new("traced", ROWS), &ROWS, |b, _| {
-        b.iter(|| {
-            let trace = obs::trace::new_trace_id();
-            obs::trace::start_capture(trace);
-            let result = {
-                let _ctx = obs::trace::enter_context(obs::trace::SpanContext { trace, parent: 0 });
-                db.execute(QUERY).unwrap()
-            };
-            let spans = obs::trace::take_capture(trace);
-            (result, spans)
-        })
+        b.iter(|| obs::trace::capture(|| db.execute(QUERY).unwrap()))
     });
 
     group.bench_with_input(BenchmarkId::new("analyze", ROWS), &ROWS, |b, _| {

@@ -479,17 +479,7 @@ fn measure_profile() -> Json {
             b.iter(|| db.execute("SELECT f(i) FROM numbers").unwrap())
         });
         group.bench_function("traced", |b| {
-            b.iter(|| {
-                let trace = obs::trace::new_trace_id();
-                obs::trace::start_capture(trace);
-                let result = {
-                    let _ctx =
-                        obs::trace::enter_context(obs::trace::SpanContext { trace, parent: 0 });
-                    db.execute("SELECT f(i) FROM numbers").unwrap()
-                };
-                let spans = obs::trace::take_capture(trace);
-                (result, spans)
-            })
+            b.iter(|| obs::trace::capture(|| db.execute("SELECT f(i) FROM numbers").unwrap()))
         });
         group.finish();
     })

@@ -12,8 +12,9 @@
 //! * [`chacha20`] — the RFC 8439 ChaCha20 stream cipher,
 //! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256, used for password→key derivation
 //!   ([`kdf`]) and as the content address of `minivcs` objects,
-//! * [`varint`] — LEB128-style variable-length integers used by the wire
-//!   protocol and the compressor,
+//! * [`varint`] — LEB128-style variable-length integers and the bounded
+//!   byte reader shared by the wire protocol, the storage snapshot format
+//!   and the compressor,
 //! * [`fnv`] — FNV-1a hashing for cheap non-cryptographic fingerprints,
 //! * [`hex`] — hexadecimal encoding for object ids and test vectors,
 //! * [`json`] — a hand-rolled JSON codec used for IDE settings, `minivcs`

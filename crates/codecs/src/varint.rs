@@ -1,8 +1,9 @@
-//! LEB128-style unsigned variable-length integers.
+//! LEB128-style unsigned variable-length integers, and the byte [`Reader`]
+//! built on them.
 //!
-//! Used by the LZ token stream and the wire protocol framing. Small values
-//! (lengths, offsets, row counts) dominate both, so the 1-byte fast path
-//! matters.
+//! Used by the LZ token stream, the wire protocol framing and the storage
+//! snapshot format. Small values (lengths, offsets, row counts) dominate
+//! all three, so the 1-byte fast path matters.
 
 /// Errors returned while decoding a varint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,6 +67,97 @@ pub fn encoded_len(value: u64) -> usize {
         1
     } else {
         (64 - value.leading_zeros() as usize).div_ceil(7)
+    }
+}
+
+/// Append the zigzag varint encoding of `v` (small magnitudes of either
+/// sign stay short).
+pub fn write_zigzag(out: &mut Vec<u8>, v: i64) {
+    write_u64(out, ((v << 1) ^ (v >> 63)) as u64);
+}
+
+/// Append `b` (bytes or a string) prefixed with its varint length.
+pub fn write_bytes(out: &mut Vec<u8>, b: impl AsRef<[u8]>) {
+    let b = b.as_ref();
+    write_u64(out, b.len() as u64);
+    out.extend_from_slice(b);
+}
+
+/// Why a [`Reader`] could not read the next item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadError {
+    /// A malformed varint.
+    Varint(VarintError),
+    /// Fewer bytes remain than the item needs.
+    Truncated,
+    /// A length-prefixed string is not UTF-8.
+    Utf8,
+}
+
+/// A cursor over untrusted bytes that reads varints, zigzag `i64`s, single
+/// bytes and length-prefixed byte strings, never past the end of its
+/// buffer: a declared length larger than what remains is
+/// [`ReadError::Truncated`], whatever its size.
+pub struct Reader<'a> {
+    data: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `data`.
+    pub fn new(data: &'a [u8]) -> Self {
+        Reader { data, pos: 0 }
+    }
+
+    /// The next varint.
+    pub fn varint(&mut self) -> Result<u64, ReadError> {
+        let (v, used) = read_u64(&self.data[self.pos..]).map_err(ReadError::Varint)?;
+        self.pos += used;
+        Ok(v)
+    }
+
+    /// The next zigzag-coded `i64` (see [`write_zigzag`]).
+    pub fn zigzag(&mut self) -> Result<i64, ReadError> {
+        let z = self.varint()?;
+        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], ReadError> {
+        if n > self.remaining() {
+            return Err(ReadError::Truncated);
+        }
+        let s = &self.data[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    /// The next byte.
+    pub fn byte(&mut self) -> Result<u8, ReadError> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next length-prefixed byte string (see [`write_bytes`]).
+    pub fn bytes(&mut self) -> Result<&'a [u8], ReadError> {
+        let n = usize::try_from(self.varint()?).map_err(|_| ReadError::Truncated)?;
+        self.take(n)
+    }
+
+    /// The next length-prefixed UTF-8 string (see [`write_bytes`]).
+    pub fn str(&mut self) -> Result<&'a str, ReadError> {
+        std::str::from_utf8(self.bytes()?).map_err(|_| ReadError::Utf8)
+    }
+
+    /// Bytes not yet read — the plausibility bound for a declared count,
+    /// so a hostile count never sizes an allocation the buffer could not
+    /// hold.
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
+    /// Whether every byte has been read.
+    pub fn is_done(&self) -> bool {
+        self.pos == self.data.len()
     }
 }
 

@@ -490,6 +490,37 @@ mod tests {
     }
 
     #[test]
+    fn traced_fetch_inputs_is_one_tree_down_to_the_server_command() {
+        // Captures and the enable flag are process-global: serialize with
+        // every other telemetry-recording test.
+        let _serial = obs::metrics::test_lock();
+        obs::set_enabled(true);
+        let server = demo_server();
+        let mut dev = temp_dev(&server, "traced-fetch");
+        dev.import_all().unwrap();
+        let (stats, spans) = obs::trace::capture(|| dev.fetch_inputs("mean_deviation"));
+        assert!(stats.unwrap().raw_len > 0);
+        let roots = obs::trace::assemble(&spans);
+        assert_eq!(roots.len(), 1, "{spans:?}");
+        assert_eq!(roots[0].record.name, "core.extract");
+        assert_eq!(roots[0].len(), spans.len());
+        let span = |name: &str| spans.iter().find(|r| r.name == name).unwrap();
+        let call = span("client.extract_delta");
+        let wire = span("client.wire");
+        let cmd = span("server.command");
+        assert_eq!(call.parent, roots[0].record.id);
+        assert_eq!(wire.parent, call.id);
+        assert_eq!(cmd.parent, wire.id);
+        assert!(
+            cmd.fields
+                .contains(&("command".to_string(), "extract_delta".to_string())),
+            "{:?}",
+            cmd.fields
+        );
+        server.shutdown();
+    }
+
+    #[test]
     fn fetch_inputs_writes_input_bin() {
         let server = demo_server();
         let mut dev = temp_dev(&server, "fetch");

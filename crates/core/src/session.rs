@@ -166,18 +166,19 @@ impl DevUdf {
         Ok(self.client.borrow_mut().query(sql)?)
     }
 
-    /// Execute SQL with end-to-end tracing: the query travels inside a
-    /// traced wire envelope, the server ships its spans back, and the
-    /// combined client→wire→engine→UDF tree is returned rendered (the
-    /// body of `devudf trace`). The rendered string is empty when
-    /// telemetry is off.
+    /// Execute SQL inside a trace capture and return the result with the
+    /// captured span tree rendered (the body of `devudf trace`): over the
+    /// wire the server ships its spans back under the client's
+    /// (`client.query` → `client.wire` → `server.command` → engine → UDF),
+    /// embedded the engine's spans sit under `embedded.query`. The
+    /// rendered string is empty when telemetry is off.
     pub fn server_query_traced(
         &mut self,
         sql: &str,
     ) -> Result<(wireproto::message::WireResult, String)> {
-        let (result, records) = self.client.borrow_mut().query_traced(sql)?;
+        let (result, records) = obs::trace::capture(|| self.client.borrow_mut().query(sql));
         let tree = obs::trace::render_tree(&obs::trace::assemble(&records));
-        Ok((result, tree))
+        Ok((result?, tree))
     }
 
     /// Run an imported UDF locally with the line profiler armed and

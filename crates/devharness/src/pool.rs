@@ -27,13 +27,22 @@
 //!   order regardless of completion order or worker count, which is what
 //!   lets the wire format stay byte-identical across thread counts.
 //!
+//! * **Bounded, for fire-and-forget work.** [`Pool::bounded`] gives the
+//!   same workers and queue a capacity: [`Pool::try_submit`] takes
+//!   `'static` jobs from many producers, never blocks, and refuses with
+//!   [`QueueFull`] once `capacity` jobs wait — the wire server's read
+//!   scheduler, which turns the refusal into a typed retryable error
+//!   (backpressure instead of memory growth). A panicking job never takes
+//!   its worker down.
+//!
 //! A process-wide pool is available through [`global`]; its size comes
 //! from the `DEVUDF_POOL_THREADS` environment variable when set (CI pins
 //! it to 1 to prove format determinism), else from
 //! `std::thread::available_parallelism` capped at 8.
 //!
-//! The queue depth is exported as the `pool.queue_depth` gauge and total
-//! executed jobs as the `pool.jobs` counter (see DESIGN.md §10).
+//! A pool's queue depth is exported as a gauge — `pool.queue_depth` for
+//! [`Pool::new`], `<name>.queue_depth` for [`Pool::bounded`] — and the
+//! scoped jobs workers run as the `pool.jobs` counter (see DESIGN.md §10).
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -54,33 +63,44 @@ thread_local! {
 /// scope's join-before-return contract keeps the borrows alive.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Injector {
-    queue: Mutex<InjectorState>,
+/// The job queue a pool's workers consume.
+struct Queue {
+    state: Mutex<QueueState>,
     /// Signalled when a job is pushed or shutdown begins.
     available: Condvar,
+    /// Jobs [`Pool::try_submit`] lets wait before refusing.
+    capacity: usize,
+    /// The pool's queue-depth gauge.
+    depth: obs::metrics::Gauge,
 }
 
-struct InjectorState {
+struct QueueState {
     jobs: VecDeque<Job>,
     shutdown: bool,
 }
 
-impl Injector {
-    fn push(&self, job: Job) {
-        let mut state = self.queue.lock().expect("pool queue poisoned");
+impl Queue {
+    /// Enqueue `job` unless the pool is shutting down or `limit` jobs
+    /// already wait. Never blocks.
+    fn push(&self, job: Job, limit: usize) -> Result<(), QueueFull> {
+        let mut state = self.state.lock().expect("pool queue poisoned");
+        if state.shutdown || state.jobs.len() >= limit {
+            return Err(QueueFull);
+        }
         state.jobs.push_back(job);
-        obs::gauge!("pool.queue_depth").set(state.jobs.len() as i64);
+        self.depth.set(state.jobs.len() as i64);
         drop(state);
         self.available.notify_one();
+        Ok(())
     }
 
     /// Blocks until a job is available or shutdown is flagged with an
     /// empty queue (drain-then-exit semantics).
     fn pop(&self) -> Option<Job> {
-        let mut state = self.queue.lock().expect("pool queue poisoned");
+        let mut state = self.state.lock().expect("pool queue poisoned");
         loop {
             if let Some(job) = state.jobs.pop_front() {
-                obs::gauge!("pool.queue_depth").set(state.jobs.len() as i64);
+                self.depth.set(state.jobs.len() as i64);
                 return Some(job);
             }
             if state.shutdown {
@@ -101,7 +121,7 @@ impl Injector {
 /// assert_eq!(doubled, vec![2, 4, 6, 8, 10]);
 /// ```
 pub struct Pool {
-    injector: Arc<Injector>,
+    queue: Arc<Queue>,
     workers: Vec<JoinHandle<()>>,
     threads: usize,
     /// Process-unique id, stamped into each worker's [`WORKER_OF`].
@@ -109,35 +129,53 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// Spawn a pool with `threads` workers (clamped to at least 1).
+    /// Spawn a pool with `threads` workers (clamped to at least 1) for
+    /// scoped work; its queue depth is the `pool.queue_depth` gauge.
     pub fn new(threads: usize) -> Pool {
+        Pool::spawn("devharness-pool", "pool.queue_depth", threads, usize::MAX)
+    }
+
+    /// Spawn a pool with `threads` workers (clamped to at least 1) whose
+    /// [`Pool::try_submit`] refuses once `capacity` jobs (clamped to at
+    /// least 1) wait; its queue depth is the `<name>.queue_depth` gauge.
+    pub fn bounded(name: &'static str, threads: usize, capacity: usize) -> Pool {
+        let depth = format!("{name}.queue_depth");
+        Pool::spawn(name, &depth, threads, capacity.max(1))
+    }
+
+    fn spawn(name: &str, depth: &str, threads: usize, capacity: usize) -> Pool {
         static NEXT_ID: AtomicUsize = AtomicUsize::new(1);
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let threads = threads.max(1);
-        let injector = Arc::new(Injector {
-            queue: Mutex::new(InjectorState {
+        let queue = Arc::new(Queue {
+            state: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 shutdown: false,
             }),
             available: Condvar::new(),
+            capacity,
+            depth: obs::metrics::registry().gauge(depth),
         });
         let workers = (0..threads)
             .map(|i| {
-                let injector = injector.clone();
+                let queue = queue.clone();
                 std::thread::Builder::new()
-                    .name(format!("devharness-pool-{i}"))
+                    .name(format!("{name}-{i}"))
                     .spawn(move || {
                         WORKER_OF.with(|w| w.set(id));
-                        while let Some(job) = injector.pop() {
-                            obs::counter!("pool.jobs").inc();
-                            job();
+                        while let Some(job) = queue.pop() {
+                            // A panicking job must not take its worker down
+                            // with it — the pool would silently lose
+                            // capacity. (Scoped jobs catch their own panics
+                            // and re-raise them in `scoped`.)
+                            let _ = catch_unwind(AssertUnwindSafe(job));
                         }
                     })
                     .expect("spawn pool worker")
             })
             .collect();
         Pool {
-            injector,
+            queue,
             workers,
             threads,
             id,
@@ -147,6 +185,26 @@ impl Pool {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Jobs currently waiting (excludes jobs already running on workers).
+    pub fn queued(&self) -> usize {
+        self.queue
+            .state
+            .lock()
+            .expect("pool queue poisoned")
+            .jobs
+            .len()
+    }
+
+    /// Submit a `'static` job, or refuse with [`QueueFull`] when the
+    /// pool's capacity of waiting jobs is reached or it is shutting down.
+    /// Never blocks.
+    pub fn try_submit<F>(&self, job: F) -> Result<(), QueueFull>
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        self.queue.push(Box::new(job), self.queue.capacity)
     }
 
     /// Run `f` with a [`Scope`] whose spawned jobs may borrow anything
@@ -222,12 +280,14 @@ impl Pool {
 }
 
 impl Drop for Pool {
+    /// Drain the queue — queued jobs still run — and join the workers.
     fn drop(&mut self) {
-        {
-            let mut state = self.injector.queue.lock().expect("pool queue poisoned");
-            state.shutdown = true;
-        }
-        self.injector.available.notify_all();
+        self.queue
+            .state
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .shutdown = true;
+        self.queue.available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -277,6 +337,7 @@ impl<'pool, 'scope> Scope<'pool, 'scope> {
         *self.state.pending.lock().expect("scope state poisoned") += 1;
         let state = self.state.clone();
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+            obs::counter!("pool.jobs").inc();
             let _trace = obs::trace::enter_context(ctx);
             if catch_unwind(AssertUnwindSafe(f)).is_err() {
                 state.panicked.store(true, Ordering::Release);
@@ -293,7 +354,12 @@ impl<'pool, 'scope> Scope<'pool, 'scope> {
         // execution. The job never leaves the pool's queue/workers.
         let job: Job =
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
-        self.pool.injector.push(job);
+        // Scoped jobs ignore the capacity: the caller blocks until they
+        // join, so it is their bound.
+        self.pool
+            .queue
+            .push(job, usize::MAX)
+            .expect("a pool cannot shut down while a scope borrows it");
     }
 
     /// Wait for every job spawned through this scope. Never panics —
@@ -307,149 +373,18 @@ impl<'pool, 'scope> Scope<'pool, 'scope> {
     }
 }
 
-/// Returned by [`Service::try_submit`] when the bounded queue is at
+/// Returned by [`Pool::try_submit`] when the bounded queue is at
 /// capacity: the caller sheds load instead of queueing unboundedly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
 impl std::fmt::Display for QueueFull {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("service queue is full")
+        f.write_str("pool queue is full")
     }
 }
 
 impl std::error::Error for QueueFull {}
-
-struct ServiceState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-struct ServiceShared {
-    queue: Mutex<ServiceState>,
-    available: Condvar,
-    capacity: usize,
-}
-
-/// A bounded worker service for long-lived, `'static` jobs — the scheduler
-/// behind the wire server's concurrent sessions.
-///
-/// Where [`Pool`] is scoped (callers block until their batch joins, so an
-/// unbounded injector is fine — the caller itself is the bound), a
-/// `Service` accepts fire-and-forget jobs from many producers that must
-/// *never* block and *never* queue unboundedly: [`Service::try_submit`]
-/// refuses work with [`QueueFull`] once `capacity` jobs are waiting, which
-/// the server surfaces to clients as a typed retryable error
-/// (backpressure instead of memory growth).
-///
-/// Jobs are popped FIFO by a fixed set of workers; drop drains the queue
-/// and joins the workers. The live queue depth is exported as the
-/// `<name>.queue_depth` gauge.
-pub struct Service {
-    shared: Arc<ServiceShared>,
-    workers: Vec<JoinHandle<()>>,
-    threads: usize,
-    name: &'static str,
-}
-
-impl Service {
-    /// Spawn `threads` workers (clamped to at least 1) consuming a queue
-    /// bounded at `capacity` pending jobs (clamped to at least 1).
-    pub fn new(name: &'static str, threads: usize, capacity: usize) -> Service {
-        let threads = threads.max(1);
-        let shared = Arc::new(ServiceShared {
-            queue: Mutex::new(ServiceState {
-                jobs: VecDeque::new(),
-                shutdown: false,
-            }),
-            available: Condvar::new(),
-            capacity: capacity.max(1),
-        });
-        let workers = (0..threads)
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("{name}-{i}"))
-                    .spawn(move || loop {
-                        let job = {
-                            let mut state = shared.queue.lock().expect("service queue poisoned");
-                            loop {
-                                if let Some(job) = state.jobs.pop_front() {
-                                    break job;
-                                }
-                                if state.shutdown {
-                                    return;
-                                }
-                                state = shared
-                                    .available
-                                    .wait(state)
-                                    .expect("service queue poisoned");
-                            }
-                        };
-                        // A panicking job must not take its worker down with
-                        // it — the service would silently lose capacity.
-                        let _ = catch_unwind(AssertUnwindSafe(job));
-                    })
-                    .expect("spawn service worker")
-            })
-            .collect();
-        Service {
-            shared,
-            workers,
-            threads,
-            name,
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Jobs currently waiting (excludes jobs already running on workers).
-    pub fn queued(&self) -> usize {
-        self.shared
-            .queue
-            .lock()
-            .expect("service queue poisoned")
-            .jobs
-            .len()
-    }
-
-    /// Submit a job, or refuse with [`QueueFull`] when `capacity` jobs are
-    /// already waiting. Never blocks.
-    pub fn try_submit<F>(&self, job: F) -> Result<(), QueueFull>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let depth = {
-            let mut state = self.shared.queue.lock().expect("service queue poisoned");
-            if state.shutdown || state.jobs.len() >= self.shared.capacity {
-                return Err(QueueFull);
-            }
-            state.jobs.push_back(Box::new(job));
-            state.jobs.len()
-        };
-        obs::metrics::registry()
-            .gauge(&format!("{}.queue_depth", self.name))
-            .set(depth as i64);
-        self.shared.available.notify_one();
-        Ok(())
-    }
-}
-
-impl Drop for Service {
-    fn drop(&mut self) {
-        {
-            let mut state = self.shared.queue.lock().expect("service queue poisoned");
-            state.shutdown = true;
-        }
-        self.shared.available.notify_all();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
-    }
-}
 
 /// Worker count for the process-global pool: `DEVUDF_POOL_THREADS` when
 /// set to a positive integer, else `available_parallelism` capped at 8.
@@ -650,8 +585,8 @@ mod tests {
     }
 
     #[test]
-    fn service_runs_submitted_jobs() {
-        let svc = Service::new("test-svc", 2, 16);
+    fn bounded_pool_runs_submitted_jobs() {
+        let svc = Pool::bounded("test-svc", 2, 16);
         let counter = Arc::new(AtomicU64::new(0));
         for _ in 0..10 {
             let counter = counter.clone();
@@ -665,8 +600,8 @@ mod tests {
     }
 
     #[test]
-    fn service_refuses_work_beyond_capacity() {
-        let svc = Service::new("test-svc-full", 1, 2);
+    fn bounded_pool_refuses_work_beyond_capacity() {
+        let svc = Pool::bounded("test-svc-full", 1, 2);
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         // Block the lone worker so subsequent jobs stay queued.
         {
@@ -701,8 +636,8 @@ mod tests {
     }
 
     #[test]
-    fn service_survives_panicking_jobs() {
-        let svc = Service::new("test-svc-panic", 1, 8);
+    fn bounded_pool_survives_panicking_jobs() {
+        let svc = Pool::bounded("test-svc-panic", 1, 8);
         let done = Arc::new(AtomicU64::new(0));
         svc.try_submit(|| panic!("job boom")).unwrap();
         let d = done.clone();

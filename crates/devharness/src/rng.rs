@@ -45,12 +45,6 @@ impl Rng {
         }
     }
 
-    /// Derive an independent generator (for a sub-task) without disturbing
-    /// the parent's stream more than one step.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.next_u64())
-    }
-
     /// Next raw 64-bit value (xoshiro256++).
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]

@@ -56,6 +56,7 @@
 use std::io::BufReader;
 use std::path::Path;
 
+use codecs::json::Value as Json;
 use devudf::{DevUdf, InterpMode, Settings};
 use devudf_ide::{HeadlessIde, ReplController};
 use pylite::DebugCommand;
@@ -188,7 +189,7 @@ fn main() {
                 .into_table()
                 .map_err(|e| e.to_string())?;
             if json {
-                println!("{}", render_json(&table));
+                print!("{}", render_json(&table));
             } else {
                 println!("{}", table.render_ascii());
             }
@@ -202,7 +203,7 @@ fn main() {
                 .into_table()
                 .map_err(|e| e.to_string())?;
             if json {
-                println!("{}", render_json(&table));
+                print!("{}", render_json(&table));
             } else {
                 println!("{}", table.render_ascii());
             }
@@ -223,7 +224,7 @@ fn main() {
             };
             let (result, tree) = dev.server_query_traced(&sql).map_err(|e| e.to_string())?;
             if tree.is_empty() {
-                println!("(no trace captured — telemetry off or server too old)");
+                println!("(no trace captured — telemetry off)");
             } else {
                 print!("{tree}");
             }
@@ -340,56 +341,28 @@ fn cmd_serve(port: Option<&str>, interp: Option<InterpMode>) -> i32 {
 }
 
 /// Render a wire table as a JSON array of row objects (the `--json`
-/// output of `devudf metrics`, consumed by the ci.sh gates).
+/// output of `devudf metrics` and `devudf sessions`). Blobs render as hex
+/// strings; non-finite doubles as `null`.
 fn render_json(table: &WireTable) -> String {
-    fn json_str(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\r' => out.push_str("\\r"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
-    }
-    fn json_value(v: &WireValue) -> String {
-        match v {
-            WireValue::Null => "null".to_string(),
-            WireValue::Int(i) => i.to_string(),
-            WireValue::Double(d) if d.is_finite() => d.to_string(),
-            WireValue::Double(_) => "null".to_string(),
-            WireValue::Bool(b) => b.to_string(),
-            WireValue::Str(s) => json_str(s),
-            WireValue::Blob(b) => {
-                json_str(&b.iter().map(|x| format!("{x:02x}")).collect::<String>())
-            }
-        }
-    }
-    let mut out = String::from("[");
-    for (i, row) in table.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("\n  {");
-        for (j, (name, _)) in table.columns.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(name));
-            out.push_str(": ");
-            out.push_str(&json_value(&row[j]));
-        }
-        out.push('}');
-    }
-    out.push_str("\n]");
-    out
+    let rows = table
+        .rows
+        .iter()
+        .map(|row| {
+            let fields = table.columns.iter().zip(row).map(|((name, _), v)| {
+                let v = match v {
+                    WireValue::Null => Json::Null,
+                    WireValue::Int(i) => Json::Int(*i),
+                    WireValue::Double(d) => Json::Float(*d),
+                    WireValue::Bool(b) => Json::Bool(*b),
+                    WireValue::Str(s) => Json::Str(s.clone()),
+                    WireValue::Blob(b) => Json::Str(codecs::to_hex(b)),
+                };
+                (name.clone(), v)
+            });
+            Json::Object(fields.collect())
+        })
+        .collect();
+    Json::Array(rows).to_string_pretty()
 }
 
 fn cmd_settings(dir: Option<&str>) -> i32 {

@@ -28,14 +28,6 @@ impl HeadlessIde {
         })
     }
 
-    /// Open a project connected over TCP (settings carry host/port).
-    pub fn open_tcp(settings: Settings, project_root: &Path) -> Result<HeadlessIde> {
-        Ok(HeadlessIde {
-            dev: DevUdf::connect_tcp(settings, project_root)?,
-            menu: main_menu(),
-        })
-    }
-
     /// Figure 1: the main menu rendering.
     pub fn render_main_menu(&self) -> String {
         self.menu.render()

@@ -34,3 +34,32 @@ fn valid_interp_flags_are_accepted() {
         assert_eq!(out.status.code(), Some(0), "--interp={good} should exit 0");
     }
 }
+
+/// `metrics --json` and `sessions --json` print one JSON array of row
+/// objects keyed by column name, parseable by the workspace's own codec.
+#[test]
+fn json_listings_parse_as_arrays_of_row_objects() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-json");
+    std::fs::create_dir_all(&dir).expect("create project dir");
+    for (command, column) in [("metrics", "name"), ("sessions", "peer")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_devudf"))
+            .args([command, dir.to_str().expect("utf-8 path"), "--json"])
+            .arg("--embedded")
+            .output()
+            .expect("devudf binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{command}: {stdout}");
+        let doc = codecs::json::parse(&stdout)
+            .unwrap_or_else(|e| panic!("{command} --json is not JSON ({e}): {stdout}"));
+        let rows = doc.as_array().expect("a JSON array");
+        for row in rows {
+            assert!(
+                row.get(column).is_some(),
+                "{command} row lacks {column}: {row:?}"
+            );
+        }
+        if command == "metrics" {
+            assert!(!rows.is_empty(), "the embedded demo records metrics");
+        }
+    }
+}

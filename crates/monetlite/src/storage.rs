@@ -91,6 +91,8 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use codecs::varint::{write_bytes, write_u64, write_zigzag, ReadError, Reader};
+
 use crate::catalog::{Catalog, FunctionDef, FunctionReturn};
 use crate::error::DbError;
 use crate::table::Table;
@@ -244,68 +246,15 @@ fn decode_frame(buf: &[u8], pos: usize) -> Option<(Vec<u8>, usize)> {
 // Payload reader/writer helpers
 // ---------------------------------------------------------------------
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+/// Snapshot reads fail as typed storage errors.
+impl From<ReadError> for DbError {
+    fn from(e: ReadError) -> DbError {
+        match e {
+            ReadError::Varint(e) => DbError::storage(format!("bad varint in snapshot: {e:?}")),
+            ReadError::Truncated => DbError::storage("snapshot payload truncated"),
+            ReadError::Utf8 => DbError::storage("snapshot string is not UTF-8"),
+        }
     }
-
-    fn u64(&mut self) -> Result<u64, DbError> {
-        let (v, used) = codecs::varint::read_u64(&self.buf[self.pos..])
-            .map_err(|e| DbError::storage(format!("bad varint in snapshot: {e:?}")))?;
-        self.pos += used;
-        Ok(v)
-    }
-
-    fn i64(&mut self) -> Result<i64, DbError> {
-        let z = self.u64()?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
-
-    fn byte(&mut self) -> Result<u8, DbError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| DbError::storage("snapshot payload truncated"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], DbError> {
-        let slice = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .ok_or_else(|| DbError::storage("snapshot payload truncated"))?;
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn blob(&mut self) -> Result<Vec<u8>, DbError> {
-        let n = self.u64()? as usize;
-        Ok(self.bytes(n)?.to_vec())
-    }
-
-    fn str(&mut self) -> Result<String, DbError> {
-        String::from_utf8(self.blob()?)
-            .map_err(|_| DbError::storage("snapshot string is not UTF-8"))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-}
-
-fn write_zigzag(out: &mut Vec<u8>, v: i64) {
-    codecs::varint::write_u64(out, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn write_str(out: &mut Vec<u8>, s: &str) {
-    codecs::varint::write_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
 }
 
 fn type_tag(t: SqlType) -> u8 {
@@ -334,9 +283,9 @@ fn tag_type(tag: u8) -> Result<SqlType, DbError> {
 // ---------------------------------------------------------------------
 
 fn encode_column(out: &mut Vec<u8>, col: &Column) {
-    write_str(out, &col.name);
+    write_bytes(out, &col.name);
     out.push(type_tag(col.sql_type()));
-    codecs::varint::write_u64(out, col.len() as u64);
+    write_u64(out, col.len() as u64);
     match &col.data {
         ColumnData::Int(v) => {
             for &x in v {
@@ -350,7 +299,7 @@ fn encode_column(out: &mut Vec<u8>, col: &Column) {
         }
         ColumnData::Str(v) => {
             for s in v {
-                write_str(out, s);
+                write_bytes(out, s);
             }
         }
         ColumnData::Bool(v) => {
@@ -360,8 +309,7 @@ fn encode_column(out: &mut Vec<u8>, col: &Column) {
         }
         ColumnData::Blob(v) => {
             for b in v {
-                codecs::varint::write_u64(out, b.len() as u64);
-                out.extend_from_slice(b);
+                write_bytes(out, b);
             }
         }
     }
@@ -376,21 +324,21 @@ fn encode_column(out: &mut Vec<u8>, col: &Column) {
 }
 
 fn decode_column(r: &mut Reader) -> Result<Column, DbError> {
-    let name = r.str()?;
+    let name = r.str()?.to_string();
     let t = tag_type(r.byte()?)?;
-    let rows = r.u64()? as usize;
+    let rows = r.varint()? as usize;
     let data = match t {
         SqlType::Integer => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                v.push(r.i64()?);
+                v.push(r.zigzag()?);
             }
             ColumnData::Int(v)
         }
         SqlType::Double => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                let bits = u64::from_le_bytes(r.bytes(8)?.try_into().expect("8-byte slice"));
+                let bits = u64::from_le_bytes(r.take(8)?.try_into().expect("8-byte slice"));
                 v.push(f64::from_bits(bits));
             }
             ColumnData::Double(v)
@@ -398,7 +346,7 @@ fn decode_column(r: &mut Reader) -> Result<Column, DbError> {
         SqlType::String => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                v.push(r.str()?);
+                v.push(r.str()?.to_string());
             }
             ColumnData::Str(v)
         }
@@ -412,7 +360,7 @@ fn decode_column(r: &mut Reader) -> Result<Column, DbError> {
         SqlType::Blob => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
-                v.push(r.blob()?);
+                v.push(r.bytes()?.to_vec());
             }
             ColumnData::Blob(v)
         }
@@ -430,10 +378,10 @@ fn decode_column(r: &mut Reader) -> Result<Column, DbError> {
 }
 
 fn encode_function(out: &mut Vec<u8>, f: &FunctionDef) {
-    write_str(out, &f.name);
-    codecs::varint::write_u64(out, f.params.len() as u64);
+    write_bytes(out, &f.name);
+    write_u64(out, f.params.len() as u64);
     for (n, t) in &f.params {
-        write_str(out, n);
+        write_bytes(out, n);
         out.push(type_tag(*t));
     }
     match &f.returns {
@@ -443,32 +391,32 @@ fn encode_function(out: &mut Vec<u8>, f: &FunctionDef) {
         }
         FunctionReturn::Table(cols) => {
             out.push(1);
-            codecs::varint::write_u64(out, cols.len() as u64);
+            write_u64(out, cols.len() as u64);
             for (n, t) in cols {
-                write_str(out, n);
+                write_bytes(out, n);
                 out.push(type_tag(*t));
             }
         }
     }
-    write_str(out, &f.language);
-    write_str(out, &f.body);
+    write_bytes(out, &f.language);
+    write_bytes(out, &f.body);
 }
 
 fn decode_function(r: &mut Reader) -> Result<FunctionDef, DbError> {
-    let name = r.str()?;
-    let n_params = r.u64()? as usize;
+    let name = r.str()?.to_string();
+    let n_params = r.varint()? as usize;
     let mut params = Vec::with_capacity(n_params);
     for _ in 0..n_params {
-        let pname = r.str()?;
+        let pname = r.str()?.to_string();
         params.push((pname, tag_type(r.byte()?)?));
     }
     let returns = match r.byte()? {
         0 => FunctionReturn::Scalar(tag_type(r.byte()?)?),
         1 => {
-            let n = r.u64()? as usize;
+            let n = r.varint()? as usize;
             let mut cols = Vec::with_capacity(n);
             for _ in 0..n {
-                let cname = r.str()?;
+                let cname = r.str()?.to_string();
                 cols.push((cname, tag_type(r.byte()?)?));
             }
             FunctionReturn::Table(cols)
@@ -479,8 +427,8 @@ fn decode_function(r: &mut Reader) -> Result<FunctionDef, DbError> {
             )))
         }
     };
-    let language = r.str()?;
-    let body = r.str()?;
+    let language = r.str()?.to_string();
+    let body = r.str()?.to_string();
     Ok(FunctionDef {
         name,
         params,
@@ -494,23 +442,23 @@ fn decode_function(r: &mut Reader) -> Result<FunctionDef, DbError> {
 fn encode_snapshot(catalog: &Catalog, covered_seq: u64) -> Vec<u8> {
     let (tables, functions, epochs, functions_epoch, mutations) = catalog.storage_state();
     let mut out = Vec::new();
-    codecs::varint::write_u64(&mut out, covered_seq);
-    codecs::varint::write_u64(&mut out, mutations);
-    codecs::varint::write_u64(&mut out, functions_epoch);
-    codecs::varint::write_u64(&mut out, epochs.len() as u64);
+    write_u64(&mut out, covered_seq);
+    write_u64(&mut out, mutations);
+    write_u64(&mut out, functions_epoch);
+    write_u64(&mut out, epochs.len() as u64);
     for (key, epoch) in epochs {
-        write_str(&mut out, key);
-        codecs::varint::write_u64(&mut out, *epoch);
+        write_bytes(&mut out, key);
+        write_u64(&mut out, *epoch);
     }
-    codecs::varint::write_u64(&mut out, tables.len() as u64);
+    write_u64(&mut out, tables.len() as u64);
     for table in tables.values() {
-        write_str(&mut out, &table.name);
-        codecs::varint::write_u64(&mut out, table.columns.len() as u64);
+        write_bytes(&mut out, &table.name);
+        write_u64(&mut out, table.columns.len() as u64);
         for col in table.columns.iter() {
             encode_column(&mut out, col);
         }
     }
-    codecs::varint::write_u64(&mut out, functions.len() as u64);
+    write_u64(&mut out, functions.len() as u64);
     for f in functions.values() {
         encode_function(&mut out, f);
     }
@@ -520,21 +468,21 @@ fn encode_snapshot(catalog: &Catalog, covered_seq: u64) -> Vec<u8> {
 /// Inverse of [`encode_snapshot`]: the catalog and the covered sequence.
 fn decode_snapshot(payload: &[u8]) -> Result<(Catalog, u64), DbError> {
     let mut r = Reader::new(payload);
-    let covered_seq = r.u64()?;
-    let mutations = r.u64()?;
-    let functions_epoch = r.u64()?;
-    let n_epochs = r.u64()? as usize;
+    let covered_seq = r.varint()?;
+    let mutations = r.varint()?;
+    let functions_epoch = r.varint()?;
+    let n_epochs = r.varint()? as usize;
     let mut epochs = BTreeMap::new();
     for _ in 0..n_epochs {
-        let key = r.str()?;
-        let epoch = r.u64()?;
+        let key = r.str()?.to_string();
+        let epoch = r.varint()?;
         epochs.insert(key, epoch);
     }
-    let n_tables = r.u64()? as usize;
+    let n_tables = r.varint()? as usize;
     let mut tables = BTreeMap::new();
     for _ in 0..n_tables {
-        let name = r.str()?;
-        let n_cols = r.u64()? as usize;
+        let name = r.str()?.to_string();
+        let n_cols = r.varint()? as usize;
         let mut cols = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
             cols.push(decode_column(&mut r)?);
@@ -543,13 +491,13 @@ fn decode_snapshot(payload: &[u8]) -> Result<(Catalog, u64), DbError> {
             .map_err(|e| DbError::storage(format!("snapshot table '{name}': {}", e.message)))?;
         tables.insert(name.to_ascii_lowercase(), table);
     }
-    let n_functions = r.u64()? as usize;
+    let n_functions = r.varint()? as usize;
     let mut functions = BTreeMap::new();
     for _ in 0..n_functions {
         let f = decode_function(&mut r)?;
         functions.insert(f.name.to_ascii_lowercase(), f);
     }
-    if !r.done() {
+    if !r.is_done() {
         return Err(DbError::storage("trailing bytes after snapshot payload"));
     }
     Ok((
@@ -687,9 +635,8 @@ impl Storage {
     /// Append one statement to the WAL (and fsync, per policy).
     pub fn append(&mut self, sql: &str) -> Result<(), DbError> {
         let mut payload = Vec::with_capacity(sql.len() + 12);
-        codecs::varint::write_u64(&mut payload, self.next_seq);
-        codecs::varint::write_u64(&mut payload, sql.len() as u64);
-        payload.extend_from_slice(sql.as_bytes());
+        write_u64(&mut payload, self.next_seq);
+        write_bytes(&mut payload, sql);
         let frame = encode_frame(&payload);
         let wal_path = self.dir.join(WAL_FILE);
         self.wal
@@ -762,15 +709,10 @@ impl Storage {
 
 /// Decode a WAL record payload: `varint seq | varint len | sql`.
 fn decode_wal_payload(payload: &[u8]) -> Option<(u64, String)> {
-    let (seq, used) = codecs::varint::read_u64(payload).ok()?;
-    let (len, used2) = codecs::varint::read_u64(&payload[used..]).ok()?;
-    let start = used + used2;
-    let end = start.checked_add(len as usize)?;
-    if end != payload.len() {
-        return None;
-    }
-    let sql = std::str::from_utf8(&payload[start..end]).ok()?;
-    Some((seq, sql.to_string()))
+    let mut r = Reader::new(payload);
+    let seq = r.varint().ok()?;
+    let sql = r.str().ok()?;
+    r.is_done().then(|| (seq, sql.to_string()))
 }
 
 #[cfg(test)]

@@ -402,27 +402,18 @@ std::thread_local! {
 }
 
 /// Mint a process-unique trace id (never zero). Returns 0 when telemetry
-/// is disabled at runtime or compiled out — callers treat 0 as "do not
-/// trace", which keeps the wire bytes of an untraced build identical to
-/// an untraced client.
+/// is disabled at runtime — [`capture`] treats 0 as "do not trace".
 #[cfg(feature = "telemetry")]
-pub fn new_trace_id() -> u64 {
+fn new_trace_id() -> u64 {
     if !crate::enabled() {
         return 0;
     }
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Mint a trace id (no-op build: always 0, meaning "do not trace").
-#[cfg(not(feature = "telemetry"))]
-pub fn new_trace_id() -> u64 {
-    0
-}
-
 /// A thread's ambient trace context: which trace new spans join and which
 /// open span they parent under (`0` = none). `Copy` and `Send`, so it can
-/// be captured at a submission site and re-entered inside a pool job or
-/// on the far side of a wire hop.
+/// be captured at a submission site and re-entered inside a pool job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanContext {
     /// Trace id (0 = untraced).
@@ -449,7 +440,7 @@ pub fn current_context() -> SpanContext {
 /// Re-enter a captured context on this thread: until the returned guard
 /// drops, new spans join `ctx.trace` and parent under `ctx.parent`. Used
 /// by pool jobs (the thread-local parent stack does not cross threads)
-/// and by the server to stitch its spans under the client's trace.
+/// and by [`capture`].
 #[cfg(feature = "telemetry")]
 pub fn enter_context(ctx: SpanContext) -> ContextGuard {
     let prev_trace = CURRENT_TRACE.with(|t| t.replace(ctx.trace));
@@ -527,43 +518,59 @@ static CAPTURE_COUNT: AtomicUsize = AtomicUsize::new(0);
 #[cfg(feature = "telemetry")]
 static CAPTURES: Mutex<Vec<(u64, Vec<SpanRecord>)>> = Mutex::new(Vec::new());
 
-/// Start capturing closed spans of `trace` (no-op for trace 0 or when a
-/// capture for it already runs). Pair with [`take_capture`].
+/// Run `f` inside a fresh per-trace capture and return its result with
+/// every span that closed in it, in close order (children before their
+/// parents): spans opened on this thread, in pool jobs it submits, and
+/// spans a peer recorded for it ([`extend_capture`]). The capture is empty
+/// when telemetry is disabled at runtime or compiled out; `f` runs either
+/// way.
 #[cfg(feature = "telemetry")]
-pub fn start_capture(trace: u64) {
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
+    let trace = new_trace_id();
     if trace == 0 {
-        return;
+        return (f(), Vec::new());
     }
-    let mut caps = CAPTURES.lock().unwrap_or_else(|e| e.into_inner());
-    if caps.iter().any(|(t, _)| *t == trace) {
-        return;
+    {
+        let mut caps = CAPTURES.lock().unwrap_or_else(|e| e.into_inner());
+        caps.push((trace, Vec::new()));
+        CAPTURE_COUNT.store(caps.len(), Ordering::Relaxed);
     }
-    caps.push((trace, Vec::new()));
-    CAPTURE_COUNT.store(caps.len(), Ordering::Relaxed);
-}
-
-/// Start capturing spans of a trace (no-op build).
-#[cfg(not(feature = "telemetry"))]
-pub fn start_capture(_trace: u64) {}
-
-/// Stop the capture for `trace` and return everything it collected, in
-/// close order (children before their parents).
-#[cfg(feature = "telemetry")]
-pub fn take_capture(trace: u64) -> Vec<SpanRecord> {
+    let result = {
+        let _ctx = enter_context(SpanContext { trace, parent: 0 });
+        f()
+    };
     let mut caps = CAPTURES.lock().unwrap_or_else(|e| e.into_inner());
-    let taken = caps
+    let i = caps
         .iter()
         .position(|(t, _)| *t == trace)
-        .map(|i| caps.remove(i).1);
+        .expect("a capture is removed only by the call that started it");
+    let (_, records) = caps.remove(i);
     CAPTURE_COUNT.store(caps.len(), Ordering::Relaxed);
-    taken.unwrap_or_default()
+    (result, records)
 }
 
-/// Stop a capture (no-op build: always empty).
+/// Run `f` inside a capture (no-op build: nothing is captured).
 #[cfg(not(feature = "telemetry"))]
-pub fn take_capture(_trace: u64) -> Vec<SpanRecord> {
-    Vec::new()
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
+    (f(), Vec::new())
 }
+
+/// Append spans recorded elsewhere (a server's half of a traced call) to
+/// the capture this thread is inside, up to [`CAPTURE_CAP`]. Does nothing
+/// outside a capture.
+#[cfg(feature = "telemetry")]
+pub fn extend_capture(spans: impl IntoIterator<Item = SpanRecord>) {
+    let trace = CURRENT_TRACE.with(|t| t.get());
+    let mut caps = CAPTURES.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some((_, records)) = caps.iter_mut().find(|(t, _)| *t == trace) {
+        let room = CAPTURE_CAP.saturating_sub(records.len());
+        records.extend(spans.into_iter().take(room));
+    }
+}
+
+/// Append spans to the current capture (no-op build).
+#[cfg(not(feature = "telemetry"))]
+pub fn extend_capture(_spans: impl IntoIterator<Item = SpanRecord>) {}
 
 #[cfg(feature = "telemetry")]
 fn capture_span(inner: &SpanInner, duration: Duration) {
@@ -950,21 +957,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_ids_are_unique_and_zero_when_disabled() {
+    fn captures_are_empty_when_disabled() {
         let _serial = crate::metrics::test_lock();
+        crate::set_enabled(false);
+        let (value, records) = capture(|| {
+            drop(span("quiet"));
+            7
+        });
         crate::set_enabled(true);
-        let a = new_trace_id();
-        let b = new_trace_id();
-        if cfg!(feature = "telemetry") {
-            assert_ne!(a, 0);
-            assert_ne!(a, b);
-            crate::set_enabled(false);
-            assert_eq!(new_trace_id(), 0);
-            crate::set_enabled(true);
-        } else {
-            assert_eq!(a, 0);
-            assert_eq!(b, 0);
-        }
+        assert_eq!(value, 7);
+        assert!(records.is_empty());
+        assert_eq!(current_context(), SpanContext::default());
     }
 
     #[test]
@@ -1000,32 +1003,33 @@ mod tests {
     }
 
     #[test]
-    fn capture_collects_only_its_trace_and_drains() {
+    fn capture_collects_only_its_trace() {
         let _serial = crate::metrics::test_lock();
         crate::set_enabled(true);
         clear_subscribers();
-        let trace = new_trace_id();
-        start_capture(trace);
-        {
-            let _guard = enter_context(SpanContext { trace, parent: 0 });
+        let ((), records) = capture(|| {
             let mut s = span("cap.inner");
             s.field("rows", 6);
-        }
-        {
-            // A span outside the context does not join the capture.
-            let _other = span("cap.unrelated");
-        }
-        let records = take_capture(trace);
+            drop(s);
+            // A nested capture keeps its spans to itself.
+            let ((), nested) = capture(|| drop(span("cap.nested")));
+            if cfg!(feature = "telemetry") {
+                assert_eq!(nested.len(), 1);
+            }
+            extend_capture([rec(99, 0, "cap.remote")]);
+        });
+        // A span outside the capture does not join it.
+        drop(span("cap.unrelated"));
+        extend_capture([rec(98, 0, "cap.orphan")]);
         if cfg!(feature = "telemetry") {
-            assert_eq!(records.len(), 1);
-            assert_eq!(records[0].name, "cap.inner");
+            let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(names, ["cap.inner", "cap.remote"]);
             assert_eq!(records[0].parent, 0);
             assert_eq!(records[0].fields, vec![("rows".into(), "6".into())]);
+            assert!(!trace_active(), "the capture ended");
         } else {
             assert!(records.is_empty());
         }
-        // Drained: a second take is empty.
-        assert!(take_capture(trace).is_empty());
     }
 
     #[test]

@@ -72,11 +72,6 @@ pub struct CodeObject {
 }
 
 impl CodeObject {
-    /// The source line of the instruction at `pc`.
-    pub fn line_for_pc(&self, pc: usize) -> u32 {
-        self.lines.get(pc).copied().unwrap_or(0)
-    }
-
     /// The line-number table as the debugger sees it: source lines that
     /// start a statement, in first-execution order, deduplicated. A
     /// breakpoint on any of these lines will pause the VM.

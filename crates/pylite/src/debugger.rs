@@ -218,11 +218,6 @@ impl Debugger {
         self.pauses.len()
     }
 
-    /// Statements executed while installed (debugger overhead metric).
-    pub fn statements_executed(&self) -> u64 {
-        self.statements
-    }
-
     fn should_pause(&mut self, line: u32) -> Option<PauseReason> {
         if self.pause_requested {
             self.pause_requested = false;

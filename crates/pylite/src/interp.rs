@@ -209,11 +209,6 @@ impl Interp {
         self.hook = Some(hook);
     }
 
-    /// Remove the debug hook.
-    pub fn clear_hook(&mut self) {
-        self.hook = None;
-    }
-
     /// Limit the number of statements executed (guards runaway loops).
     pub fn set_step_budget(&mut self, steps: u64) {
         self.steps_left = Some(steps);
@@ -298,22 +293,6 @@ impl Interp {
             .collect();
         out.sort();
         out
-    }
-
-    /// Look up a variable as the debugger would: innermost frame, then
-    /// closure scopes, then globals.
-    pub fn debug_lookup(&self, name: &str) -> Option<Value> {
-        if let Some(frame) = self.frames.last() {
-            if let Some(v) = frame.locals.borrow().get(name) {
-                return Some(v.clone());
-            }
-            for scope in frame.closure.iter().rev() {
-                if let Some(v) = scope.borrow().get(name) {
-                    return Some(v.clone());
-                }
-            }
-        }
-        self.get_global(name)
     }
 
     /// Evaluate an expression string in the context of the current frame

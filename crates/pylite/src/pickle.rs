@@ -7,8 +7,6 @@
 //! [`Value`], including native objects that opt in via
 //! [`crate::value::NativeObject::pickle`].
 
-use std::rc::Rc;
-
 use codecs::varint::{read_u64, write_u64};
 
 use crate::error::{ErrorKind, PyError};
@@ -302,11 +300,6 @@ fn read_value(data: &[u8], cursor: &mut usize) -> Result<Value, PyError> {
         }
         other => return Err(perr(format!("unknown pickle tag {other}"))),
     })
-}
-
-/// `Rc<str>` convenience used by callers round-tripping names.
-pub fn dumps_str(s: &str) -> Vec<u8> {
-    dumps(&Value::Str(Rc::from(s))).expect("strings always pickle")
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@ use pylite::Value;
 
 use crate::delta::{self, BlockCache, CacheEntry};
 use crate::fault::{FaultInjectingTransport, FaultPolicy, FaultStats, FaultStatsHandle};
+pub use crate::message::FunctionInfo;
 use crate::message::{Message, WireError, WireResult};
 use crate::retry::RetryPolicy;
 use crate::server::Server;
@@ -77,18 +78,6 @@ impl ClientOptions {
     }
 }
 
-/// Metadata of a stored function, as returned by [`Client::get_function`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FunctionInfo {
-    pub name: String,
-    /// (param name, SQL type name).
-    pub params: Vec<(String, String)>,
-    pub return_type: String,
-    pub language: String,
-    /// Function body as stored in the server's meta tables.
-    pub body: String,
-}
-
 /// A connected, authenticated client.
 pub struct Client {
     // Fields below; Debug is implemented manually (the transport is opaque
@@ -114,19 +103,35 @@ impl std::fmt::Debug for Client {
     }
 }
 
-/// Per-operation latency histogram, resolved to a cached handle (the
-/// names are a closed set, so each arm is one `static OnceLock`).
-fn op_latency(op: &'static str) -> &'static obs::metrics::Histogram {
+/// Per-operation latency histogram and span name (a closed set, so each
+/// histogram arm is one cached handle).
+fn op_telemetry(op: &'static str) -> (&'static obs::metrics::Histogram, &'static str) {
     match op {
-        "ping" => obs::histogram!("wire.client.latency.ping"),
-        "query" => obs::histogram!("wire.client.latency.query"),
-        "list_functions" => obs::histogram!("wire.client.latency.list_functions"),
-        "get_function" => obs::histogram!("wire.client.latency.get_function"),
-        "extract_inputs" => obs::histogram!("wire.client.latency.extract_inputs"),
-        "extract_delta" => obs::histogram!("wire.client.latency.extract_delta"),
-        _ => obs::histogram!("wire.client.latency.other"),
+        "ping" => (obs::histogram!("wire.client.latency.ping"), "client.ping"),
+        "query" => (obs::histogram!("wire.client.latency.query"), "client.query"),
+        "list_functions" => (
+            obs::histogram!("wire.client.latency.list_functions"),
+            "client.list_functions",
+        ),
+        "get_function" => (
+            obs::histogram!("wire.client.latency.get_function"),
+            "client.get_function",
+        ),
+        "extract_inputs" => (
+            obs::histogram!("wire.client.latency.extract_inputs"),
+            "client.extract_inputs",
+        ),
+        "extract_delta" => (
+            obs::histogram!("wire.client.latency.extract_delta"),
+            "client.extract_delta",
+        ),
+        _ => (obs::histogram!("wire.client.latency.other"), "client.other"),
     }
 }
+
+/// Top bit of a span id: the client shifts the server's span ids into the
+/// top half of the id space, which its own ids (minted from 1) never reach.
+const SERVER_SPAN_BIT: u64 = 1 << 63;
 
 /// A read-only statement is safe to replay after a transient failure; a
 /// write may have executed server-side before the reply was lost.
@@ -228,11 +233,7 @@ impl Client {
             password: self.password.clone(),
             database: self.database.clone(),
         };
-        let frame = login.encode();
-        obs::counter!("wire.client.bytes_out").add(frame.len() as u64);
-        let reply = self.transport.round_trip(&frame)?;
-        obs::counter!("wire.client.bytes_in").add(reply.len() as u64);
-        match Message::decode(&reply)? {
+        match self.exchange(&login.encode())? {
             Message::LoginOk { .. } => Ok(()),
             Message::Error { code, message, .. } if code == "AuthError" => {
                 Err(WireError::Auth(message))
@@ -249,13 +250,55 @@ impl Client {
         self.fault_stats.as_ref().map(FaultStatsHandle::get)
     }
 
-    /// One request/reply round trip over the current transport (no retry).
-    fn round_trip(&mut self, msg: &Message) -> Result<Message, WireError> {
-        let frame = msg.encode();
+    /// Send one encoded frame and decode the reply.
+    fn exchange(&mut self, frame: &[u8]) -> Result<Message, WireError> {
         obs::counter!("wire.client.bytes_out").add(frame.len() as u64);
-        let reply = self.transport.round_trip(&frame)?;
+        let reply = self.transport.round_trip(frame)?;
         obs::counter!("wire.client.bytes_in").add(reply.len() as u64);
-        let decoded = Message::decode(&reply)?;
+        Message::decode(&reply)
+    }
+
+    /// One request/reply round trip over the current transport (no retry).
+    ///
+    /// Inside an [`obs::trace::capture`] the request travels in a
+    /// [`Message::Traced`] envelope under a `client.wire` span (DESIGN
+    /// §15): the server captures every span it closes while handling it
+    /// and ships them back, and they join the caller's capture, remapped
+    /// into one id space and hung under the wire span. Outside a capture
+    /// the frame is exactly `msg.encode()`.
+    fn round_trip(&mut self, msg: &Message) -> Result<Message, WireError> {
+        let trace = obs::trace::current_context().trace;
+        let decoded = if trace == 0 {
+            self.exchange(&msg.encode())?
+        } else {
+            let envelope = Message::Traced {
+                trace,
+                inner: msg.encode(),
+            }
+            .encode();
+            let mut wire = obs::trace::span("client.wire");
+            wire.field("bytes_out", envelope.len());
+            match self.exchange(&envelope)? {
+                Message::TracedReply { spans, inner } => {
+                    wire.field("bytes_in", inner.len());
+                    let wire_id = wire.id();
+                    obs::trace::extend_capture(spans.into_iter().map(|s| obs::trace::SpanRecord {
+                        id: s.id | SERVER_SPAN_BIT,
+                        parent: if s.parent == 0 {
+                            wire_id
+                        } else {
+                            s.parent | SERVER_SPAN_BIT
+                        },
+                        name: s.name,
+                        duration_ns: s.duration_ns,
+                        fields: s.fields,
+                    }));
+                    Message::decode(&inner)?
+                }
+                // Refused before dispatch (busy, unknown tag): a plain reply.
+                other => other,
+            }
+        };
         if let Message::Error {
             code,
             message,
@@ -347,9 +390,9 @@ impl Client {
         }
     }
 
-    /// One retried request/reply exchange (helper for the public calls),
-    /// recording a `wire.client.latency.<op>` observation covering all
-    /// attempts.
+    /// One retried request/reply exchange (helper for the public calls)
+    /// under a `client.<op>` span, recording a `wire.client.latency.<op>`
+    /// observation covering all attempts.
     fn call(
         &mut self,
         op: &'static str,
@@ -359,9 +402,11 @@ impl Client {
         if !obs::enabled() {
             return self.with_retry(idempotent, true, |c| c.round_trip(msg));
         }
+        let (latency, span_name) = op_telemetry(op);
+        let _span = obs::trace::span_active(span_name);
         let started = Instant::now();
         let result = self.with_retry(idempotent, true, |c| c.round_trip(msg));
-        op_latency(op).record_duration(started.elapsed());
+        latency.record_duration(started.elapsed());
         result
     }
 
@@ -376,91 +421,6 @@ impl Client {
                 self.last_udf_stdout = udf_stdout;
                 Ok(result)
             }
-            other => Err(WireError::Protocol(format!(
-                "unexpected query reply: {other:?}"
-            ))),
-        }
-    }
-
-    /// Execute one SQL statement inside a client-minted trace (DESIGN
-    /// §15). The query travels wrapped in a [`Message::Traced`] envelope;
-    /// the server captures every span it closes while executing and ships
-    /// them back, and the client returns the full set — its own
-    /// `client.query` / `client.wire` spans plus the server's, remapped
-    /// into one id space and stitched under the wire span — ready for
-    /// [`obs::trace::assemble`] / [`obs::trace::render_tree`].
-    ///
-    /// With telemetry disabled (or compiled out) the frame sent is
-    /// byte-identical to [`Client::query`] and the span list is empty.
-    pub fn query_traced(
-        &mut self,
-        sql: &str,
-    ) -> Result<(WireResult, Vec<obs::trace::SpanRecord>), WireError> {
-        let trace = obs::trace::new_trace_id();
-        if trace == 0 {
-            return Ok((self.query(sql)?, Vec::new()));
-        }
-        obs::trace::start_capture(trace);
-        let ctx = obs::trace::enter_context(obs::trace::SpanContext { trace, parent: 0 });
-        let wire_span_id;
-        let exchange = {
-            let mut qspan = obs::trace::span_active("client.query");
-            qspan.field("sql", sql);
-            let envelope = Message::Traced {
-                trace,
-                inner: Message::Query {
-                    sql: sql.to_string(),
-                }
-                .encode(),
-            };
-            let bytes_out = envelope.encode().len();
-            let mut wspan = obs::trace::span_active("client.wire");
-            wire_span_id = wspan.id();
-            wspan.field("bytes_out", bytes_out);
-            match self.call("query", &envelope, sql_is_idempotent(sql)) {
-                Ok(Message::TracedReply { spans, inner }) => {
-                    wspan.field("bytes_in", inner.len());
-                    Ok((spans, inner))
-                }
-                Ok(other) => Err(WireError::Protocol(format!(
-                    "unexpected traced reply: {other:?}"
-                ))),
-                Err(e) => Err(e),
-            }
-        };
-        drop(ctx);
-        let mut records = obs::trace::take_capture(trace);
-        let (server_spans, inner) = exchange?;
-        // Stitch: server span ids live in their own namespace — shift
-        // them into the top half of the id space (client ids are minted
-        // from 1 and can never reach it) and hang the server's roots off
-        // the wire span that carried them.
-        const SERVER_BIT: u64 = 1 << 63;
-        records.extend(server_spans.into_iter().map(|s| obs::trace::SpanRecord {
-            id: s.id | SERVER_BIT,
-            parent: if s.parent == 0 {
-                wire_span_id
-            } else {
-                s.parent | SERVER_BIT
-            },
-            name: s.name,
-            duration_ns: s.duration_ns,
-            fields: s.fields,
-        }));
-        match Message::decode(&inner)? {
-            Message::ResultSet { result, udf_stdout } => {
-                self.last_udf_stdout = udf_stdout;
-                Ok((result, records))
-            }
-            Message::Error {
-                code,
-                message,
-                traceback,
-            } => Err(WireError::Server {
-                code,
-                message,
-                traceback,
-            }),
             other => Err(WireError::Protocol(format!(
                 "unexpected query reply: {other:?}"
             ))),
@@ -489,19 +449,7 @@ impl Client {
             name: name.to_string(),
         };
         match self.call("get_function", &msg, true)? {
-            Message::FunctionInfo {
-                name,
-                params,
-                return_type,
-                language,
-                body,
-            } => Ok(FunctionInfo {
-                name,
-                params,
-                return_type,
-                language,
-                body,
-            }),
+            Message::FunctionInfo(info) => Ok(info),
             other => Err(WireError::Protocol(format!(
                 "unexpected function reply: {other:?}"
             ))),
@@ -641,13 +589,7 @@ impl Client {
                 // the digest table against raw_len and every index).
                 let shipped_raw: usize = blocks
                     .iter()
-                    .map(|b| {
-                        if b.index as usize + 1 == nblocks {
-                            raw_len - (nblocks - 1) * block_size
-                        } else {
-                            block_size
-                        }
-                    })
+                    .map(|b| transfer::block_raw_len(raw_len, block_size, b.index as usize))
                     .sum();
                 if blocks.len() < nblocks {
                     obs::counter!("transfer.delta.hits").inc();
@@ -1019,8 +961,8 @@ mod tests {
                     .map(|_| ())
                     .unwrap_err()
             } else {
-                client
-                    .query_traced("SELECT sum(i) FROM numbers")
+                obs::trace::capture(|| client.query("SELECT sum(i) FROM numbers"))
+                    .0
                     .map(|_| ())
                     .unwrap_err()
             };
@@ -1082,10 +1024,9 @@ mod tests {
         obs::trace::clear_subscribers();
         let server = demo_server();
         let mut client = connect(&server);
-        let (result, spans) = client
-            .query_traced("SELECT mean_deviation(i) FROM numbers")
-            .unwrap();
-        let t = result.into_table().unwrap();
+        let (result, spans) =
+            obs::trace::capture(|| client.query("SELECT mean_deviation(i) FROM numbers"));
+        let t = result.unwrap().into_table().unwrap();
         assert_eq!(t.rows[0][0], WireValue::Double(1.5));
         let query = spans.iter().find(|r| r.name == "client.query").unwrap();
         assert_eq!(query.parent, 0);
@@ -1110,23 +1051,65 @@ mod tests {
     }
 
     #[test]
-    fn untraced_query_traced_is_byte_identical_to_plain_query() {
+    fn every_command_outside_a_capture_is_byte_identical_to_its_encoding() {
         let _serial = obs::metrics::test_lock();
-        // With telemetry off no trace id can be minted; query_traced must
-        // leave no mark on the wire.
-        obs::set_enabled(false);
-        let server = demo_server();
-        let (mut plain, _, plain_frames) = stub_client(&server, None, ClientOptions::default());
-        let (mut traced, _, traced_frames) = stub_client(&server, None, ClientOptions::default());
-        let sql = "SELECT mean_deviation(i) FROM numbers";
-        plain.query(sql).unwrap();
-        let (_, spans) = traced.query_traced(sql).unwrap();
-        assert!(spans.is_empty());
-        let a = plain_frames.lock().unwrap().clone();
-        let b = traced_frames.lock().unwrap().clone();
-        assert_eq!(a.len(), 2, "login + query");
-        assert_eq!(a, b, "untraced traced-query bytes must match plain bytes");
         obs::set_enabled(true);
+        let server = demo_server();
+        let options = ClientOptions {
+            cache: Some(4),
+            ..ClientOptions::default()
+        };
+        let (mut client, _, frames) = stub_client(&server, None, options);
+        let sql = "SELECT mean_deviation(i) FROM numbers";
+        let udf = "mean_deviation";
+        client.query(sql).unwrap();
+        client.list_functions().unwrap();
+        client.get_function(udf).unwrap();
+        // The cache upgrades a full extract to `ExtractDelta`; a sampled
+        // one bypasses it.
+        client
+            .extract_inputs(sql, udf, TransferOptions::compressed())
+            .unwrap();
+        client
+            .extract_inputs(sql, udf, TransferOptions::sampled(3))
+            .unwrap();
+        client.ping().unwrap();
+        // With telemetry off no capture starts, so nothing is wrapped.
+        obs::set_enabled(false);
+        let (result, spans) = obs::trace::capture(|| client.query(sql));
+        obs::set_enabled(true);
+        result.unwrap();
+        assert!(spans.is_empty());
+        let expected: Vec<Vec<u8>> = [
+            Message::Login {
+                user: "monetdb".into(),
+                password: "monetdb".into(),
+                database: "demo".into(),
+            },
+            Message::Query { sql: sql.into() },
+            Message::ListFunctions,
+            Message::GetFunction { name: udf.into() },
+            Message::ExtractDelta {
+                query: sql.into(),
+                udf: udf.into(),
+                options: TransferOptions::compressed(),
+                transfer_id: 1,
+                epochs: Vec::new(),
+                digests: Vec::new(),
+            },
+            Message::ExtractInputs {
+                query: sql.into(),
+                udf: udf.into(),
+                options: TransferOptions::sampled(3),
+                transfer_id: 2,
+            },
+            Message::Ping,
+            Message::Query { sql: sql.into() },
+        ]
+        .iter()
+        .map(Message::encode)
+        .collect();
+        assert_eq!(*frames.lock().unwrap(), expected);
         server.shutdown();
     }
 

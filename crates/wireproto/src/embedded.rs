@@ -1,9 +1,9 @@
 //! The transport trait and the in-process **embedded** implementation —
 //! "MonetDBLite mode" (DESIGN §17).
 //!
-//! Everything the devUDF plugin needs from its database is six calls:
-//! query, traced query, list/get function, input extraction, and the UDF
-//! stdout of the last statement. [`EngineTransport`] names exactly that
+//! Everything the devUDF plugin needs from its database is five calls:
+//! query, list/get function, input extraction, and the UDF stdout of the
+//! last statement. [`EngineTransport`] names exactly that
 //! surface; [`Client`] implements it over the TCP/in-proc wire, and
 //! [`Embedded`] implements it by calling [`monetlite::Engine`] directly
 //! in the same process — no frames, no pickling, no socket.
@@ -12,7 +12,9 @@
 //! so there is no concurrent writer to isolate reads from: every call runs
 //! on the live engine, which answers exactly as the server's snapshot
 //! readers would. The embedded-vs-TCP differential test holds the two
-//! paths to the same results.
+//! paths to the same results. Tracing needs no path of its own: inside an
+//! [`obs::trace::capture`] the engine's spans join the capture directly,
+//! under an `embedded.query` root.
 //!
 //! What embedding deliberately skips: the three transfer options.
 //! Compression and encryption protect bytes **on the wire**, and
@@ -58,13 +60,6 @@ pub trait EngineTransport {
     /// Execute one SQL statement.
     fn query(&mut self, sql: &str) -> Result<WireResult, WireError>;
 
-    /// Execute one SQL statement inside a trace; returns the closed spans
-    /// alongside the result (empty when telemetry is off).
-    fn query_traced(
-        &mut self,
-        sql: &str,
-    ) -> Result<(WireResult, Vec<obs::trace::SpanRecord>), WireError>;
-
     /// Names of every stored function.
     fn list_functions(&mut self) -> Result<Vec<String>, WireError>;
 
@@ -82,21 +77,11 @@ pub trait EngineTransport {
 
     /// `print` output of server-side UDFs during the last query.
     fn last_udf_stdout(&self) -> &str;
-
-    /// Short name for diagnostics: `"wire"` or `"embedded"`.
-    fn transport_name(&self) -> &'static str;
 }
 
 impl EngineTransport for Client {
     fn query(&mut self, sql: &str) -> Result<WireResult, WireError> {
         Client::query(self, sql)
-    }
-
-    fn query_traced(
-        &mut self,
-        sql: &str,
-    ) -> Result<(WireResult, Vec<obs::trace::SpanRecord>), WireError> {
-        Client::query_traced(self, sql)
     }
 
     fn list_functions(&mut self) -> Result<Vec<String>, WireError> {
@@ -118,10 +103,6 @@ impl EngineTransport for Client {
 
     fn last_udf_stdout(&self) -> &str {
         Client::last_udf_stdout(self)
-    }
-
-    fn transport_name(&self) -> &'static str {
-        "wire"
     }
 }
 
@@ -167,6 +148,7 @@ impl Embedded {
 impl EngineTransport for Embedded {
     fn query(&mut self, sql: &str) -> Result<WireResult, WireError> {
         obs::counter!("wire.embedded.queries").inc();
+        let _span = obs::trace::span_active("embedded.query");
         match self.engine.execute(sql) {
             Ok(result) => {
                 // Mirrors the wire: stdout rides only a successful reply.
@@ -177,57 +159,12 @@ impl EngineTransport for Embedded {
         }
     }
 
-    fn query_traced(
-        &mut self,
-        sql: &str,
-    ) -> Result<(WireResult, Vec<obs::trace::SpanRecord>), WireError> {
-        let trace = obs::trace::new_trace_id();
-        if trace == 0 {
-            return Ok((self.query(sql)?, Vec::new()));
-        }
-        obs::trace::start_capture(trace);
-        let result = {
-            let _ctx = obs::trace::enter_context(obs::trace::SpanContext { trace, parent: 0 });
-            let mut span = obs::trace::span_active("embedded.query");
-            span.field("sql", sql);
-            self.query(sql)
-        };
-        // One process, one span namespace: no wire hop, no id stitching.
-        let records = obs::trace::take_capture(trace);
-        Ok((result?, records))
-    }
-
     fn list_functions(&mut self) -> Result<Vec<String>, WireError> {
         Ok(self.engine.function_names())
     }
 
     fn get_function(&mut self, name: &str) -> Result<FunctionInfo, WireError> {
-        match self.engine.get_function(name) {
-            Ok(Some(def)) => Ok(FunctionInfo {
-                name: def.name.clone(),
-                params: def
-                    .params
-                    .iter()
-                    .map(|(n, t)| (n.clone(), t.name().to_string()))
-                    .collect(),
-                return_type: match &def.returns {
-                    monetlite::FunctionReturn::Scalar(t) => t.name().to_string(),
-                    monetlite::FunctionReturn::Table(cols) => {
-                        let inner: Vec<String> =
-                            cols.iter().map(|(n, t)| format!("{n} {t}")).collect();
-                        format!("TABLE({})", inner.join(", "))
-                    }
-                },
-                language: def.language,
-                body: def.body,
-            }),
-            Ok(None) => Err(WireError::Server {
-                code: "CatalogError".to_string(),
-                message: format!("no such function '{name}'"),
-                traceback: None,
-            }),
-            Err(e) => Err(WireError::from_db(&e)),
-        }
+        FunctionInfo::lookup(&self.engine, name).map_err(|e| WireError::from_db(&e))
     }
 
     fn extract_inputs(
@@ -255,10 +192,6 @@ impl EngineTransport for Embedded {
 
     fn last_udf_stdout(&self) -> &str {
         &self.last_udf_stdout
-    }
-
-    fn transport_name(&self) -> &'static str {
-        "embedded"
     }
 }
 
@@ -356,10 +289,5 @@ mod tests {
         assert_eq!(stats.raw_len, 0);
         assert_eq!(stats.wire_len, 0);
         assert_eq!(stats.ratio(), 1.0);
-    }
-
-    #[test]
-    fn transport_names_distinguish_the_implementations() {
-        assert_eq!(Embedded::in_memory().transport_name(), "embedded");
     }
 }

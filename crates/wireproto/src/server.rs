@@ -10,7 +10,7 @@
 //!   [`EngineSnapshot`] *before* replying, so a session always sees its
 //!   own writes on its next command.
 //! * **Reads** (SELECT / EXPLAIN / catalog and `sys.*` lookups /
-//!   extracts) run concurrently on a bounded [`Service`] of reader
+//!   extracts) run concurrently on a bounded [`Pool`] of reader
 //!   workers. A read executes against the exact snapshot it was
 //!   classified on (one consistent epoch — never a torn mix), hydrated
 //!   into a worker-private engine that is cached per epoch.
@@ -33,14 +33,14 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use devharness::pool::Service;
+use devharness::pool::Pool;
 use monetlite::snapshot::EngineSnapshot;
 use monetlite::{
-    classify_extract, classify_sql, CommandClass, Engine, FunctionReturn, SessionProvider,
-    SessionRow, SessionSource,
+    classify_extract, classify_sql, CommandClass, DbError, Engine, SessionProvider, SessionRow,
+    SessionSource,
 };
 
-use crate::message::{Message, WireResult};
+use crate::message::{FunctionInfo, Message, WireError, WireResult};
 use crate::transfer;
 use crate::transport::{read_frame_with_mid_deadline, write_frame};
 
@@ -254,8 +254,8 @@ enum Route {
 pub struct ServerCore {
     config: ServerConfig,
     writer: SyncSender<WriteJob>,
-    /// Bounded reader scheduler; `None` once the server began shutdown.
-    readers: RwLock<Option<Service>>,
+    /// Bounded reader pool; `None` once the server began shutdown.
+    readers: RwLock<Option<Pool>>,
     snapshot: RwLock<Arc<EngineSnapshot>>,
     registry: Arc<SessionRegistry>,
     next_session: AtomicU64,
@@ -376,7 +376,7 @@ impl ServerCore {
         snap: Arc<EngineSnapshot>,
     ) -> Vec<u8> {
         let readers = self.readers.read().expect("readers lock poisoned");
-        let Some(service) = readers.as_ref() else {
+        let Some(pool) = readers.as_ref() else {
             return err_msg("ServerError", "server is shutting down").encode();
         };
         let (reply_tx, reply_rx) = channel();
@@ -384,7 +384,7 @@ impl ServerCore {
         let job_entry = entry.clone();
         let enqueued = Instant::now();
         entry.state.store(STATE_QUEUED, Ordering::Relaxed);
-        let submitted = service.try_submit(move || {
+        let submitted = pool.try_submit(move || {
             job_entry.record_dequeue(enqueued);
             let reply = READER_ENGINE.with(|cache| {
                 let mut cache = cache.borrow_mut();
@@ -463,7 +463,7 @@ impl Server {
         };
         let core = Arc::new(ServerCore {
             writer: writer_tx,
-            readers: RwLock::new(Some(Service::new(
+            readers: RwLock::new(Some(Pool::bounded(
                 "wire-server-read",
                 read_workers,
                 config.read_queue.max(1),
@@ -626,7 +626,7 @@ impl Server {
             let _ = TcpStream::connect(addr);
             let _ = handle.join();
         }
-        // Dropping the reader service drains queued reads (their replies
+        // Dropping the reader pool drains queued reads (their replies
         // still go out) and joins the workers.
         drop(
             self.core
@@ -678,6 +678,24 @@ fn err_msg(code: &str, message: impl Into<String>) -> Message {
         code: code.to_string(),
         message: message.into(),
         traceback: None,
+    }
+}
+
+/// The reply for an engine error: [`WireError::from_db`] — the mapping the
+/// embedded transport returns — as a frame, so both transports report the
+/// same code, message and traceback.
+fn db_error(e: &DbError) -> Message {
+    match WireError::from_db(e) {
+        WireError::Server {
+            code,
+            message,
+            traceback,
+        } => Message::Error {
+            code,
+            message,
+            traceback,
+        },
+        other => err_msg("ServerError", other.to_string()),
     }
 }
 
@@ -747,23 +765,19 @@ fn cmd_name(msg: &Message) -> &'static str {
     }
 }
 
-/// The server's half of a trace id: the client's id with the top bit set,
-/// so an in-process client and server never share one capture buffer (and
-/// the span-id remap the client applies on merge can never collide).
-const SERVER_TRACE_BIT: u64 = 1 << 63;
-
 /// Handle a [`Message::Traced`] envelope (DESIGN §15): decode the inner
 /// request, capture every span the engine closes while dispatching it
 /// under a `server.command` root, and ship the encoded inner reply plus
 /// the captured spans back in a [`Message::TracedReply`]. On a server
 /// built without telemetry the span list is simply empty — the inner
-/// dispatch is unaffected either way.
+/// dispatch is unaffected either way. The client's trace id only marks
+/// the envelope: the server captures under an id of its own, so an
+/// in-process client and server never share one capture.
 fn traced_reply(
     engine: &Engine,
     config: &ServerConfig,
     entry: &SessionEntry,
     session: u64,
-    trace: u64,
     inner: &[u8],
 ) -> Message {
     let msg = match Message::decode(inner) {
@@ -771,29 +785,22 @@ fn traced_reply(
         Ok(m) => m,
         Err(e) => return err_msg("ProtocolError", e.to_string()),
     };
-    let side = trace | SERVER_TRACE_BIT;
-    obs::trace::start_capture(side);
-    let reply = {
-        let _ctx = obs::trace::enter_context(obs::trace::SpanContext {
-            trace: side,
-            parent: 0,
-        });
+    let (reply, spans) = obs::trace::capture(|| {
         let mut span = obs::trace::span_active("server.command");
         span.field("command", cmd_name(&msg));
         dispatch_frame(engine, config, entry, session, msg)
-    };
-    let spans = obs::trace::take_capture(side)
-        .into_iter()
-        .map(|r| crate::message::WireSpan {
-            id: r.id,
-            parent: r.parent,
-            name: r.name,
-            duration_ns: r.duration_ns,
-            fields: r.fields,
-        })
-        .collect();
+    });
     Message::TracedReply {
-        spans,
+        spans: spans
+            .into_iter()
+            .map(|r| crate::message::WireSpan {
+                id: r.id,
+                parent: r.parent,
+                name: r.name,
+                duration_ns: r.duration_ns,
+                fields: r.fields,
+            })
+            .collect(),
         inner: reply.encode(),
     }
 }
@@ -862,8 +869,8 @@ fn dispatch_frame(
     session: u64,
     msg: Message,
 ) -> Message {
-    if let Message::Traced { trace, inner } = msg {
-        return traced_reply(engine, config, entry, session, trace, &inner);
+    if let Message::Traced { inner, .. } = msg {
+        return traced_reply(engine, config, entry, session, &inner);
     }
     if let Message::Login { .. } = &msg {
         return login_reply(config, entry, session, &msg);
@@ -879,36 +886,14 @@ fn dispatch_frame(
                 result: WireResult::from_query_result(&result),
                 udf_stdout: engine.take_udf_stdout(),
             },
-            Err(e) => Message::Error {
-                code: e.code.name().to_string(),
-                message: e.message.clone(),
-                traceback: e.traceback,
-            },
+            Err(e) => db_error(&e),
         },
         Message::ListFunctions => Message::FunctionList {
             names: engine.function_names(),
         },
-        Message::GetFunction { name } => match engine.get_function(&name) {
-            Ok(Some(def)) => Message::FunctionInfo {
-                name: def.name.clone(),
-                params: def
-                    .params
-                    .iter()
-                    .map(|(n, t)| (n.clone(), t.name().to_string()))
-                    .collect(),
-                return_type: match &def.returns {
-                    FunctionReturn::Scalar(t) => t.name().to_string(),
-                    FunctionReturn::Table(cols) => {
-                        let inner: Vec<String> =
-                            cols.iter().map(|(n, t)| format!("{n} {t}")).collect();
-                        format!("TABLE({})", inner.join(", "))
-                    }
-                },
-                language: def.language,
-                body: def.body,
-            },
-            Ok(None) => err_msg("CatalogError", format!("no such function '{name}'")),
-            Err(e) => err_msg(e.code.name(), e.message),
+        Message::GetFunction { name } => match FunctionInfo::lookup(engine, &name) {
+            Ok(info) => Message::FunctionInfo(info),
+            Err(e) => db_error(&e),
         },
         Message::ExtractInputs {
             query,
@@ -938,11 +923,7 @@ fn dispatch_frame(
                     Err(e) => err_msg("TransferError", e.to_string()),
                 }
             }
-            Err(e) => Message::Error {
-                code: e.code.name().to_string(),
-                message: e.message.clone(),
-                traceback: e.traceback,
-            },
+            Err(e) => db_error(&e),
         },
         Message::ExtractDelta {
             query,
@@ -978,11 +959,7 @@ fn dispatch_frame(
                 Ok((inputs, deps)) => {
                     delta_reply(config, options, transfer_id, &inputs, deps, &digests)
                 }
-                Err(e) => Message::Error {
-                    code: e.code.name().to_string(),
-                    message: e.message.clone(),
-                    traceback: e.traceback,
-                },
+                Err(e) => db_error(&e),
             }
         }
         // Server-only messages arriving at the server are protocol errors.

@@ -63,7 +63,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use codecs::varint::{read_u64, write_u64};
+use codecs::varint::{write_u64, Reader};
 use codecs::{chacha20, derive_key, kdf, lz};
 use devharness::pool::{self, Pool};
 use pylite::value::Dict;
@@ -389,9 +389,58 @@ fn encode_block_body(
     (enc, body)
 }
 
+/// Raw length of block `index` in the grid that splits `raw_total` bytes
+/// into `block_size` blocks (every block is full but the last).
+pub fn block_raw_len(raw_total: usize, block_size: usize, index: usize) -> usize {
+    (raw_total - index * block_size).min(block_size)
+}
+
+/// Check one coded block against the grid before anything is allocated
+/// for it: a known encoding (LZ only when `compressed`), a body longer
+/// than the integrity tag, and a length that can hold `raw_len` bytes —
+/// exactly raw + tag for a stored block, at least the LZ codec's minimum
+/// stream for an LZ one. `body_len` is untrusted wire data.
+fn check_block(
+    index: usize,
+    enc: u8,
+    body_len: usize,
+    raw_len: usize,
+    compressed: bool,
+) -> Result<(), TransferError> {
+    if enc > BLOCK_LZ {
+        return Err(container_err(format!(
+            "block {index}: unknown encoding {enc}"
+        )));
+    }
+    if enc == BLOCK_LZ && !compressed {
+        return Err(container_err(format!(
+            "block {index}: LZ encoding without compression"
+        )));
+    }
+    if body_len <= INTEGRITY_TAG_LEN {
+        return Err(container_err(format!(
+            "block {index}: wire length {body_len} too short for integrity tag"
+        )));
+    }
+    let codec_len = body_len - INTEGRITY_TAG_LEN;
+    if enc == BLOCK_STORED && codec_len != raw_len {
+        return Err(container_err(format!(
+            "block {index}: stored wire length {body_len} does not match \
+             raw length {raw_len} plus tag"
+        )));
+    }
+    if enc == BLOCK_LZ && codec_len < lz::min_stream_len(raw_len) {
+        return Err(container_err(format!(
+            "block {index}: raw length {raw_len} impossible for a \
+             {codec_len}-byte LZ stream"
+        )));
+    }
+    Ok(())
+}
+
 /// Reverse [`encode_block_body`] into `target`, whose length is the
-/// block's expected raw length. `body` is untrusted wire bytes; nothing
-/// here sizes an allocation from it.
+/// block's raw length. The block passed [`check_block`]; the body is
+/// borrowed and copied only to decrypt it.
 fn decode_block_body(
     block: usize,
     enc: u8,
@@ -401,20 +450,17 @@ fn decode_block_body(
     target: &mut [u8],
 ) -> Result<(), TransferError> {
     let start = Instant::now();
-    if body.len() <= INTEGRITY_TAG_LEN {
-        return Err(container_err(format!(
-            "block {block}: body too short for integrity tag"
-        )));
-    }
-    let mut plain = body.to_vec();
-    if let Some(key) = key {
-        let nonce = kdf::derive_block_nonce(transfer_id, block as u64);
-        chacha20::ChaCha20::new(key, &nonce, 1).apply(&mut plain);
-    }
-    let tag_at = plain.len() - INTEGRITY_TAG_LEN;
-    let expected = u32::from_le_bytes(plain[tag_at..].try_into().expect("4-byte tag"));
-    let codec_bytes = &plain[..tag_at];
-    if codecs::fnv1a_32(codec_bytes) != expected {
+    let decrypted;
+    let plain = match key {
+        Some(key) => {
+            let nonce = kdf::derive_block_nonce(transfer_id, block as u64);
+            decrypted = chacha20::ChaCha20::new(key, &nonce, 1).process(body);
+            &decrypted[..]
+        }
+        None => body,
+    };
+    let (codec_bytes, tag) = plain.split_at(plain.len() - INTEGRITY_TAG_LEN);
+    if codecs::fnv1a_32(codec_bytes).to_le_bytes() != tag {
         return Err(TransferError::BlockIntegrity {
             block,
             encrypted: key.is_some(),
@@ -422,19 +468,8 @@ fn decode_block_body(
     }
     let res = match enc {
         BLOCK_STORED => {
-            if codec_bytes.len() != target.len() {
-                Err(TransferError::BlockCodec {
-                    block,
-                    detail: format!(
-                        "stored block holds {} bytes, expected {}",
-                        codec_bytes.len(),
-                        target.len()
-                    ),
-                })
-            } else {
-                target.copy_from_slice(codec_bytes);
-                Ok(())
-            }
+            target.copy_from_slice(codec_bytes);
+            Ok(())
         }
         _ => lz::decompress_into(codec_bytes, target).map_err(|e| TransferError::BlockCodec {
             block,
@@ -445,8 +480,57 @@ fn decode_block_body(
     res
 }
 
+/// Where one block of a grid being rebuilt comes from.
+enum BlockSource<'a> {
+    /// A coded body off the wire (checked by [`check_block`]).
+    Coded { enc: u8, body: &'a [u8] },
+    /// Raw bytes already held (the delta cache), of the grid's length.
+    Raw(&'a [u8]),
+}
+
+/// Rebuild a `raw_total`-byte payload from one [`BlockSource`] per grid
+/// block, decoding the coded ones across `pool` into disjoint slices of
+/// one output allocation. With a digest table every decoded block must
+/// hash to its entry. The first failing block in grid order (not
+/// completion order) is the error, so it is deterministic.
+fn decode_grid(
+    pool: &Pool,
+    raw_total: usize,
+    block_size: usize,
+    sources: Vec<BlockSource<'_>>,
+    key: Option<[u8; 32]>,
+    transfer_id: u64,
+    digests: Option<&[[u8; 32]]>,
+) -> Result<Vec<u8>, TransferError> {
+    let mut out = vec![0u8; raw_total];
+    let mut jobs = Vec::with_capacity(sources.len());
+    for ((index, target), source) in out.chunks_mut(block_size).enumerate().zip(sources) {
+        match source {
+            BlockSource::Coded { enc, body } => jobs.push((index, enc, body, target)),
+            BlockSource::Raw(raw) => target.copy_from_slice(raw),
+        }
+    }
+    let results: Vec<Result<(), TransferError>> =
+        pool.map(jobs, |_, (index, enc, body, target)| {
+            decode_block_body(index, enc, body, key.as_ref(), transfer_id, target)?;
+            if digests.is_some_and(|d| codecs::sha256::sha256(target) != d[index]) {
+                return Err(TransferError::BlockCodec {
+                    block: index,
+                    detail: "content digest mismatch after decode".into(),
+                });
+            }
+            Ok(())
+        });
+    for result in results {
+        result?;
+    }
+    Ok(out)
+}
+
 /// Pack raw bytes into the v1 chunked container, running the per-block
-/// codec across `pool`. Output bytes are independent of the pool width.
+/// codec across `pool` (through [`encode_delta_blocks`], so a container
+/// body and a delta body for the same block are one computation). Output
+/// bytes are independent of the pool width.
 pub fn encode_blocks(
     pool: &Pool,
     data: &[u8],
@@ -455,66 +539,43 @@ pub fn encode_blocks(
     transfer_id: u64,
 ) -> Vec<u8> {
     let block_size = options.effective_block_size();
-    let nblocks = data.len().div_ceil(block_size);
-    obs::histogram!("transfer.blocks_per_payload").record(nblocks as u64);
+    let blocks = encode_delta_blocks(pool, data, options, password, transfer_id, &[]);
+    obs::histogram!("transfer.blocks_per_payload").record(blocks.len() as u64);
 
-    let key = options.encrypt.then(|| transfer_key(password));
-    let compress = options.compress;
-    let blocks: Vec<&[u8]> = data.chunks(block_size).collect();
-    let bodies: Vec<(u8, Vec<u8>)> = pool.map(blocks, |index, raw| {
-        encode_block_body(raw, compress, key.as_ref(), transfer_id, index)
-    });
-
-    let wire_total: usize = bodies.iter().map(|(_, b)| b.len()).sum();
-    let mut out = Vec::with_capacity(wire_total + 16 + bodies.len() * 8);
+    let wire_total: usize = blocks.iter().map(|b| b.body.len()).sum();
+    let mut out = Vec::with_capacity(wire_total + 16 + blocks.len() * 8);
     out.extend_from_slice(&CONTAINER_MAGIC);
     out.push(CONTAINER_VERSION);
     let mut flags = 0u8;
-    if compress {
+    if options.compress {
         flags |= FLAG_COMPRESS;
     }
-    if key.is_some() {
+    if options.encrypt {
         flags |= FLAG_ENCRYPT;
     }
     out.push(flags);
     write_u64(&mut out, block_size as u64);
     write_u64(&mut out, data.len() as u64);
-    write_u64(&mut out, nblocks as u64);
-    for (i, (enc, body)) in bodies.iter().enumerate() {
-        let raw_len = if i + 1 == nblocks {
-            data.len() - i * block_size
-        } else {
-            block_size
-        };
-        out.push(*enc);
-        write_u64(&mut out, raw_len as u64);
-        write_u64(&mut out, body.len() as u64);
+    write_u64(&mut out, blocks.len() as u64);
+    for (i, b) in blocks.iter().enumerate() {
+        out.push(b.enc);
+        write_u64(&mut out, block_raw_len(data.len(), block_size, i) as u64);
+        write_u64(&mut out, b.body.len() as u64);
     }
-    for (_, body) in &bodies {
-        out.extend_from_slice(body);
+    for b in &blocks {
+        out.extend_from_slice(&b.body);
     }
     out
-}
-
-/// Parsed per-block header entry.
-struct BlockMeta {
-    enc: u8,
-    raw_len: usize,
-    wire_len: usize,
 }
 
 fn container_err(msg: impl Into<String>) -> TransferError {
     TransferError::Container(msg.into())
 }
 
-fn read_varint_usize(
-    payload: &[u8],
-    cursor: &mut usize,
-    what: &str,
-) -> Result<usize, TransferError> {
-    let (v, used) = read_u64(&payload[*cursor..])
-        .map_err(|e| container_err(format!("bad {what} varint: {e}")))?;
-    *cursor += used;
+fn read_usize(r: &mut Reader<'_>, what: &str) -> Result<usize, TransferError> {
+    let v = r
+        .varint()
+        .map_err(|e| container_err(format!("bad {what} varint: {e:?}")))?;
     usize::try_from(v).map_err(|_| container_err(format!("{what} out of range")))
 }
 
@@ -556,10 +617,10 @@ pub fn decode_blocks(
         )));
     }
 
-    let mut cursor = 6usize;
-    let block_size = read_varint_usize(payload, &mut cursor, "block size")?;
-    let raw_total = read_varint_usize(payload, &mut cursor, "raw length")?;
-    let nblocks = read_varint_usize(payload, &mut cursor, "block count")?;
+    let mut r = Reader::new(&payload[6..]);
+    let block_size = read_usize(&mut r, "block size")?;
+    let raw_total = read_usize(&mut r, "raw length")?;
+    let nblocks = read_usize(&mut r, "block count")?;
     if block_size == 0 {
         return Err(container_err("zero block size"));
     }
@@ -572,121 +633,51 @@ pub fn decode_blocks(
     // Never size an allocation from a declared count alone: each block
     // table entry occupies at least 3 bytes (encoding byte + two
     // varints), so a count the remaining payload cannot possibly hold is
-    // rejected before `metas` is reserved.
-    if nblocks > (payload.len() - cursor) / 3 {
+    // rejected before the table is reserved.
+    if nblocks > r.remaining() / 3 {
         return Err(container_err(format!(
             "block count {nblocks} exceeds what {} remaining bytes can hold",
-            payload.len() - cursor
+            r.remaining()
         )));
     }
 
-    let mut metas = Vec::with_capacity(nblocks);
-    let mut raw_sum = 0usize;
-    let mut wire_sum = 0usize;
+    // Every declared length is hostile: each block must fit the grid and
+    // its body must be physically plausible for its raw length, and the
+    // bodies must fill the rest of the payload exactly, before the output
+    // buffer is sized from `raw_total`.
+    let mut table = Vec::with_capacity(nblocks);
     for i in 0..nblocks {
-        if cursor >= payload.len() {
-            return Err(container_err("truncated block table"));
-        }
-        let enc = payload[cursor];
-        cursor += 1;
-        if enc > BLOCK_LZ {
-            return Err(container_err(format!("block {i}: unknown encoding {enc}")));
-        }
-        if enc == BLOCK_LZ && !compressed {
-            return Err(container_err(format!(
-                "block {i}: LZ encoding in an uncompressed container"
-            )));
-        }
-        let raw_len = read_varint_usize(payload, &mut cursor, "block raw length")?;
-        let wire_len = read_varint_usize(payload, &mut cursor, "block wire length")?;
-        let expected_raw = if i + 1 == nblocks {
-            raw_total - (nblocks - 1) * block_size
-        } else {
-            block_size
-        };
+        let enc = r
+            .byte()
+            .map_err(|_| container_err("truncated block table"))?;
+        let raw_len = read_usize(&mut r, "block raw length")?;
+        let wire_len = read_usize(&mut r, "block wire length")?;
+        let expected_raw = block_raw_len(raw_total, block_size, i);
         if raw_len != expected_raw {
             return Err(container_err(format!(
                 "block {i}: raw length {raw_len}, expected {expected_raw}"
             )));
         }
-        if wire_len <= INTEGRITY_TAG_LEN {
-            return Err(container_err(format!(
-                "block {i}: wire length {wire_len} too short for integrity tag"
-            )));
-        }
-        // Declared raw lengths size the output allocation below, so they
-        // must be plausible for the wire bytes actually present — a
-        // hostile header must not buy a terabyte `vec![0; raw_total]`
-        // with a handful of payload bytes. Stored blocks are exact
-        // (encode writes raw + tag); LZ blocks are bounded by the
-        // codec's own minimum stream length for `raw_len` output bytes.
-        let codec_len = wire_len - INTEGRITY_TAG_LEN;
-        match enc {
-            BLOCK_STORED => {
-                if codec_len != raw_len {
-                    return Err(container_err(format!(
-                        "block {i}: stored wire length {wire_len} does not match \
-                         raw length {raw_len} plus tag"
-                    )));
-                }
-            }
-            _ => {
-                if codec_len < lz::min_stream_len(raw_len) {
-                    return Err(container_err(format!(
-                        "block {i}: raw length {raw_len} impossible for a \
-                         {codec_len}-byte LZ stream"
-                    )));
-                }
-            }
-        }
-        raw_sum += raw_len;
-        wire_sum = wire_sum
-            .checked_add(wire_len)
-            .ok_or_else(|| container_err("block table overflows"))?;
-        metas.push(BlockMeta {
-            enc,
-            raw_len,
-            wire_len,
-        });
+        check_block(i, enc, wire_len, raw_len, compressed)?;
+        table.push((enc, wire_len));
     }
-    if raw_sum != raw_total {
+    let sources = table
+        .into_iter()
+        .map(|(enc, wire_len)| {
+            let body = r
+                .take(wire_len)
+                .map_err(|_| container_err("block bodies truncated"))?;
+            Ok(BlockSource::Coded { enc, body })
+        })
+        .collect::<Result<Vec<_>, TransferError>>()?;
+    if !r.is_done() {
         return Err(container_err(format!(
-            "block raw lengths sum to {raw_sum}, header declares {raw_total}"
+            "{} bytes after the last block body",
+            r.remaining()
         )));
     }
-    if payload.len() - cursor != wire_sum {
-        return Err(container_err(format!(
-            "body holds {} bytes, block table declares {wire_sum}",
-            payload.len() - cursor
-        )));
-    }
-
     let key = encrypted.then(|| transfer_key(password));
-    let mut out = vec![0u8; raw_total];
-
-    // Pair each block's body slice with its (disjoint) output slice.
-    let mut jobs: Vec<(u8, &[u8], &mut [u8])> = Vec::with_capacity(nblocks);
-    {
-        let mut body_off = cursor;
-        let mut chunks = out.chunks_mut(block_size);
-        for meta in &metas {
-            let body = &payload[body_off..body_off + meta.wire_len];
-            body_off += meta.wire_len;
-            let target = chunks.next().expect("raw sums validated");
-            debug_assert_eq!(target.len(), meta.raw_len);
-            jobs.push((meta.enc, body, target));
-        }
-    }
-
-    let results: Vec<Result<(), TransferError>> = pool.map(jobs, |block, (enc, body, target)| {
-        decode_block_body(block, enc, body, key.as_ref(), transfer_id, target)
-    });
-    // First failing block (in block order, not completion order) wins, so
-    // the reported error is deterministic.
-    for result in results {
-        result?;
-    }
-    Ok(out)
+    decode_grid(pool, raw_total, block_size, sources, key, transfer_id, None)
 }
 
 /// One shipped block of a delta reply: the block's position in the fresh
@@ -756,13 +747,11 @@ pub fn encode_delta_blocks(
 /// Every input except `cached` is untrusted wire data and is validated
 /// before it can size an allocation: the digest table must match the
 /// declared grid, shipped indices must be strictly increasing and in
-/// range, and each shipped body must be physically plausible for its
-/// block's raw length (stored blocks are exact, LZ blocks are bounded by
-/// the codec's minimum stream length). Decoded shipped blocks are
-/// re-hashed and checked against the digest table, so a block that
-/// decodes to the wrong content fails loudly. Cached blocks are trusted
-/// to match their digest — [`crate::delta::CacheEntry`] constructs them
-/// from hashed data.
+/// range, and each shipped block passes the container's per-block check.
+/// Decoded shipped blocks are re-hashed and checked against the digest
+/// table, so a block that decodes to the wrong content fails loudly.
+/// Cached blocks are trusted to match their digest —
+/// [`crate::delta::CacheEntry`] constructs them from hashed data.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_delta(
     pool: &Pool,
@@ -783,18 +772,12 @@ pub fn reconstruct_delta(
             digests.len()
         )));
     }
-    let raw_len_of = |i: usize| {
-        if i + 1 == nblocks {
-            raw_total - (nblocks - 1) * block_size
-        } else {
-            block_size
-        }
-    };
-    // Validate the shipped set, then plan every block's source before any
-    // output allocation happens.
-    let mut shipped_of = vec![None::<usize>; nblocks];
+    // Plan every block's source before the output is allocated, so a
+    // hostile digest table cannot buy a huge allocation with bytes it
+    // never sent.
+    let mut sources: Vec<Option<BlockSource<'_>>> = (0..nblocks).map(|_| None).collect();
     let mut prev: Option<u64> = None;
-    for (j, b) in shipped.iter().enumerate() {
+    for b in shipped {
         if prev.is_some_and(|p| b.index <= p) {
             return Err(container_err(format!(
                 "shipped block indices not strictly increasing at {}",
@@ -808,98 +791,45 @@ pub fn reconstruct_delta(
             .ok_or_else(|| {
                 container_err(format!("shipped block index {} out of range", b.index))
             })?;
-        if b.enc > BLOCK_LZ {
-            return Err(container_err(format!(
-                "block {index}: unknown encoding {}",
-                b.enc
-            )));
-        }
-        if b.enc == BLOCK_LZ && !options.compress {
-            return Err(container_err(format!(
-                "block {index}: LZ encoding in an uncompressed delta"
-            )));
-        }
-        if b.body.len() <= INTEGRITY_TAG_LEN {
-            return Err(container_err(format!(
-                "block {index}: body too short for integrity tag"
-            )));
-        }
-        let codec_len = b.body.len() - INTEGRITY_TAG_LEN;
-        let raw_len = raw_len_of(index);
-        match b.enc {
-            BLOCK_STORED => {
-                if codec_len != raw_len {
-                    return Err(container_err(format!(
-                        "block {index}: stored body holds {codec_len} bytes, \
-                         expected {raw_len}"
-                    )));
-                }
-            }
-            _ => {
-                if codec_len < lz::min_stream_len(raw_len) {
-                    return Err(container_err(format!(
-                        "block {index}: raw length {raw_len} impossible for a \
-                         {codec_len}-byte LZ stream"
-                    )));
-                }
-            }
-        }
-        shipped_of[index] = Some(j);
-    }
-    // Every non-shipped block must resolve in the cache — checked before
-    // the output is allocated so a hostile digest table cannot buy a huge
-    // allocation with bytes it never sent.
-    let mut cached_of = vec![None::<&[u8]>; nblocks];
-    for i in 0..nblocks {
-        if shipped_of[i].is_some() {
-            continue;
-        }
-        let raw = cached.get(&digests[i]).copied().ok_or_else(|| {
-            container_err(format!(
-                "server omitted block {i} but its digest is not in the cache"
-            ))
-        })?;
-        if raw.len() != raw_len_of(i) {
-            return Err(container_err(format!(
-                "cached block {i} holds {} bytes, grid expects {}",
-                raw.len(),
-                raw_len_of(i)
-            )));
-        }
-        cached_of[i] = Some(raw);
-    }
-
-    let key = options.encrypt.then(|| transfer_key(password));
-    let mut out = vec![0u8; raw_total];
-    let mut decode_jobs: Vec<(usize, &DeltaBlock, &mut [u8])> = Vec::with_capacity(shipped.len());
-    for (i, target) in out.chunks_mut(block_size).enumerate() {
-        match shipped_of[i] {
-            Some(j) => decode_jobs.push((i, &shipped[j], target)),
-            None => target.copy_from_slice(cached_of[i].expect("coverage validated")),
-        }
-    }
-    let results: Vec<Result<(), TransferError>> =
-        pool.map(decode_jobs, |_, (index, block, target)| {
-            decode_block_body(
-                index,
-                block.enc,
-                &block.body,
-                key.as_ref(),
-                transfer_id,
-                target,
-            )?;
-            if codecs::sha256::sha256(target) != digests[index] {
-                return Err(TransferError::BlockCodec {
-                    block: index,
-                    detail: "content digest mismatch after decode".into(),
-                });
-            }
-            Ok(())
+        let raw_len = block_raw_len(raw_total, block_size, index);
+        check_block(index, b.enc, b.body.len(), raw_len, options.compress)?;
+        sources[index] = Some(BlockSource::Coded {
+            enc: b.enc,
+            body: &b.body,
         });
-    for result in results {
-        result?;
     }
-    Ok(out)
+    let sources = sources
+        .into_iter()
+        .enumerate()
+        .map(|(i, source)| {
+            if let Some(source) = source {
+                return Ok(source);
+            }
+            let raw = cached.get(&digests[i]).copied().ok_or_else(|| {
+                container_err(format!(
+                    "server omitted block {i} but its digest is not in the cache"
+                ))
+            })?;
+            let raw_len = block_raw_len(raw_total, block_size, i);
+            if raw.len() != raw_len {
+                return Err(container_err(format!(
+                    "cached block {i} holds {} bytes, grid expects {raw_len}",
+                    raw.len()
+                )));
+            }
+            Ok(BlockSource::Raw(raw))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let key = options.encrypt.then(|| transfer_key(password));
+    decode_grid(
+        pool,
+        raw_total,
+        block_size,
+        sources,
+        key,
+        transfer_id,
+        Some(digests),
+    )
 }
 
 /// Pickle an inputs value with no codec work — the delta path digests and
@@ -964,6 +894,7 @@ pub fn decode_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codecs::varint::read_u64;
 
     fn sample_dict(rows: usize) -> Value {
         let mut d = Dict::new();

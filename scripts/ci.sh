@@ -83,7 +83,8 @@ cargo run --offline --release -q --manifest-path devbench/Cargo.toml -- --second
 # Embedded-mode smoke, no server anywhere: create a persistent data
 # directory, then drive the import -> run loop over the in-process
 # transport in a *separate* invocation (so the catalog demonstrably
-# survives the WAL replay), checkpoint it, and verify the WAL folded.
+# survives the WAL replay), trace the debug query down to the engine's
+# operators, checkpoint it, and verify the WAL folded.
 echo "==> embedded mode smoke (WAL replay + checkpoint, no server)"
 EMB_DIR=$(mktemp -d /tmp/devudf-ci-embedded.XXXXXX)
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" --demo \
@@ -100,6 +101,10 @@ cargo run --offline --release -q -p devudf-ide --bin devudf import "$EMB_DIR/pro
   | grep -q "imported mean_deviation"
 cargo run --offline --release -q -p devudf-ide --bin devudf run "$EMB_DIR/proj" mean_deviation --embedded \
   | grep -q "result ="
+cargo run --offline --release -q -p devudf-ide --bin devudf trace "$EMB_DIR/proj" --embedded \
+  > "$EMB_DIR/trace.txt"
+grep -q "embedded.query" "$EMB_DIR/trace.txt"
+grep -q "monet.op.scan" "$EMB_DIR/trace.txt"
 cargo run --offline --release -q -p devudf-ide --bin devudf checkpoint "$EMB_DIR/data" \
   | grep -q "checkpointed"
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" \

@@ -447,3 +447,35 @@ fn sys_sessions_lists_live_sessions() {
     assert!(commands.iter().any(|&c| c >= 1), "{commands:?}");
     server.shutdown();
 }
+
+// ------------------------------------------------------------ pool metrics
+
+/// Reads run on the server's own bounded pool: a read (here a UDF query
+/// and a plain extract, neither of which codes blocks) never counts as a
+/// codec job, so `pool.jobs` keeps meaning "codec pool work".
+#[test]
+fn server_reads_do_not_count_as_codec_pool_jobs() {
+    let _serial = obs::metrics::test_lock();
+    obs::set_enabled(true);
+    let server = Server::start(config(), |db| {
+        db.execute("CREATE TABLE t (i INTEGER)").unwrap();
+        db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+        db.execute(SLOW_UDF).unwrap();
+    });
+    let mut client = connect(&server);
+    let jobs = obs::counter!("pool.jobs");
+    let waits = obs::histogram!("wire.server.queue_wait_ns");
+    let (jobs_before, waits_before) = (jobs.get(), waits.count());
+    let t = client
+        .query("SELECT sum(i) FROM t")
+        .unwrap()
+        .into_table()
+        .unwrap();
+    assert_eq!(int_cell(&t.rows[0]), 6);
+    client
+        .extract_inputs("SELECT slow(i) FROM t", "slow", TransferOptions::plain())
+        .unwrap();
+    assert!(waits.count() >= waits_before + 2, "both reads were queued");
+    assert_eq!(jobs.get(), jobs_before, "a server read is not a codec job");
+    server.shutdown();
+}
