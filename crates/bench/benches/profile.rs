@@ -7,8 +7,8 @@
 //!     state every query pays. Budget: ≤ 1% over `baseline`.
 //!   - `traced`   — a per-query trace capture is live, so every
 //!     `span_active` in the engine records. Budget: ≤ 5% over `off`.
-//!   - `analyze`  — the query runs under `EXPLAIN ANALYZE` (operator
-//!     timers + plan-row collection); informational.
+//!   - `analyze`  — the query runs under `EXPLAIN ANALYZE` (a trace
+//!     capture rendered as plan rows); informational.
 //!   - `profile`  — the line profiler is armed and the UDF runs on the
 //!     bytecode VM (inlining off — a profiled line must actually
 //!     execute); informational, not comparable to the inlined rows.

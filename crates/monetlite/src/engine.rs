@@ -65,7 +65,6 @@ struct Inner {
     model: ExecutionModel,
     exec_mode: pylite::ExecMode,
     fs: Rc<dyn FsProvider>,
-    rng_seed: u64,
     udf_step_budget: u64,
     /// Lower-cased UDF name whose inputs should be captured instead of
     /// executing it.
@@ -84,34 +83,12 @@ struct Inner {
     /// and validated against `Catalog::functions_epoch` so CREATE OR
     /// REPLACE / DROP invalidate them.
     plan_cache: std::collections::HashMap<String, (u64, Rc<UdfPlan>)>,
-    /// Live `EXPLAIN ANALYZE` collection; `None` (the steady state) makes
-    /// every executor probe a single boolean check.
-    analyze: Option<AnalyzeState>,
-}
-
-/// One recorded plan operator of an `EXPLAIN ANALYZE` run.
-#[derive(Debug, Clone)]
-pub(crate) struct AnalyzeRow {
-    /// Operator kind (`scan`, `filter`, `project`, `group`, `distinct`,
-    /// `order`, `limit`, `udf`).
-    pub op: &'static str,
-    /// Operator-specific annotation (source name, key count, UDF
-    /// disposition).
-    pub detail: String,
-    /// Wall-clock nanoseconds spent in the operator.
-    pub ns: u64,
-    pub rows_in: u64,
-    pub rows_out: u64,
-}
-
-/// Rows accumulated while an `EXPLAIN ANALYZE` statement executes.
-#[derive(Debug, Default)]
-pub(crate) struct AnalyzeState {
-    rows: Vec<AnalyzeRow>,
+    /// Whether an `EXPLAIN ANALYZE` is executing (nesting is an error).
+    analyzing: bool,
 }
 
 /// Operator rows kept per ANALYZE run — a loopback-recursive statement
-/// must not buffer unbounded plan rows.
+/// must not render unbounded plan rows.
 const ANALYZE_ROW_CAP: usize = 4096;
 
 /// Maximum engine-level UDF nesting (loopback-driven recursion guard).
@@ -152,7 +129,6 @@ impl Engine {
                 model: ExecutionModel::OperatorAtATime,
                 exec_mode: pylite::ExecMode::default(),
                 fs,
-                rng_seed: 0x5eed_cafe,
                 udf_step_budget: 50_000_000,
                 extract_request: None,
                 extracted: None,
@@ -160,7 +136,7 @@ impl Engine {
                 udf_depth: 0,
                 inline: true,
                 plan_cache: std::collections::HashMap::new(),
-                analyze: None,
+                analyzing: false,
             })),
             read_log: Rc::new(RefCell::new(None)),
             storage: Rc::new(RefCell::new(None)),
@@ -242,7 +218,6 @@ impl Engine {
             catalog: inner.catalog.clone(),
             model: inner.model,
             exec_mode: inner.exec_mode,
-            rng_seed: inner.rng_seed,
             udf_step_budget: inner.udf_step_budget,
             inline: inner.inline,
         }
@@ -256,7 +231,6 @@ impl Engine {
             inner.catalog = snap.catalog.clone();
             inner.model = snap.model;
             inner.exec_mode = snap.exec_mode;
-            inner.rng_seed = snap.rng_seed;
             inner.udf_step_budget = snap.udf_step_budget;
             inner.inline = snap.inline;
         }
@@ -328,13 +302,10 @@ impl Engine {
         plan
     }
 
-    /// Seed consumed by UDFs' `random` module and the mini-sklearn forest.
-    pub fn set_rng_seed(&self, seed: u64) {
-        self.inner.borrow_mut().rng_seed = seed;
-    }
-
+    /// Seed consumed by UDFs' `random` module and the mini-sklearn forest
+    /// (one constant, so every engine draws the same sequences).
     pub fn rng_seed(&self) -> u64 {
-        self.inner.borrow().rng_seed
+        0x5eed_cafe
     }
 
     /// Statement budget applied to each UDF run (infinite-loop guard).
@@ -403,35 +374,6 @@ impl Engine {
         self.inner.borrow().catalog.table_names()
     }
 
-    /// Whether an `EXPLAIN ANALYZE` is collecting operator rows. Executor
-    /// probes check this once per stage and skip all timing when false.
-    pub(crate) fn analyze_active(&self) -> bool {
-        self.inner.borrow().analyze.is_some()
-    }
-
-    /// Record one operator row for the live `EXPLAIN ANALYZE` (no-op when
-    /// none is active; rows beyond [`ANALYZE_ROW_CAP`] are dropped).
-    pub(crate) fn analyze_record(
-        &self,
-        op: &'static str,
-        detail: String,
-        ns: u64,
-        rows_in: u64,
-        rows_out: u64,
-    ) {
-        if let Some(state) = self.inner.borrow_mut().analyze.as_mut() {
-            if state.rows.len() < ANALYZE_ROW_CAP {
-                state.rows.push(AnalyzeRow {
-                    op,
-                    detail,
-                    ns,
-                    rows_in,
-                    rows_out,
-                });
-            }
-        }
-    }
-
     pub(crate) fn extract_matches(&self, fn_name: &str) -> bool {
         self.inner
             .borrow()
@@ -441,9 +383,8 @@ impl Engine {
             .unwrap_or(false)
     }
 
-    pub(crate) fn store_extracted(&self, inputs: &[(String, UdfInput)]) -> Result<(), DbError> {
-        self.inner.borrow_mut().extracted = Some(inputs.to_vec());
-        Ok(())
+    pub(crate) fn store_extracted(&self, inputs: Vec<(String, UdfInput)>) {
+        self.inner.borrow_mut().extracted = Some(inputs);
     }
 
     // ------------------------------------------------------------------
@@ -567,61 +508,28 @@ impl Engine {
         }
     }
 
-    /// `EXPLAIN ANALYZE <stmt>`: execute the statement for real with the
-    /// operator probes armed, then render the annotated plan — one row
+    /// `EXPLAIN ANALYZE <stmt>`: execute the statement for real inside an
+    /// [`obs::trace::capture`] and render its `monet.op.*` spans — one row
     /// per executed operator with wall time and row counts, plus a `udf`
     /// row per stored-UDF call carrying its inlined/bailed/interpreted
     /// disposition — as the result table. The leading `query` row carries
-    /// the end-to-end total, so every operator time is ≤ it.
+    /// the end-to-end total, so every operator time is ≤ it. The spans are
+    /// passed on to any enclosing capture; with telemetry off there are
+    /// none and the `query` row stands alone.
     fn run_explain_analyze(&self, stmt: &Statement) -> Result<QueryResult, DbError> {
         if matches!(stmt, Statement::Explain(_) | Statement::ExplainAnalyze(_)) {
             return Err(DbError::parse("EXPLAIN ANALYZE cannot wrap EXPLAIN"));
         }
-        {
-            let mut inner = self.inner.borrow_mut();
-            if inner.analyze.is_some() {
-                // A loopback query inside an analyzed statement must not
-                // reset the outer collection.
-                return Err(DbError::exec("EXPLAIN ANALYZE cannot nest"));
-            }
-            inner.analyze = Some(AnalyzeState::default());
+        if std::mem::replace(&mut self.inner.borrow_mut().analyzing, true) {
+            return Err(DbError::exec("EXPLAIN ANALYZE cannot nest"));
         }
         let started = std::time::Instant::now();
-        let run = self.run(stmt);
+        let (run, spans) = obs::trace::capture(|| self.run(stmt));
         let total_ns = started.elapsed().as_nanos() as u64;
-        let state = self.inner.borrow_mut().analyze.take().unwrap_or_default();
-        let result = run?;
-        let mut table = Table::new(
-            "explain analyze".to_string(),
-            &[
-                ("op".to_string(), crate::types::SqlType::String),
-                ("detail".to_string(), crate::types::SqlType::String),
-                ("time_ns".to_string(), crate::types::SqlType::Integer),
-                ("rows_in".to_string(), crate::types::SqlType::Integer),
-                ("rows_out".to_string(), crate::types::SqlType::Integer),
-            ],
-        );
-        let result_rows = match &result {
-            QueryResult::Table(t) => t.row_count() as u64,
-            QueryResult::Affected { rows, .. } => *rows as u64,
-        };
-        table.push_row(&[
-            SqlValue::Str("query".to_string()),
-            SqlValue::Str(statement_kind(stmt).to_string()),
-            SqlValue::Int(total_ns as i64),
-            SqlValue::Int(0),
-            SqlValue::Int(result_rows as i64),
-        ])?;
-        for row in state.rows {
-            table.push_row(&[
-                SqlValue::Str(row.op.to_string()),
-                SqlValue::Str(row.detail),
-                SqlValue::Int(row.ns as i64),
-                SqlValue::Int(row.rows_in as i64),
-                SqlValue::Int(row.rows_out as i64),
-            ])?;
-        }
-        Ok(QueryResult::Table(table))
+        self.inner.borrow_mut().analyzing = false;
+        let table = run.and_then(|result| analyze_table(stmt, &result, total_ns, &spans));
+        obs::trace::extend_capture(spans);
+        Ok(QueryResult::Table(table?))
     }
 
     /// `EXPLAIN <stmt>`: one row per stored UDF the statement references,
@@ -856,8 +764,8 @@ impl Engine {
                 let inputs = captured
                     .ok_or_else(|| DbError::exec("extraction signal without captured inputs"))?;
                 let mut dict = Dict::new();
-                for (name, input) in &inputs {
-                    dict.insert(Value::str(name.clone()), input.to_py()?)
+                for (name, input) in inputs {
+                    dict.insert(Value::str(name), input.into_py()?)
                         .map_err(|e| DbError::udf(&e))?;
                 }
                 Ok(Value::dict(dict))
@@ -927,6 +835,54 @@ fn unchanged_since(live: &mut Table, read: Table) -> Result<&mut Table, DbError>
         )));
     }
     Ok(live)
+}
+
+/// The `EXPLAIN ANALYZE` result: the `query` total row, then one row per
+/// captured `monet.op.<op>` span, in close order, from its `detail`,
+/// `rows_in` and `rows_out` fields. A span an error abandoned before its
+/// fields were set renders nothing.
+fn analyze_table(
+    stmt: &Statement,
+    result: &QueryResult,
+    total_ns: u64,
+    spans: &[obs::trace::SpanRecord],
+) -> Result<Table, DbError> {
+    let mut table = Table::new(
+        "explain analyze".to_string(),
+        &[
+            ("op".to_string(), crate::types::SqlType::String),
+            ("detail".to_string(), crate::types::SqlType::String),
+            ("time_ns".to_string(), crate::types::SqlType::Integer),
+            ("rows_in".to_string(), crate::types::SqlType::Integer),
+            ("rows_out".to_string(), crate::types::SqlType::Integer),
+        ],
+    );
+    let result_rows = match result {
+        QueryResult::Table(t) => t.row_count(),
+        QueryResult::Affected { rows, .. } => *rows,
+    };
+    table.push_row(&[
+        SqlValue::Str("query".to_string()),
+        SqlValue::Str(statement_kind(stmt).to_string()),
+        SqlValue::Int(total_ns as i64),
+        SqlValue::Int(0),
+        SqlValue::Int(result_rows as i64),
+    ])?;
+    let ops = spans.iter().filter_map(|span| {
+        let op = span.name.strip_prefix("monet.op.")?;
+        let count = |key| SqlValue::Int(span.field(key).and_then(|v| v.parse().ok()).unwrap_or(0));
+        Some([
+            SqlValue::Str(op.to_string()),
+            SqlValue::Str(span.field("detail")?.to_string()),
+            SqlValue::Int(span.duration_ns as i64),
+            count("rows_in"),
+            count("rows_out"),
+        ])
+    });
+    for row in ops.take(ANALYZE_ROW_CAP) {
+        table.push_row(&row)?;
+    }
+    Ok(table)
 }
 
 /// Human-readable statement kind (shared by EXPLAIN and EXPLAIN ANALYZE).
@@ -1581,6 +1537,7 @@ mod tests {
 
     #[test]
     fn explain_analyze_reports_operators_within_the_total() {
+        let _serial = obs::metrics::test_lock();
         let db = engine_with_numbers();
         let t = db
             .execute("EXPLAIN ANALYZE SELECT DISTINCT i FROM t WHERE i > 1 ORDER BY i LIMIT 3")
@@ -1654,6 +1611,64 @@ mod tests {
             udf_rows.iter().any(|d| d.as_str() == "loopy interpreted"),
             "{udf_rows:?}"
         );
+    }
+
+    #[test]
+    fn explain_analyze_rows_are_the_op_spans_an_outer_capture_keeps() {
+        let _serial = obs::metrics::test_lock();
+        obs::set_enabled(true);
+        let db = engine_with_numbers();
+        db.execute(
+            "CREATE FUNCTION straight(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return i * 2 }",
+        )
+        .unwrap();
+        let (t, spans) = obs::trace::capture(|| {
+            db.execute("EXPLAIN ANALYZE SELECT straight(i) FROM t WHERE i > 1 LIMIT 2")
+                .unwrap()
+                .into_table()
+                .unwrap()
+        });
+        let from_spans: Vec<(String, String, String, String)> = spans
+            .iter()
+            .filter_map(|s| {
+                let field = |key| s.field(key).unwrap().to_string();
+                let op = s.name.strip_prefix("monet.op.")?;
+                Some((
+                    op.to_string(),
+                    field("detail"),
+                    field("rows_in"),
+                    field("rows_out"),
+                ))
+            })
+            .collect();
+        let from_rows: Vec<(String, String, String, String)> = (1..t.row_count())
+            .map(|i| {
+                let row: Vec<String> = t.row(i).iter().map(SqlValue::render).collect();
+                (
+                    row[0].clone(),
+                    row[1].clone(),
+                    row[3].clone(),
+                    row[4].clone(),
+                )
+            })
+            .collect();
+        assert_eq!(from_rows, from_spans);
+        let ops: Vec<&str> = from_rows.iter().map(|r| r.0.as_str()).collect();
+        assert_eq!(ops, ["scan", "filter", "udf", "project", "limit"]);
+        assert_eq!(from_rows[2].1, "straight inlined");
+    }
+
+    #[test]
+    fn explain_analyze_with_telemetry_off_is_the_query_row_alone() {
+        let _serial = obs::metrics::test_lock();
+        let db = engine_with_numbers();
+        obs::set_enabled(false);
+        let t = db.execute("EXPLAIN ANALYZE SELECT i FROM t LIMIT 2");
+        obs::set_enabled(true);
+        let t = t.unwrap().into_table().unwrap();
+        assert_eq!(t.row_count(), 1);
+        assert_eq!(analyze_strs(&t, "op"), ["query"]);
+        assert_eq!(analyze_ints(&t, "rows_out"), [2]);
     }
 
     #[test]

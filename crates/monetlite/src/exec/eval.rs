@@ -934,47 +934,22 @@ fn eval_call(
 
     // Input extraction interception (paper §2.2).
     if engine.extract_matches(&def.name) {
-        engine.store_extracted(&inputs)?;
+        engine.store_extracted(inputs);
         return Err(DbError::exec(crate::engine::EXTRACT_SIGNAL));
     }
 
-    // EXPLAIN ANALYZE disposition rows are recorded exactly where the
-    // `monetlite.udf.*` counters bump, so plan rows and counters agree by
-    // construction. "bailed"/"interpreted" is decided here but recorded
-    // only after the interpreter finishes, with the full elapsed time.
-    let udf_started = engine.analyze_active().then(std::time::Instant::now);
-    let rows_in = inputs
-        .iter()
-        .map(|(_, i)| match i {
-            UdfInput::Column(c) => c.len() as u64,
-            UdfInput::Scalar(_) => 1,
-        })
-        .max()
-        .unwrap_or(1);
-    let record_udf = |disposition: &str, rows_out: u64| {
-        if let Some(s) = udf_started {
-            engine.analyze_record(
-                "udf",
-                format!("{} {disposition}", def.name),
-                s.elapsed().as_nanos() as u64,
-                rows_in,
-                rows_out,
-            );
-        }
-    };
-    let rows_out_of = |v: &Evaluated| match v {
-        Evaluated::Column(c) => c.len() as u64,
-        Evaluated::Scalar(_) => 1,
-    };
-    let mut deferred_disposition: Option<&'static str> = None;
-
     // Froid-style inlining: straight-line bodies run as relational
     // expressions; anything else (or any runtime bail) falls through to
-    // the interpreter below.
+    // the interpreter below. The disposition goes on a `monet.op.udf` span
+    // at the three sites that bump the `monetlite.udf.*` counters, so
+    // EXPLAIN ANALYZE's udf rows agree with them by construction; a
+    // fallback's span stays open across the interpreter run.
+    let mut fallback = None;
     if engine.inline_enabled() {
+        let span = obs::trace::span_active("monet.op.udf");
         let per_row = engine.model() == crate::engine::ExecutionModel::TupleAtATime;
         let plan = engine.udf_plan(&def);
-        match &*plan {
+        let disposition = match &*plan {
             crate::inline::UdfPlan::Inlined(p) => {
                 match crate::inline::run_inlined(engine, p, &inputs, per_row) {
                     crate::inline::InlineOutcome::Done(v) => {
@@ -989,20 +964,21 @@ fn eval_call(
                             }
                             other => other,
                         };
-                        record_udf("inlined", rows_out_of(&v));
+                        finish_udf(span, &def.name, "inlined", &inputs, &v);
                         return Ok(v);
                     }
                     crate::inline::InlineOutcome::Bailed(_) => {
                         obs::counter!("monetlite.udf.bailed").inc();
-                        deferred_disposition = Some("bailed");
+                        "bailed"
                     }
                 }
             }
             crate::inline::UdfPlan::Interpreted(_) => {
                 obs::counter!("monetlite.udf.bailed").inc();
-                deferred_disposition = Some("interpreted");
+                "interpreted"
             }
-        }
+        };
+        fallback = Some((span, disposition));
     }
 
     let result = match engine.model() {
@@ -1025,10 +1001,34 @@ fn eval_call(
             Evaluated::Column(Column::from_values(&def.name, &scalars?)?)
         }
     };
-    if let Some(disposition) = deferred_disposition {
-        record_udf(disposition, rows_out_of(&result));
+    if let Some((span, disposition)) = fallback {
+        finish_udf(span, &def.name, disposition, &inputs, &result);
     }
     Ok(result)
+}
+
+/// Close a stored UDF call's `monet.op.udf` span: `detail` is the name and
+/// its disposition, rows in the longest input and rows out the result's.
+fn finish_udf(
+    span: obs::trace::SpanGuard,
+    name: &str,
+    disposition: &str,
+    inputs: &[(String, UdfInput)],
+    result: &Evaluated,
+) {
+    let rows_in = inputs
+        .iter()
+        .map(|(_, i)| match i {
+            UdfInput::Column(c) => c.len() as u64,
+            UdfInput::Scalar(_) => 1,
+        })
+        .max()
+        .unwrap_or(1);
+    let rows_out = match result {
+        Evaluated::Column(c) => c.len() as u64,
+        Evaluated::Scalar(_) => 1,
+    };
+    super::finish_op(span, || format!("{name} {disposition}"), rows_in, rows_out);
 }
 
 /// Aggregates reduce their argument column to a scalar.

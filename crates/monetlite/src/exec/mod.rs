@@ -12,45 +12,21 @@ use crate::table::Table;
 use crate::types::{Column, SqlValue};
 use crate::udf::{self, UdfInput};
 
-/// One operator's observation scope: a trace span (inert unless someone
-/// is listening — see [`obs::trace::span_active`]) plus, when an
-/// `EXPLAIN ANALYZE` is live, a wall-clock timer feeding the engine's
-/// plan-row collector. The steady-state cost with neither active is one
-/// boolean and one relaxed atomic load per stage.
-struct OpProbe {
-    started: Option<std::time::Instant>,
-    span: obs::trace::SpanGuard,
-}
-
-impl OpProbe {
-    fn start(analyzing: bool, span_name: &'static str) -> OpProbe {
-        OpProbe {
-            started: analyzing.then(std::time::Instant::now),
-            span: obs::trace::span_active(span_name),
-        }
-    }
-
-    /// Close the scope, attaching row counts to the span and recording an
-    /// ANALYZE row (the detail string is only built when one is live).
-    fn finish(
-        mut self,
-        engine: &Engine,
-        op: &'static str,
-        detail: impl FnOnce() -> String,
-        rows_in: u64,
-        rows_out: u64,
-    ) {
-        self.span.field("rows_in", rows_in);
-        self.span.field("rows_out", rows_out);
-        if let Some(s) = self.started {
-            engine.analyze_record(
-                op,
-                detail(),
-                s.elapsed().as_nanos() as u64,
-                rows_in,
-                rows_out,
-            );
-        }
+/// Close an operator's `monet.op.*` span (inert unless someone is
+/// listening — see [`obs::trace::span_active`]) with the fields that
+/// `EXPLAIN ANALYZE` renders as the operator's row. `detail` is only built
+/// when the span is live, so an untraced query pays one relaxed atomic
+/// load per stage.
+pub(crate) fn finish_op(
+    mut span: obs::trace::SpanGuard,
+    detail: impl FnOnce() -> String,
+    rows_in: u64,
+    rows_out: u64,
+) {
+    if span.id() != 0 {
+        span.field("detail", detail());
+        span.field("rows_in", rows_in);
+        span.field("rows_out", rows_out);
     }
 }
 
@@ -66,16 +42,14 @@ fn from_detail(clause: &FromClause) -> String {
 
 /// Run a SELECT statement to a materialized table.
 pub fn run_select(engine: &Engine, stmt: &SelectStmt) -> Result<Table, DbError> {
-    let analyzing = engine.analyze_active();
-
     // 1. Materialize the source.
     let mut source = match &stmt.from {
         None => None,
         Some(clause) => {
-            let probe = OpProbe::start(analyzing, "monet.op.scan");
+            let span = obs::trace::span_active("monet.op.scan");
             let table = materialize_from(engine, clause)?;
             let rows = table.row_count() as u64;
-            probe.finish(engine, "scan", || from_detail(clause), rows, rows);
+            finish_op(span, || from_detail(clause), rows, rows);
             Some(table)
         }
     };
@@ -85,12 +59,11 @@ pub fn run_select(engine: &Engine, stmt: &SelectStmt) -> Result<Table, DbError> 
 
     // 2. WHERE.
     if let (Some(table), Some(pred)) = (&source, &stmt.predicate) {
-        let probe = OpProbe::start(analyzing, "monet.op.filter");
+        let span = obs::trace::span_active("monet.op.filter");
         let mask = eval::predicate_mask(engine, table, pred)?;
         let filtered = table.filter(&mask);
-        probe.finish(
-            engine,
-            "filter",
+        finish_op(
+            span,
             || "where".to_string(),
             table.row_count() as u64,
             filtered.row_count() as u64,
@@ -101,11 +74,10 @@ pub fn run_select(engine: &Engine, stmt: &SelectStmt) -> Result<Table, DbError> 
     // 3. Projection (with grouping / aggregation and HAVING).
     let source_rows = source.as_ref().map(|t| t.row_count() as u64).unwrap_or(0);
     let mut result = if stmt.group_by.is_empty() {
-        let probe = OpProbe::start(analyzing, "monet.op.project");
+        let span = obs::trace::span_active("monet.op.project");
         let result = project(engine, source.as_ref(), &stmt.items)?;
-        probe.finish(
-            engine,
-            "project",
+        finish_op(
+            span,
             || format!("{} columns", stmt.items.len()),
             source_rows,
             result.row_count() as u64,
@@ -115,11 +87,10 @@ pub fn run_select(engine: &Engine, stmt: &SelectStmt) -> Result<Table, DbError> 
         let table = source
             .as_ref()
             .ok_or_else(|| DbError::exec("GROUP BY requires a FROM clause"))?;
-        let probe = OpProbe::start(analyzing, "monet.op.group");
+        let span = obs::trace::span_active("monet.op.group");
         let result = group_project(engine, table, stmt)?;
-        probe.finish(
-            engine,
-            "group",
+        finish_op(
+            span,
             || format!("{} keys", stmt.group_by.len()),
             source_rows,
             result.row_count() as u64,
@@ -129,7 +100,7 @@ pub fn run_select(engine: &Engine, stmt: &SelectStmt) -> Result<Table, DbError> 
 
     // 3b. DISTINCT: drop duplicate result rows (first occurrence wins).
     if stmt.distinct {
-        let probe = OpProbe::start(analyzing, "monet.op.distinct");
+        let span = obs::trace::span_active("monet.op.distinct");
         let rows_in = result.row_count() as u64;
         let mut seen = std::collections::HashSet::new();
         let mask: Vec<bool> = (0..result.row_count())
@@ -139,9 +110,8 @@ pub fn run_select(engine: &Engine, stmt: &SelectStmt) -> Result<Table, DbError> 
             })
             .collect();
         result = result.filter(&mask);
-        probe.finish(
-            engine,
-            "distinct",
+        finish_op(
+            span,
             || "distinct".to_string(),
             rows_in,
             result.row_count() as u64,
@@ -150,31 +120,23 @@ pub fn run_select(engine: &Engine, stmt: &SelectStmt) -> Result<Table, DbError> 
 
     // 4. ORDER BY.
     if !stmt.order_by.is_empty() {
-        let probe = OpProbe::start(analyzing, "monet.op.order");
+        let span = obs::trace::span_active("monet.op.order");
         let rows = result.row_count() as u64;
         result = order_rows(engine, &result, source.as_ref(), &stmt.order_by)?;
-        probe.finish(
-            engine,
-            "order",
-            || format!("{} keys", stmt.order_by.len()),
-            rows,
-            rows,
-        );
+        finish_op(span, || format!("{} keys", stmt.order_by.len()), rows, rows);
     }
 
     // 5. LIMIT.
     if let Some(n) = stmt.limit {
+        let span = obs::trace::span_active("monet.op.limit");
         let rows_in = result.row_count() as u64;
         result = result.take(n);
-        if analyzing {
-            engine.analyze_record(
-                "limit",
-                format!("limit {n}"),
-                0,
-                rows_in,
-                result.row_count() as u64,
-            );
-        }
+        finish_op(
+            span,
+            || format!("limit {n}"),
+            rows_in,
+            result.row_count() as u64,
+        );
     }
     obs::counter!("monet.rows.returned").add(result.row_count() as u64);
     Ok(result)
@@ -462,7 +424,7 @@ pub fn run_table_function(
 
     // Input extraction interception (the paper's extract function, §2.2).
     if engine.extract_matches(&def.name) {
-        engine.store_extracted(&named)?;
+        engine.store_extracted(named);
         return Err(DbError::exec(crate::engine::EXTRACT_SIGNAL));
     }
 

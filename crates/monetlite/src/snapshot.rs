@@ -31,7 +31,6 @@ pub struct EngineSnapshot {
     pub epoch: u64,
     pub model: ExecutionModel,
     pub exec_mode: pylite::ExecMode,
-    pub rng_seed: u64,
     pub udf_step_budget: u64,
     pub inline: bool,
 }
@@ -83,12 +82,10 @@ mod tests {
     #[test]
     fn snapshot_carries_engine_settings() {
         let db = Engine::new();
-        db.set_rng_seed(42);
         db.set_model(ExecutionModel::TupleAtATime);
         db.set_inline(false);
         db.set_udf_step_budget(1234);
         let reader = db.snapshot().hydrate();
-        assert_eq!(reader.rng_seed(), 42);
         assert_eq!(reader.model(), ExecutionModel::TupleAtATime);
         assert!(!reader.inline_enabled());
         assert_eq!(reader.udf_step_budget(), 1234);

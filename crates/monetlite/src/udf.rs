@@ -35,10 +35,10 @@ pub enum UdfInput {
 
 impl UdfInput {
     /// Convert to the interpreter value handed to the UDF
-    /// (operator-at-a-time shape).
-    pub fn to_py(&self) -> Result<Value, DbError> {
+    /// (operator-at-a-time shape), moving a column's data into it.
+    pub fn into_py(self) -> Result<Value, DbError> {
         match self {
-            UdfInput::Scalar(v) => scalar_to_py(v),
+            UdfInput::Scalar(v) => scalar_to_py(&v),
             UdfInput::Column(c) => column_to_py(c),
         }
     }
@@ -69,23 +69,23 @@ pub fn scalar_to_py(v: &SqlValue) -> Result<Value, DbError> {
 /// Numeric/string/bool columns become vectorized [`Array`]s; blob columns
 /// become a single `bytes` when they hold one row (the common
 /// pickled-classifier case) or a list of `bytes` otherwise.
-pub fn column_to_py(c: &Column) -> Result<Value, DbError> {
+pub fn column_to_py(c: Column) -> Result<Value, DbError> {
     if c.has_nulls() {
         return Err(DbError::type_err(format!(
             "column '{}' contains NULLs; Python UDFs require non-NULL input",
             c.name
         )));
     }
-    Ok(match &c.data {
-        ColumnData::Int(v) => Value::array(Array::Int(v.clone())),
-        ColumnData::Double(v) => Value::array(Array::Float(v.clone())),
-        ColumnData::Bool(v) => Value::array(Array::Bool(v.clone())),
-        ColumnData::Str(v) => Value::array(Array::Str(v.clone())),
-        ColumnData::Blob(v) => {
+    Ok(match c.data {
+        ColumnData::Int(v) => Value::array(Array::Int(v)),
+        ColumnData::Double(v) => Value::array(Array::Float(v)),
+        ColumnData::Bool(v) => Value::array(Array::Bool(v)),
+        ColumnData::Str(v) => Value::array(Array::Str(v)),
+        ColumnData::Blob(mut v) => {
             if v.len() == 1 {
-                Value::bytes(v[0].clone())
+                Value::bytes(v.remove(0))
             } else {
-                Value::list(v.iter().map(|b| Value::bytes(b.clone())).collect())
+                Value::list(v.into_iter().map(Value::bytes).collect())
             }
         }
     })
@@ -218,7 +218,7 @@ impl ResultSet {
         if c.len() == 1 {
             scalar_to_py(&c.get(0)).unwrap_or(Value::None)
         } else {
-            column_to_py(c).unwrap_or(Value::None)
+            column_to_py(c.clone()).unwrap_or(Value::None)
         }
     }
 }
@@ -336,7 +336,7 @@ pub fn run_operator_at_a_time(
     let timer = UdfTimer::start(&def.name);
     let mut interp = build_interp(engine);
     for (name, input) in inputs {
-        interp.set_global(name, input.to_py()?);
+        interp.set_global(name, input.clone().into_py()?);
     }
     interp.set_global(
         "_conn",
@@ -500,7 +500,7 @@ mod tests {
     #[test]
     fn column_to_py_is_vectorized() {
         let c = Column::new("i", ColumnData::Int(vec![1, 2, 3]));
-        match column_to_py(&c).unwrap() {
+        match column_to_py(c).unwrap() {
             Value::Array(a) => assert_eq!(a.len(), 3),
             other => panic!("{other:?}"),
         }
@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn null_column_rejected_for_udf() {
         let c = Column::from_values("i", &[SqlValue::Int(1), SqlValue::Null]).unwrap();
-        assert!(column_to_py(&c).is_err());
+        assert!(column_to_py(c).is_err());
     }
 
     #[test]
@@ -526,7 +526,7 @@ mod tests {
     #[test]
     fn single_blob_column_collapses_to_bytes() {
         let c = Column::new("clf", ColumnData::Blob(vec![vec![9, 9]]));
-        match column_to_py(&c).unwrap() {
+        match column_to_py(c).unwrap() {
             Value::Bytes(b) => assert_eq!(b.to_vec(), vec![9, 9]),
             other => panic!("{other:?}"),
         }

@@ -9,11 +9,11 @@
 //!   handles via the [`counter!`], [`gauge!`] and [`histogram!`] macros;
 //! * structured tracing — RAII [`trace::SpanGuard`]s carrying ids,
 //!   parents, wall-clock duration and key/value fields, fanned out to
-//!   pluggable [`trace::Subscriber`]s (a ring buffer for tests, a JSONL
-//!   writer for files and stderr);
-//! * [`metrics::snapshot`] → JSON export, which monetlite materializes as
-//!   the `sys.metrics` virtual table and the `devudf metrics` CLI
-//!   subcommand pretty-prints over the wire.
+//!   pluggable [`trace::Subscriber`]s (a ring buffer for tests), with log
+//!   events falling back to JSONL on stderr when none is installed;
+//! * [`metrics::rows`], the one registry view: monetlite materializes it
+//!   as the `sys.metrics` virtual table, which `devudf metrics` renders
+//!   over the wire as a table or JSON.
 //!
 //! # Overhead budget
 //!
@@ -37,9 +37,9 @@
 //! obs::counter!("demo.requests").inc();
 //! let _span = obs::trace::span("demo.handle");
 //! obs::histogram!("demo.latency_ns").record(1_250);
-//! // `snapshot()` is a `codecs::json::Value`; empty in a no-op build.
-//! let snap = obs::metrics::snapshot();
-//! assert_eq!(snap.get("demo.requests").is_some(), obs::enabled());
+//! // One row per registered metric, sorted by name; empty in a no-op build.
+//! let rows = obs::metrics::rows();
+//! assert_eq!(rows.iter().any(|r| r.name == "demo.requests"), obs::enabled());
 //! ```
 
 pub mod metrics;

@@ -2,10 +2,9 @@
 //!
 //! All handles are cheap clones of `Arc`-shared atomics; registration
 //! (the only locking path) happens once per name, after which updates are
-//! lock-free relaxed atomics. [`MetricsRegistry::reset`] zeroes values
-//! *in place* rather than dropping entries, so handles cached in
-//! `static`s by the [`counter!`](crate::counter) family of macros never
-//! dangle.
+//! lock-free relaxed atomics. Entries are never removed, so handles
+//! cached in `static`s by the [`counter!`](crate::counter) family of
+//! macros never dangle.
 //!
 //! Histograms use 64 fixed log2 buckets (bucket *i* holds values whose
 //! highest set bit is *i*), which makes recording one `fetch_add` and
@@ -20,8 +19,6 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
-
-use codecs::json::Value;
 
 /// A monotonically increasing counter.
 #[derive(Clone)]
@@ -220,15 +217,6 @@ impl Histogram {
     pub fn quantile(&self, _q: f64) -> u64 {
         0
     }
-
-    #[cfg(feature = "telemetry")]
-    fn reset(&self) {
-        self.cells.count.store(0, Ordering::Relaxed);
-        self.cells.sum.store(0, Ordering::Relaxed);
-        for b in &self.cells.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// One metric as registered.
@@ -395,84 +383,12 @@ impl MetricsRegistry {
     pub fn rows(&self) -> Vec<MetricRow> {
         Vec::new()
     }
-
-    /// A JSON object keyed by metric name; histogram entries carry
-    /// `count`/`sum`/`mean`/`p50`/`p90`/`p99` sub-fields.
-    #[cfg(feature = "telemetry")]
-    pub fn snapshot(&self) -> Value {
-        let map = self.metrics.read().expect("metrics lock");
-        let mut names: Vec<&String> = map.keys().collect();
-        names.sort();
-        let pairs = names
-            .into_iter()
-            .map(|name| {
-                let body = match &map[name] {
-                    Metric::Counter(c) => Value::Object(vec![
-                        ("kind".to_string(), Value::Str("counter".to_string())),
-                        ("value".to_string(), json_u64(c.get())),
-                    ]),
-                    Metric::Gauge(g) => Value::Object(vec![
-                        ("kind".to_string(), Value::Str("gauge".to_string())),
-                        ("value".to_string(), Value::Int(g.get())),
-                    ]),
-                    Metric::Histogram(h) => Value::Object(vec![
-                        ("kind".to_string(), Value::Str("histogram".to_string())),
-                        ("count".to_string(), json_u64(h.count())),
-                        ("sum".to_string(), json_u64(h.sum())),
-                        ("mean".to_string(), Value::Float(h.mean())),
-                        ("p50".to_string(), json_u64(h.quantile(0.50))),
-                        ("p90".to_string(), json_u64(h.quantile(0.90))),
-                        ("p99".to_string(), json_u64(h.quantile(0.99))),
-                    ]),
-                };
-                (name.clone(), body)
-            })
-            .collect();
-        Value::Object(pairs)
-    }
-
-    /// Snapshot (no-op build: an empty object).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn snapshot(&self) -> Value {
-        Value::Object(Vec::new())
-    }
-
-    /// Zero every metric **in place**. Entries are never removed, so
-    /// handles cached by the macros stay live across resets (tests and
-    /// benchmarks use this to start from a clean slate).
-    #[cfg(feature = "telemetry")]
-    pub fn reset(&self) {
-        let map = self.metrics.read().expect("metrics lock");
-        for m in map.values() {
-            match m {
-                Metric::Counter(c) => c.cell.store(0, Ordering::Relaxed),
-                Metric::Gauge(g) => g.cell.store(0, Ordering::Relaxed),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
-    }
-
-    /// Zero every metric (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn reset(&self) {}
-}
-
-/// `u64` → JSON, saturating at `i64::MAX` (the codec's integer range).
-#[cfg(feature = "telemetry")]
-fn json_u64(v: u64) -> Value {
-    Value::Int(i64::try_from(v).unwrap_or(i64::MAX))
 }
 
 /// The process-wide registry the macros record into.
 pub fn registry() -> &'static MetricsRegistry {
     static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
     REGISTRY.get_or_init(MetricsRegistry::new)
-}
-
-/// JSON snapshot of the global registry (see
-/// [`MetricsRegistry::snapshot`]).
-pub fn snapshot() -> Value {
-    registry().snapshot()
 }
 
 /// Flattened rows of the global registry (see [`MetricsRegistry::rows`]).
@@ -483,7 +399,7 @@ pub fn rows() -> Vec<MetricRow> {
 /// Serialize cross-test access to the global registry. Tests that assert
 /// *exact* counter values hold this for their whole body so a concurrently
 /// running test in the same binary cannot bleed increments into the
-/// window between `reset()` and the assertion.
+/// window between their before and after reads.
 pub fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -554,10 +470,6 @@ mod tests {
             assert_eq!(lat.p99, 2047);
             let count = rows.iter().find(|r| r.name == "q.count").unwrap();
             assert_eq!((count.p50, count.p90, count.p99), (0, 0, 0));
-            // The JSON snapshot exposes the same estimates.
-            let snap = reg.snapshot();
-            let p90 = snap.get("q.lat").and_then(|v| v.get("p90"));
-            assert_eq!(p90.and_then(|v| v.as_i64()), Some(7));
         } else {
             assert!(rows.is_empty());
         }
@@ -575,44 +487,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_rows_agree() {
+    fn rows_list_every_metric_by_name() {
         let _serial = test_lock();
         let reg = MetricsRegistry::new();
         reg.counter("a.count").add(7);
         reg.histogram("b.lat").record(500);
         let rows = reg.rows();
-        let snap = reg.snapshot();
         if cfg!(feature = "telemetry") {
             assert_eq!(rows.len(), 2);
             assert_eq!(rows[0].name, "a.count");
             assert_eq!(rows[0].value, 7);
             assert_eq!(rows[1].kind, "histogram");
-            assert_eq!(
-                snap.get("a.count").unwrap().get("value").unwrap().as_i64(),
-                Some(7)
-            );
-            assert_eq!(
-                snap.get("b.lat").unwrap().get("count").unwrap().as_i64(),
-                Some(1)
-            );
         } else {
             assert!(rows.is_empty());
-            assert_eq!(snap, Value::Object(Vec::new()));
         }
-    }
-
-    #[cfg(feature = "telemetry")]
-    #[test]
-    fn reset_zeroes_in_place() {
-        let _serial = test_lock();
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("r.count");
-        c.add(3);
-        reg.reset();
-        // The handle survives the reset and reads the zeroed cell.
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(reg.counter("r.count").get(), 1);
     }
 
     #[cfg(feature = "telemetry")]

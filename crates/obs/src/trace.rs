@@ -3,17 +3,17 @@
 //! A [`span`] guard carries a process-unique id, its parent's id (spans
 //! nest per thread), a static name, wall-clock duration and free-form
 //! key/value fields; dropping the guard closes the span and fans an
-//! [`Event::Span`] out to every installed [`Subscriber`]. [`warn`] /
-//! [`info`] emit point-in-time [`Event::Log`]s the same way.
+//! [`Event::Span`] out to every installed [`Subscriber`]. [`warn`] emits
+//! point-in-time [`Event::Log`]s the same way.
 //!
 //! When **no** subscriber is installed, log events fall back to one JSONL
 //! line on stderr — so CLI warnings stay visible by default — while span
 //! closes are dropped (they are high-volume and only interesting when
 //! someone is listening). Tests install a [`RingBufferRecorder`] to
-//! capture everything; long-running processes can install a
-//! [`JsonlWriter`] over a file.
+//! capture everything.
 
 use std::fmt::Write as _;
+#[cfg(feature = "telemetry")]
 use std::io::Write as _;
 use std::sync::Mutex;
 #[cfg(feature = "telemetry")]
@@ -216,11 +216,6 @@ pub fn warn(message: &str, fields: &[(&str, &str)]) {
     log(Level::Warn, message, fields);
 }
 
-/// Emit an info line (see [`log`]).
-pub fn info(message: &str, fields: &[(&str, &str)]) {
-    log(Level::Info, message, fields);
-}
-
 #[cfg(feature = "telemetry")]
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -228,18 +223,6 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 std::thread_local! {
     /// Stack of open span ids on this thread (innermost last).
     static SPAN_STACK: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Current span nesting depth on this thread (0 outside any span).
-#[cfg(feature = "telemetry")]
-pub fn current_depth() -> usize {
-    SPAN_STACK.with(|s| s.borrow().len())
-}
-
-/// Current span nesting depth (no-op build: zero).
-#[cfg(not(feature = "telemetry"))]
-pub fn current_depth() -> usize {
-    0
 }
 
 /// An open span; closing (dropping) it reports the duration to all
@@ -508,6 +491,16 @@ pub struct SpanRecord {
     pub fields: Vec<(String, String)>,
 }
 
+impl SpanRecord {
+    /// The value of field `key`, if the span carries it.
+    pub fn field(&self, key: &str) -> Option<&str> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+}
+
 /// Spans kept per capture before the rest are dropped — a runaway query
 /// must not buffer unbounded telemetry.
 pub const CAPTURE_CAP: usize = 8192;
@@ -717,14 +710,6 @@ impl RingBufferRecorder {
             .cloned()
             .collect()
     }
-
-    /// Drop all buffered events.
-    pub fn clear(&self) {
-        self.events
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
-    }
 }
 
 impl Subscriber for RingBufferRecorder {
@@ -734,34 +719,6 @@ impl Subscriber for RingBufferRecorder {
             buf.pop_front();
         }
         buf.push_back(event.clone());
-    }
-}
-
-/// Writes each event as one JSON line to an arbitrary sink (a file, or
-/// [`JsonlWriter::stderr`]).
-pub struct JsonlWriter {
-    out: Mutex<Box<dyn std::io::Write + Send>>,
-}
-
-impl JsonlWriter {
-    /// Wrap any writer.
-    pub fn new(out: Box<dyn std::io::Write + Send>) -> JsonlWriter {
-        JsonlWriter {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// A writer that renders to stderr — the explicit version of the
-    /// no-subscriber fallback, for processes that want spans there too.
-    pub fn stderr() -> JsonlWriter {
-        JsonlWriter::new(Box::new(std::io::stderr()))
-    }
-}
-
-impl Subscriber for JsonlWriter {
-    fn on_event(&self, event: &Event) {
-        let mut out = self.out.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = writeln!(out, "{}", event.to_jsonl());
     }
 }
 
@@ -789,7 +746,6 @@ mod tests {
                 outer.field("udf", "mean_deviation");
                 let inner = span("inner");
                 if cfg!(feature = "telemetry") {
-                    assert_eq!(current_depth(), 2);
                     assert_ne!(inner.id(), outer.id());
                 }
                 drop(inner);
@@ -895,37 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_writer_appends_lines() {
-        let _serial = crate::metrics::test_lock();
-        clear_subscribers();
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl std::io::Write for Shared {
-            fn write(&mut self, b: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(b);
-                Ok(b.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        add_subscriber(Arc::new(JsonlWriter::new(Box::new(Shared(buf.clone())))));
-        info("one", &[]);
-        warn("two", &[("n", "2")]);
-        clear_subscribers();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        if cfg!(feature = "telemetry") {
-            let lines: Vec<&str> = text.lines().collect();
-            assert_eq!(lines.len(), 2);
-            for line in lines {
-                codecs::json::parse(line).unwrap();
-            }
-        } else {
-            assert!(text.is_empty());
-        }
-    }
-
-    #[test]
     fn ring_buffer_caps_at_capacity() {
         let rec = RingBufferRecorder::new(2);
         for i in 0..5 {
@@ -952,7 +877,7 @@ mod tests {
             warn("quiet", &[]);
             crate::set_enabled(true);
             assert!(rec.events().is_empty());
-            assert_eq!(current_depth(), 0);
+            assert_eq!(current_context(), SpanContext::default());
         });
     }
 

@@ -338,48 +338,42 @@ impl Interp {
                 let code = compile::compile_module(module);
                 self.run_code(&code)
             }
-            ExecMode::Ast => {
-                let start = Instant::now();
-                let stmts_before = self.stmts_executed;
-                let profiling = self.arm_profiler();
-                self.push_module_frame();
-                let result = self.exec_block(&module.body);
-                let frame_line = self.frames.last().map(|f| f.line).unwrap_or(0);
-                self.frames.pop();
-                if profiling {
-                    self.flush_profiler();
-                }
-                obs::counter!("pylite.statements").add(self.stmts_executed - stmts_before);
-                obs::histogram!("pylite.exec_ast_ns").record(start.elapsed().as_nanos() as u64);
-                match result {
-                    Ok(Flow::Return(v)) => Ok(v),
-                    Ok(_) => Ok(Value::None),
-                    Err(mut e) => {
-                        if e.traceback.is_empty() {
-                            e.push_frame("<module>", frame_line);
-                        }
-                        Err(e)
-                    }
-                }
-            }
+            ExecMode::Ast => self
+                .run_in_module_frame(obs::histogram!("pylite.exec_ast_ns"), |me| {
+                    me.exec_block(&module.body)
+                }),
         }
     }
 
     /// Execute a pre-compiled module body on the bytecode VM,
     /// regardless of the configured [`ExecMode`].
     pub fn run_code(&mut self, code: &compile::CodeObject) -> Result<Value, PyError> {
+        self.run_in_module_frame(obs::histogram!("pylite.exec_bytecode_ns"), |me| {
+            vm::run(me, code)
+        })
+    }
+
+    /// Run a module body, on either engine, in a fresh `<module>` frame:
+    /// arms and flushes the line profiler, counts the statements, records
+    /// the run's wall time into `exec_ns`, and adds the `<module>` frame
+    /// to an error's empty traceback.
+    fn run_in_module_frame(
+        &mut self,
+        exec_ns: &obs::metrics::Histogram,
+        body: impl FnOnce(&mut Self) -> Result<Flow, PyError>,
+    ) -> Result<Value, PyError> {
         let start = Instant::now();
         let stmts_before = self.stmts_executed;
         let profiling = self.arm_profiler();
         self.push_module_frame();
-        let result = vm::run(self, code);
+        let result = body(self);
         let frame_line = self.frames.last().map(|f| f.line).unwrap_or(0);
         self.frames.pop();
         if profiling {
             self.flush_profiler();
         }
         obs::counter!("pylite.statements").add(self.stmts_executed - stmts_before);
-        obs::histogram!("pylite.exec_bytecode_ns").record(start.elapsed().as_nanos() as u64);
+        exec_ns.record(start.elapsed().as_nanos() as u64);
         match result {
             Ok(Flow::Return(v)) => Ok(v),
             Ok(_) => Ok(Value::None),

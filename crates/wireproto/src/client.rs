@@ -282,16 +282,13 @@ impl Client {
                 Message::TracedReply { spans, inner } => {
                     wire.field("bytes_in", inner.len());
                     let wire_id = wire.id();
-                    obs::trace::extend_capture(spans.into_iter().map(|s| obs::trace::SpanRecord {
-                        id: s.id | SERVER_SPAN_BIT,
-                        parent: if s.parent == 0 {
-                            wire_id
-                        } else {
-                            s.parent | SERVER_SPAN_BIT
-                        },
-                        name: s.name,
-                        duration_ns: s.duration_ns,
-                        fields: s.fields,
+                    obs::trace::extend_capture(spans.into_iter().map(|mut s| {
+                        s.id |= SERVER_SPAN_BIT;
+                        s.parent = match s.parent {
+                            0 => wire_id,
+                            parent => parent | SERVER_SPAN_BIT,
+                        };
+                        s
                     }));
                     Message::decode(&inner)?
                 }

@@ -5,6 +5,7 @@
 
 use codecs::varint::{write_bytes, write_u64, write_zigzag, ReadError, Reader};
 use monetlite::{DbError, Engine, FunctionReturn, QueryResult, Table};
+use obs::trace::SpanRecord;
 
 use crate::transfer;
 use crate::transfer::{DeltaBlock, TransferOptions};
@@ -220,19 +221,6 @@ impl WireTable {
         }
     }
 
-    /// Column index by name (case-insensitive).
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns
-            .iter()
-            .position(|(n, _)| n.eq_ignore_ascii_case(name))
-    }
-
-    /// All values of one column.
-    pub fn column_values(&self, name: &str) -> Option<Vec<WireValue>> {
-        let idx = self.column_index(name)?;
-        Some(self.rows.iter().map(|r| r[idx].clone()).collect())
-    }
-
     /// Render as an ASCII grid (client-side pretty printer).
     pub fn render_ascii(&self) -> String {
         let headers: Vec<String> = self.columns.iter().map(|(n, _)| n.clone()).collect();
@@ -305,23 +293,6 @@ impl WireResult {
             ))),
         }
     }
-}
-
-/// A closed span as carried in a [`Message::TracedReply`] (DESIGN §15):
-/// the server's half of a stitched trace. Ids are only unique per side;
-/// the client remaps them before merging into its own tree.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSpan {
-    /// Span id, unique on the side that minted it.
-    pub id: u64,
-    /// Parent span id (0 = root of its side).
-    pub parent: u64,
-    /// Span name.
-    pub name: String,
-    /// Wall-clock duration in nanoseconds.
-    pub duration_ns: u64,
-    /// Key/value fields attached while the span was open.
-    pub fields: Vec<(String, String)>,
 }
 
 /// Protocol messages.
@@ -429,8 +400,9 @@ pub enum Message {
     /// plus every span the server recorded while handling it (empty when
     /// the server was built without telemetry).
     TracedReply {
-        /// Server-side spans, in close order.
-        spans: Vec<WireSpan>,
+        /// Server-side spans, in close order. Ids are only unique per
+        /// side; the client remaps them before merging into its own tree.
+        spans: Vec<SpanRecord>,
         /// The encoded inner reply frame body.
         inner: Vec<u8>,
     },
@@ -502,7 +474,13 @@ fn read_table(r: &mut Reader<'_>) -> Result<WireTable, WireError> {
         columns.push((r.str()?.to_string(), r.str()?.to_string()));
     }
     let nrows = r.varint()? as usize;
-    let mut rows = Vec::with_capacity(nrows.min(1 << 20));
+    // Every value takes at least one byte, so a row count the rest of the
+    // frame cannot hold is rejected before anything is reserved. A
+    // zero-column row takes none, and no engine table has one.
+    if nrows > 0 && (ncols == 0 || nrows > r.remaining() / ncols) {
+        return Err(proto("implausible row count"));
+    }
+    let mut rows = Vec::with_capacity(nrows);
     for _ in 0..nrows {
         let mut row = Vec::with_capacity(ncols);
         for _ in 0..ncols {
@@ -667,7 +645,7 @@ fn read_digests(r: &mut Reader<'_>) -> Result<Vec<[u8; 32]>, WireError> {
     Ok(digests)
 }
 
-fn put_spans(out: &mut Vec<u8>, spans: &[WireSpan]) {
+fn put_spans(out: &mut Vec<u8>, spans: &[SpanRecord]) {
     write_u64(out, spans.len() as u64);
     for s in spans {
         write_u64(out, s.id);
@@ -682,7 +660,7 @@ fn put_spans(out: &mut Vec<u8>, spans: &[WireSpan]) {
     }
 }
 
-fn read_spans(r: &mut Reader<'_>) -> Result<Vec<WireSpan>, WireError> {
+fn read_spans(r: &mut Reader<'_>) -> Result<Vec<SpanRecord>, WireError> {
     let n = r.varint()? as usize;
     // A span occupies at least five bytes (id, parent, name length,
     // duration, field count varints), so a count the frame cannot hold is
@@ -705,7 +683,7 @@ fn read_spans(r: &mut Reader<'_>) -> Result<Vec<WireSpan>, WireError> {
         for _ in 0..nfields {
             fields.push((r.str()?.to_string(), r.str()?.to_string()));
         }
-        spans.push(WireSpan {
+        spans.push(SpanRecord {
             id,
             parent,
             name,
@@ -949,7 +927,11 @@ impl Message {
             },
             67 => {
                 let n = r.varint()? as usize;
-                let mut names = Vec::with_capacity(n.min(1 << 16));
+                // Each name takes at least its length byte.
+                if n > r.remaining() {
+                    return Err(proto("implausible function count"));
+                }
+                let mut names = Vec::with_capacity(n);
                 for _ in 0..n {
                     names.push(r.str()?.to_string());
                 }
@@ -1220,14 +1202,14 @@ mod tests {
         });
         round_trip(Message::TracedReply {
             spans: vec![
-                WireSpan {
+                SpanRecord {
                     id: 2,
                     parent: 1,
                     name: "engine.op.scan".into(),
                     duration_ns: 1_500,
                     fields: vec![("rows".into(), "6".into())],
                 },
-                WireSpan {
+                SpanRecord {
                     id: 1,
                     parent: 0,
                     name: "server.command".into(),
@@ -1345,6 +1327,32 @@ mod tests {
         write_u64(&mut huge, u64::MAX);
         huge.extend_from_slice(b"SELECT 1");
         assert_eq!(Message::decode(&huge), Err(proto("truncated frame")));
+        // Row and name counts the frame cannot hold are refused before
+        // anything is reserved: zero columns by 2^40 rows (a zero-column
+        // row reads no bytes), one column by 2^20 rows in 20 bytes, and
+        // 2^40 function names.
+        let result_set = |ncols: &[&str], nrows: u64| {
+            let mut frame = vec![65u8, 0];
+            write_bytes(&mut frame, "t");
+            write_u64(&mut frame, ncols.len() as u64);
+            for name in ncols {
+                write_bytes(&mut frame, name);
+                write_bytes(&mut frame, "INTEGER");
+            }
+            write_u64(&mut frame, nrows);
+            frame.resize(20, 1);
+            frame
+        };
+        for frame in [result_set(&[], 1 << 40), result_set(&["i"], 1 << 20)] {
+            assert_eq!(frame.len(), 20);
+            assert_eq!(Message::decode(&frame), Err(proto("implausible row count")));
+        }
+        let mut names = vec![67u8];
+        write_u64(&mut names, 1 << 40);
+        assert_eq!(
+            Message::decode(&names),
+            Err(proto("implausible function count"))
+        );
     }
 
     #[test]
@@ -1358,10 +1366,6 @@ mod tests {
         assert_eq!(wt.columns.len(), 2);
         assert_eq!(wt.rows.len(), 2);
         assert_eq!(wt.rows[1][1], WireValue::Str("b".into()));
-        assert_eq!(
-            wt.column_values("i").unwrap(),
-            vec![WireValue::Int(1), WireValue::Int(2)]
-        );
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! internals), but the server no longer serializes every command through
 //! it. Each decoded frame is classified ([`monetlite::classify`]):
 //!
-//! * **Writes** (DML, DDL, COPY, impure-UDF queries) go to the writer
-//!   thread, which owns the live engine — the only thread that ever
-//!   mutates it. After a mutating command it publishes a fresh
+//! * **Writes** (DML, DDL, COPY, impure-UDF queries) go to a one-worker
+//!   bounded [`Pool`] whose worker owns the live engine — the only thread
+//!   that ever mutates it. After a mutating command it publishes a fresh
 //!   [`EngineSnapshot`] *before* replying, so a session always sees its
 //!   own writes on its next command.
 //! * **Reads** (SELECT / EXPLAIN / catalog and `sys.*` lookups /
@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -226,18 +226,6 @@ impl SessionProvider for SessionRegistry {
 
 // ---------------- the scheduler core ----------------
 
-/// A command bound for the writer thread.
-enum WriteJob {
-    Frame {
-        entry: Arc<SessionEntry>,
-        session: u64,
-        msg: Message,
-        reply: Sender<Vec<u8>>,
-        enqueued: Instant,
-    },
-    Shutdown,
-}
-
 /// Where a frame executes.
 enum Route {
     /// Answered on the calling thread, never queued (pings, logins,
@@ -245,7 +233,7 @@ enum Route {
     Inline(Message),
     /// Concurrent execution against the snapshot it was classified on.
     Read,
-    /// Serialized on the writer thread.
+    /// Serialized on the writer's one worker.
     Write,
 }
 
@@ -253,9 +241,11 @@ enum Route {
 /// or in-process transport) needs to submit commands.
 pub struct ServerCore {
     config: ServerConfig,
-    writer: SyncSender<WriteJob>,
     /// Bounded reader pool; `None` once the server began shutdown.
     readers: RwLock<Option<Pool>>,
+    /// The writer: a one-worker bounded pool whose worker holds the live
+    /// engine; `None` once the server began shutdown.
+    writer: RwLock<Option<Pool>>,
     snapshot: RwLock<Arc<EngineSnapshot>>,
     registry: Arc<SessionRegistry>,
     next_session: AtomicU64,
@@ -266,6 +256,10 @@ thread_local! {
     /// Reader workers cache their hydrated engine keyed by snapshot epoch,
     /// so consecutive reads at one epoch pay hydration once per worker.
     static READER_ENGINE: std::cell::RefCell<Option<(u64, Engine)>> =
+        const { std::cell::RefCell::new(None) };
+    /// The writer worker's live engine, installed by the pool's first job.
+    /// Each write takes it out for its run, so one that panics leaves none.
+    static LIVE_ENGINE: std::cell::RefCell<Option<Engine>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -363,21 +357,50 @@ impl ServerCore {
                 entry.finish_command();
                 reply.encode()
             }
-            Route::Read => self.submit_read(entry, session, msg, snap),
-            Route::Write => self.submit_write(entry, session, msg),
+            Route::Read => self.submit(&self.readers, "read", entry, move |core, entry| {
+                READER_ENGINE.with(|cache| {
+                    let mut cache = cache.borrow_mut();
+                    let engine = match cache.take() {
+                        Some((epoch, engine)) if epoch == snap.epoch => engine,
+                        _ => snap.hydrate(),
+                    };
+                    let reply = timed_dispatch(&engine, &core.config, entry, session, msg);
+                    *cache = Some((snap.epoch, engine));
+                    reply
+                })
+            }),
+            Route::Write => self.submit(&self.writer, "write", entry, move |core, entry| {
+                let Some(engine) = LIVE_ENGINE.with(|slot| slot.borrow_mut().take()) else {
+                    return err_msg("ServerError", "the engine was lost to a panicked write");
+                };
+                let reply = timed_dispatch(&engine, &core.config, entry, session, msg);
+                // Publish *before* replying: when the client sees this
+                // command's result, the snapshot its next read classifies
+                // against already carries the mutation (read-your-writes
+                // per session).
+                if engine.catalog_version() != core.current_snapshot().epoch {
+                    core.publish(engine.snapshot());
+                }
+                LIVE_ENGINE.with(|slot| *slot.borrow_mut() = Some(engine));
+                reply
+            }),
         }
     }
 
-    fn submit_read(
+    /// Queue `job` on `pool` (the `which` queue) and block until its reply
+    /// is ready, or refuse at once with `ServerBusy` when the queue is
+    /// full — before anything executes.
+    fn submit(
         self: &Arc<Self>,
+        pool: &RwLock<Option<Pool>>,
+        which: &'static str,
         entry: Arc<SessionEntry>,
-        session: u64,
-        msg: Message,
-        snap: Arc<EngineSnapshot>,
+        job: impl FnOnce(&ServerCore, &SessionEntry) -> Message + Send + 'static,
     ) -> Vec<u8> {
-        let readers = self.readers.read().expect("readers lock poisoned");
-        let Some(pool) = readers.as_ref() else {
-            return err_msg("ServerError", "server is shutting down").encode();
+        let shutting_down = || err_msg("ServerError", "server is shutting down").encode();
+        let guard = pool.read().expect("pool lock poisoned");
+        let Some(pool) = guard.as_ref() else {
+            return shutting_down();
         };
         let (reply_tx, reply_rx) = channel();
         let core = self.clone();
@@ -386,62 +409,23 @@ impl ServerCore {
         entry.state.store(STATE_QUEUED, Ordering::Relaxed);
         let submitted = pool.try_submit(move || {
             job_entry.record_dequeue(enqueued);
-            let reply = READER_ENGINE.with(|cache| {
-                let mut cache = cache.borrow_mut();
-                let engine = match cache.take() {
-                    Some((epoch, engine)) if epoch == snap.epoch => engine,
-                    _ => snap.hydrate(),
-                };
-                let reply = timed_dispatch(&engine, &core.config, &job_entry, session, msg);
-                *cache = Some((snap.epoch, engine));
-                reply
-            });
+            let reply = job(&core, &job_entry);
             job_entry.finish_command();
             // A dead client is not a server error.
             let _ = reply_tx.send(reply.encode());
         });
-        drop(readers);
+        drop(guard);
         if submitted.is_err() {
             entry.state.store(STATE_IDLE, Ordering::Relaxed);
-            return busy_reply("read").encode();
+            return busy_reply(which).encode();
         }
-        match reply_rx.recv() {
-            Ok(reply) => reply,
-            Err(_) => err_msg("ServerError", "server is shutting down").encode(),
-        }
-    }
-
-    fn submit_write(&self, entry: Arc<SessionEntry>, session: u64, msg: Message) -> Vec<u8> {
-        let (reply_tx, reply_rx) = channel();
-        entry.state.store(STATE_QUEUED, Ordering::Relaxed);
-        let job = WriteJob::Frame {
-            entry: entry.clone(),
-            session,
-            msg,
-            reply: reply_tx,
-            enqueued: Instant::now(),
-        };
-        match self.writer.try_send(job) {
-            Ok(()) => match reply_rx.recv() {
-                Ok(reply) => reply,
-                Err(_) => err_msg("ServerError", "server is shutting down").encode(),
-            },
-            Err(TrySendError::Full(_)) => {
-                entry.state.store(STATE_IDLE, Ordering::Relaxed);
-                busy_reply("write").encode()
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                entry.state.store(STATE_IDLE, Ordering::Relaxed);
-                err_msg("ServerError", "server is shutting down").encode()
-            }
-        }
+        reply_rx.recv().unwrap_or_else(|_| shutting_down())
     }
 }
 
 /// Handle to a running server.
 pub struct Server {
     core: Arc<ServerCore>,
-    writer_thread: Option<JoinHandle<()>>,
     stop_tcp: Arc<AtomicBool>,
     /// Bound TCP listeners + their accept threads, so shutdown can wake
     /// each blocking `accept` with a self-connection and join it.
@@ -449,78 +433,56 @@ pub struct Server {
 }
 
 impl Server {
-    /// Start the writer thread and reader pool; `init` seeds the database
+    /// Start the writer and reader pools; `init` seeds the database
     /// before any client connects (create tables, load data, register
-    /// UDFs). Returns once the seeded snapshot is published, so the first
-    /// concurrent read already sees the initialized catalog.
+    /// UDFs). It runs as the writer's first job, on the thread that keeps
+    /// the live engine. Returns once the seeded snapshot is published, so
+    /// the first concurrent read already sees the initialized catalog.
     pub fn start(config: ServerConfig, init: impl FnOnce(&Engine) + Send + 'static) -> Server {
-        let (writer_tx, writer_rx) = sync_channel::<WriteJob>(config.write_queue.max(1));
-        let registry = Arc::new(SessionRegistry::new());
         let read_workers = if config.read_workers == 0 {
             devharness::pool::default_threads()
         } else {
             config.read_workers
         };
         let core = Arc::new(ServerCore {
-            writer: writer_tx,
             readers: RwLock::new(Some(Pool::bounded(
                 "wire-server-read",
                 read_workers,
-                config.read_queue.max(1),
+                config.read_queue,
+            ))),
+            writer: RwLock::new(Some(Pool::bounded(
+                "wire-server-write",
+                1,
+                config.write_queue,
             ))),
             // Placeholder until the writer publishes the seeded snapshot
             // below; `start` does not return before that happens.
             snapshot: RwLock::new(Arc::new(Engine::new().snapshot())),
-            registry: registry.clone(),
+            registry: Arc::new(SessionRegistry::new()),
             next_session: AtomicU64::new(1),
             stopping: AtomicBool::new(false),
             config,
         });
         let (ready_tx, ready_rx) = channel();
-        let writer_core = core.clone();
-        let writer_thread = std::thread::Builder::new()
-            .name("monetlite-engine".to_string())
-            .spawn(move || {
-                let engine = Engine::new();
-                engine.set_session_source(SessionSource::new(writer_core.registry.clone()));
-                init(&engine);
-                let mut published = engine.catalog_version();
-                writer_core.publish(engine.snapshot());
-                let _ = ready_tx.send(());
-                while let Ok(job) = writer_rx.recv() {
-                    match job {
-                        WriteJob::Shutdown => break,
-                        WriteJob::Frame {
-                            entry,
-                            session,
-                            msg,
-                            reply,
-                            enqueued,
-                        } => {
-                            entry.record_dequeue(enqueued);
-                            let response =
-                                timed_dispatch(&engine, &writer_core.config, &entry, session, msg);
-                            // Publish *before* replying: when the client
-                            // sees this command's result, the snapshot its
-                            // next read classifies against already carries
-                            // the mutation (read-your-writes per session).
-                            let version = engine.catalog_version();
-                            if version != published {
-                                writer_core.publish(engine.snapshot());
-                                published = version;
-                            }
-                            entry.finish_command();
-                            // A dead client is not a server error.
-                            let _ = reply.send(response.encode());
-                        }
-                    }
-                }
-            })
-            .expect("spawn engine thread");
+        let init_core = core.clone();
+        let seed = move || {
+            let engine = Engine::new();
+            engine.set_session_source(SessionSource::new(init_core.registry.clone()));
+            init(&engine);
+            init_core.publish(engine.snapshot());
+            LIVE_ENGINE.with(|slot| *slot.borrow_mut() = Some(engine));
+            let _ = ready_tx.send(());
+        };
+        core.writer
+            .read()
+            .expect("pool lock poisoned")
+            .as_ref()
+            .expect("a new server has a writer")
+            .try_submit(seed)
+            .expect("a new writer queue has room");
         ready_rx.recv().expect("engine init completed");
         Server {
             core,
-            writer_thread: Some(writer_thread),
             stop_tcp: Arc::new(AtomicBool::new(false)),
             listeners: Mutex::new(Vec::new()),
         }
@@ -626,18 +588,10 @@ impl Server {
             let _ = TcpStream::connect(addr);
             let _ = handle.join();
         }
-        // Dropping the reader pool drains queued reads (their replies
-        // still go out) and joins the workers.
-        drop(
-            self.core
-                .readers
-                .write()
-                .expect("readers lock poisoned")
-                .take(),
-        );
-        let _ = self.core.writer.send(WriteJob::Shutdown);
-        if let Some(t) = self.writer_thread.take() {
-            let _ = t.join();
+        // Dropping each pool drains its queue (those replies still go
+        // out) and joins its workers; the writer's takes the engine along.
+        for pool in [&self.core.readers, &self.core.writer] {
+            drop(pool.write().expect("pool lock poisoned").take());
         }
     }
 
@@ -735,33 +689,32 @@ fn login_reply(
     Message::LoginOk { session }
 }
 
-/// Per-command latency histogram for the dispatch (a closed set of names,
-/// each arm one cached handle).
-fn cmd_latency(msg: &Message) -> &'static obs::metrics::Histogram {
+/// Per-command latency histogram and name for the `server.command` span's
+/// `command` field (a closed set, so each histogram arm is one cached
+/// handle).
+fn cmd_telemetry(msg: &Message) -> (&'static obs::metrics::Histogram, &'static str) {
     match msg {
-        Message::Login { .. } => obs::histogram!("wire.server.latency.login"),
-        Message::Ping => obs::histogram!("wire.server.latency.ping"),
-        Message::Query { .. } => obs::histogram!("wire.server.latency.query"),
-        Message::ListFunctions => obs::histogram!("wire.server.latency.list_functions"),
-        Message::GetFunction { .. } => obs::histogram!("wire.server.latency.get_function"),
-        Message::ExtractInputs { .. } => obs::histogram!("wire.server.latency.extract_inputs"),
-        Message::ExtractDelta { .. } => obs::histogram!("wire.server.latency.extract_delta"),
-        Message::Traced { .. } => obs::histogram!("wire.server.latency.traced"),
-        _ => obs::histogram!("wire.server.latency.other"),
-    }
-}
-
-/// Short command name for span fields (same closed set as [`cmd_latency`]).
-fn cmd_name(msg: &Message) -> &'static str {
-    match msg {
-        Message::Login { .. } => "login",
-        Message::Ping => "ping",
-        Message::Query { .. } => "query",
-        Message::ListFunctions => "list_functions",
-        Message::GetFunction { .. } => "get_function",
-        Message::ExtractInputs { .. } => "extract_inputs",
-        Message::ExtractDelta { .. } => "extract_delta",
-        _ => "other",
+        Message::Login { .. } => (obs::histogram!("wire.server.latency.login"), "login"),
+        Message::Ping => (obs::histogram!("wire.server.latency.ping"), "ping"),
+        Message::Query { .. } => (obs::histogram!("wire.server.latency.query"), "query"),
+        Message::ListFunctions => (
+            obs::histogram!("wire.server.latency.list_functions"),
+            "list_functions",
+        ),
+        Message::GetFunction { .. } => (
+            obs::histogram!("wire.server.latency.get_function"),
+            "get_function",
+        ),
+        Message::ExtractInputs { .. } => (
+            obs::histogram!("wire.server.latency.extract_inputs"),
+            "extract_inputs",
+        ),
+        Message::ExtractDelta { .. } => (
+            obs::histogram!("wire.server.latency.extract_delta"),
+            "extract_delta",
+        ),
+        Message::Traced { .. } => (obs::histogram!("wire.server.latency.traced"), "traced"),
+        _ => (obs::histogram!("wire.server.latency.other"), "other"),
     }
 }
 
@@ -787,20 +740,11 @@ fn traced_reply(
     };
     let (reply, spans) = obs::trace::capture(|| {
         let mut span = obs::trace::span_active("server.command");
-        span.field("command", cmd_name(&msg));
+        span.field("command", cmd_telemetry(&msg).1);
         dispatch_frame(engine, config, entry, session, msg)
     });
     Message::TracedReply {
-        spans: spans
-            .into_iter()
-            .map(|r| crate::message::WireSpan {
-                id: r.id,
-                parent: r.parent,
-                name: r.name,
-                duration_ns: r.duration_ns,
-                fields: r.fields,
-            })
-            .collect(),
+        spans,
         inner: reply.encode(),
     }
 }
@@ -852,7 +796,7 @@ fn timed_dispatch(
     if !obs::enabled() {
         return dispatch_frame(engine, config, entry, session, msg);
     }
-    let hist = cmd_latency(&msg);
+    let (hist, _) = cmd_telemetry(&msg);
     let started = Instant::now();
     let reply = dispatch_frame(engine, config, entry, session, msg);
     hist.record_duration(started.elapsed());

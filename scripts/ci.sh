@@ -114,8 +114,8 @@ echo "embedded smoke OK"
 
 # End-to-end observability smoke over a real TCP socket: start the demo
 # server, point a project at it, and check that `devudf trace` prints one
-# stitched client->wire->server->engine span tree and `devudf profile`
-# prints a per-line annotated source listing.
+# stitched client->wire->server->engine span tree (also around an EXPLAIN
+# ANALYZE) and `devudf profile` prints a per-line annotated source listing.
 echo "==> devudf trace + profile smoke (real TCP)"
 SMOKE_DIR=$(mktemp -d /tmp/devudf-ci-smoke.XXXXXX)
 cargo run --offline --release -q -p devudf-ide --bin devudf serve \
@@ -141,6 +141,12 @@ cargo run --offline --release -q -p devudf-ide --bin devudf trace "$SMOKE_DIR" \
 grep -q "client.query" /tmp/devudf-ci-trace.txt
 grep -q "server.command" /tmp/devudf-ci-trace.txt
 grep -q "monet.op.scan" /tmp/devudf-ci-trace.txt
+# EXPLAIN ANALYZE renders the same capture the span tree shows: the UDF's
+# monet.op.udf span above, and its time_ns row in the result table below.
+cargo run --offline --release -q -p devudf-ide --bin devudf trace "$SMOKE_DIR" \
+  "EXPLAIN ANALYZE SELECT mean_deviation(i) FROM numbers" > /tmp/devudf-ci-analyze.txt
+grep -q "monet.op.udf" /tmp/devudf-ci-analyze.txt
+grep -q "time_ns" /tmp/devudf-ci-analyze.txt
 cargo run --offline --release -q -p devudf-ide --bin devudf profile "$SMOKE_DIR" mean_deviation \
   > /tmp/devudf-ci-profile.txt
 grep -q "hits" /tmp/devudf-ci-profile.txt

@@ -47,7 +47,9 @@ for doc in "${DOCS[@]}"; do
             continue
         fi
         if [[ -n "$anchor" ]]; then
-            if [[ ! -f "$file" ]] || ! anchors_of "$file" | grep -qxF "$anchor"; then
+            # A here-string, not a pipe: `grep -q` exits at the first
+            # match, and under pipefail the writer's SIGPIPE would fail it.
+            if [[ ! -f "$file" ]] || ! grep -qxF "$anchor" <<<"$(anchors_of "$file")"; then
                 echo "doclint: FAIL: $doc links to '$target' but '$file' has no heading '#$anchor'"
                 fail=1
             fi
@@ -86,7 +88,7 @@ echo "doclint: checking DESIGN.md section references"
 design_sections=$(grep -E '^## ' DESIGN.md | sed -E 's/^## ([0-9]+[a-z]?)\..*/\1/;t;d')
 check_section() {
     local id="$1" where="$2"
-    if ! printf '%s\n' "$design_sections" | grep -qxF "$id"; then
+    if ! grep -qxF "$id" <<<"$design_sections"; then
         echo "doclint: FAIL: $where references DESIGN.md §$id but DESIGN.md has no '## $id.' heading"
         fail=1
     fi

@@ -210,6 +210,54 @@ fn saturated_read_queue_returns_typed_busy() {
     Arc::try_unwrap(server).ok().unwrap().shutdown();
 }
 
+/// The write queue refuses the same way. With one slot in front of the
+/// writer, a burst of slow INSERTs from several sessions gets typed
+/// `ServerBusy` refusals, and a refused write never executed: the table
+/// holds exactly the accepted ones.
+#[test]
+fn saturated_write_queue_refuses_before_executing() {
+    let server = Server::start(config().with_queue_capacity(128, 1), |db| {
+        db.execute("CREATE TABLE t (i INTEGER)").unwrap();
+        db.execute("CREATE FUNCTION slow_id(k INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\nx = 0\nfor i in range(0, 150000):\n    x = x + 1\nreturn k\n}")
+            .unwrap();
+    });
+    let server = Arc::new(server);
+    let start = Arc::new(std::sync::Barrier::new(8));
+    let handles: Vec<_> = (0..8i64)
+        .map(|k| {
+            let server = server.clone();
+            let start = start.clone();
+            std::thread::spawn(move || {
+                let mut client = connect(&server);
+                start.wait();
+                match client.query(&format!("INSERT INTO t VALUES (slow_id({k}))")) {
+                    Ok(_) => Some(k),
+                    Err(err) => {
+                        assert!(matches!(err, WireError::Busy(_)), "{err:?}");
+                        assert!(err.is_transient(), "busy must be retryable");
+                        None
+                    }
+                }
+            })
+        })
+        .collect();
+    let mut accepted: Vec<i64> = handles
+        .into_iter()
+        .filter_map(|h| h.join().unwrap())
+        .collect();
+    accepted.sort_unstable();
+    // 8 simultaneous slow writes into 1 writer + 1 queue slot.
+    assert!(accepted.len() < 8, "no busy refusals seen");
+    let t = connect(&server)
+        .query("SELECT i FROM t ORDER BY i")
+        .unwrap()
+        .into_table()
+        .unwrap();
+    let stored: Vec<i64> = t.rows.iter().map(|r| int_cell(r)).collect();
+    assert_eq!(stored, accepted);
+    Arc::try_unwrap(server).ok().unwrap().shutdown();
+}
+
 /// Busy refusals combined with a retry policy: the client transparently
 /// backs off and lands the command once a slot frees up.
 #[test]
