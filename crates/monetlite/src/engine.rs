@@ -632,14 +632,22 @@ impl Engine {
         predicate: Option<&crate::sql::ast::SqlExpr>,
     ) -> Result<QueryResult, DbError> {
         let table = self.get_table(table_name)?;
-        let keep: Vec<bool> = match predicate {
-            None => vec![false; table.row_count()],
-            Some(p) => exec::eval::predicate_mask(self, &table, p)?
-                .into_iter()
-                .map(|m| !m)
-                .collect(),
+        let (keep, removed) = match predicate {
+            None => (vec![false; table.row_count()], table.row_count()),
+            Some(p) => {
+                let span = obs::trace::span_active("monet.op.filter");
+                let mut keep = exec::eval::predicate_mask(self, &table, p)?;
+                keep.iter_mut().for_each(|k| *k = !*k);
+                let removed = keep.iter().filter(|k| !**k).count();
+                exec::finish_op(
+                    span,
+                    || "where".to_string(),
+                    keep.len() as u64,
+                    removed as u64,
+                );
+                (keep, removed)
+            }
         };
-        let removed = keep.iter().filter(|k| !**k).count();
         let mut inner = self.inner.borrow_mut();
         unchanged_since(inner.catalog.table_mut(table_name)?, table)?.retain_rows(&keep);
         Ok(QueryResult::Affected {
@@ -655,11 +663,25 @@ impl Engine {
         predicate: Option<&crate::sql::ast::SqlExpr>,
     ) -> Result<QueryResult, DbError> {
         let table = self.get_table(table_name)?;
-        let mask = match predicate {
-            None => vec![true; table.row_count()],
-            Some(p) => exec::eval::predicate_mask(self, &table, p)?,
+        let rows: Vec<usize> = match predicate {
+            None => (0..table.row_count()).collect(),
+            Some(p) => {
+                let span = obs::trace::span_active("monet.op.filter");
+                let mask = exec::eval::predicate_mask(self, &table, p)?;
+                let rows: Vec<usize> = mask
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(row, &hit)| hit.then_some(row))
+                    .collect();
+                exec::finish_op(
+                    span,
+                    || "where".to_string(),
+                    mask.len() as u64,
+                    rows.len() as u64,
+                );
+                rows
+            }
         };
-        let rows: Vec<usize> = (0..mask.len()).filter(|&row| mask[row]).collect();
         // Evaluate each assignment columnar against the pre-update table and
         // coerce the new values, so a failed cast changes nothing.
         let mut writes = Vec::with_capacity(assignments.len());
@@ -1207,6 +1229,50 @@ mod tests {
     }
 
     #[test]
+    fn regression_integers_past_2_pow_53_compare_exactly() {
+        // 2^53 and 2^53 + 1 round to the same f64, so ordered through f64
+        // they tie: WHERE, IN, ORDER BY, UPDATE and DELETE must not.
+        const P: i64 = 1 << 53;
+        let db = Engine::new();
+        db.execute("CREATE TABLE t (id INTEGER, w INTEGER, v INTEGER)")
+            .unwrap();
+        db.execute(&format!(
+            "INSERT INTO t VALUES ({P}, {P}, 1), ({}, {P}, 2)",
+            P + 1
+        ))
+        .unwrap();
+        let vs = |sql: &str| -> Vec<SqlValue> {
+            let t = db.execute(sql).unwrap().into_table().unwrap();
+            t.rows().into_iter().map(|r| r[0].clone()).collect()
+        };
+        let two = [SqlValue::Int(2)];
+        assert_eq!(vs(&format!("SELECT v FROM t WHERE id = {}", P + 1)), two);
+        assert_eq!(vs(&format!("SELECT v FROM t WHERE id > {P}")), two);
+        assert_eq!(vs(&format!("SELECT v FROM t WHERE {P} < id")), two);
+        assert_eq!(vs(&format!("SELECT v FROM t WHERE id <> {P}")), two);
+        assert_eq!(vs("SELECT v FROM t WHERE id > w"), two);
+        assert_eq!(vs(&format!("SELECT v FROM t WHERE id IN ({})", P + 1)), two);
+        assert_eq!(
+            vs("SELECT v FROM t ORDER BY id DESC"),
+            [SqlValue::Int(2), SqlValue::Int(1)]
+        );
+        let affected = |sql: &str| match db.execute(sql).unwrap() {
+            QueryResult::Affected { rows, .. } => rows,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(
+            affected(&format!("UPDATE t SET v = 99 WHERE id = {}", P + 1)),
+            1
+        );
+        assert_eq!(
+            vs("SELECT v FROM t ORDER BY v"),
+            [SqlValue::Int(1), SqlValue::Int(99)]
+        );
+        assert_eq!(affected(&format!("DELETE FROM t WHERE id = {P}")), 1);
+        assert_eq!(vs("SELECT v FROM t"), [SqlValue::Int(99)]);
+    }
+
+    #[test]
     fn scalar_python_udf_operator_at_a_time() {
         let db = engine_with_numbers();
         db.execute(
@@ -1656,6 +1722,48 @@ mod tests {
         let ops: Vec<&str> = from_rows.iter().map(|r| r.0.as_str()).collect();
         assert_eq!(ops, ["scan", "filter", "udf", "project", "limit"]);
         assert_eq!(from_rows[2].1, "straight inlined");
+    }
+
+    #[test]
+    fn explain_analyze_update_and_delete_render_their_filter_row() {
+        let _serial = obs::metrics::test_lock();
+        obs::set_enabled(true);
+        let db = engine_with_numbers();
+        for (sql, selected) in [
+            ("EXPLAIN ANALYZE UPDATE t SET i = 10 WHERE i = 3", 1),
+            ("EXPLAIN ANALYZE DELETE FROM t WHERE i < 3", 2),
+        ] {
+            let t = db.execute(sql).unwrap().into_table().unwrap();
+            assert_eq!(analyze_strs(&t, "op"), ["query", "filter"], "{sql}");
+            assert_eq!(analyze_strs(&t, "detail")[1], "where");
+            assert_eq!(analyze_ints(&t, "rows_in")[1], 5, "{sql}");
+            assert_eq!(analyze_ints(&t, "rows_out")[1], selected, "{sql}");
+        }
+    }
+
+    #[test]
+    fn durable_writes_trace_their_wal_append() {
+        let _serial = obs::metrics::test_lock();
+        obs::set_enabled(true);
+        let dir = std::env::temp_dir().join(format!(
+            "monetlite-append-span-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Engine::open(&dir).unwrap();
+        db.execute("CREATE TABLE t (i INTEGER)").unwrap();
+        let ((), spans) = obs::trace::capture(|| {
+            db.execute("INSERT INTO t VALUES (1)").unwrap();
+            db.checkpoint().unwrap();
+        });
+        for name in ["monet.storage.append", "monet.storage.checkpoint"] {
+            let span = spans.iter().find(|s| s.name == name);
+            let bytes = span.and_then(|s| s.field("bytes")).map(str::parse::<u64>);
+            assert!(matches!(bytes, Some(Ok(n)) if n > 0), "{name}: {spans:?}");
+        }
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

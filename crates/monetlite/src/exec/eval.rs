@@ -1,23 +1,31 @@
 //! Columnar expression evaluation.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::engine::Engine;
 use crate::error::DbError;
 use crate::sql::ast::{BinaryOp, SqlExpr, UnaryOp};
 use crate::table::Table;
-use crate::types::{Column, SqlValue};
+use crate::types::{Column, ColumnData, SqlValue};
 use crate::udf::{self, UdfInput};
 
-/// Result of evaluating an expression against a table: a whole column or a
-/// single scalar (literals, aggregates, scalar-returning UDFs).
+/// Result of evaluating an expression against a table `'t`: a whole column
+/// or a single scalar (literals, aggregates, scalar-returning UDFs). A bare
+/// column reference borrows the source table's column; computed columns
+/// are owned. Only callers that keep the data copy a borrowed column.
 #[derive(Debug, Clone)]
-pub enum Evaluated {
-    Column(Column),
+pub enum Evaluated<'t> {
+    Column(Cow<'t, Column>),
     Scalar(SqlValue),
 }
 
-impl Evaluated {
+impl<'t> Evaluated<'t> {
+    /// A computed column.
+    pub fn owned(column: Column) -> Self {
+        Evaluated::Column(Cow::Owned(column))
+    }
+
     /// Value at row `i` (scalars broadcast).
     pub fn get(&self, i: usize) -> SqlValue {
         match self {
@@ -34,14 +42,20 @@ impl Evaluated {
         }
     }
 
-    /// Materialize as a column of `rows` values.
-    pub fn into_column(self, name: &str, rows: usize) -> Result<Column, DbError> {
+    /// Materialize as a column of `rows` values, still borrowing a source
+    /// column (scalars broadcast into a new column named `key`).
+    pub fn into_cow(self, rows: usize) -> Result<Cow<'t, Column>, DbError> {
         match self {
-            Evaluated::Column(mut c) => {
-                c.name = name.to_string();
-                Ok(c)
-            }
-            Evaluated::Scalar(s) => Column::from_values(name, &vec![s; rows]),
+            Evaluated::Column(c) => Ok(c),
+            Evaluated::Scalar(s) => Ok(Cow::Owned(Column::from_values("key", &vec![s; rows])?)),
+        }
+    }
+
+    /// Detach from the source table (copies a borrowed column).
+    pub fn into_owned(self) -> Evaluated<'static> {
+        match self {
+            Evaluated::Column(c) => Evaluated::owned(c.into_owned()),
+            Evaluated::Scalar(s) => Evaluated::Scalar(s),
         }
     }
 }
@@ -55,11 +69,11 @@ fn is_aggregate(name: &str) -> bool {
 }
 
 /// Evaluate `expr` against `source` (None = no FROM clause).
-pub fn eval_expr(
+pub fn eval_expr<'t>(
     engine: &Engine,
-    source: Option<&Table>,
+    source: Option<&'t Table>,
     expr: &SqlExpr,
-) -> Result<Evaluated, DbError> {
+) -> Result<Evaluated<'t>, DbError> {
     match expr {
         SqlExpr::Literal(v) => Ok(Evaluated::Scalar(v.clone())),
         SqlExpr::Star => Err(DbError::exec("'*' is only valid inside count(*)")),
@@ -67,7 +81,7 @@ pub fn eval_expr(
             let table = source.ok_or_else(|| {
                 DbError::catalog(format!("column '{name}' referenced without a FROM clause"))
             })?;
-            resolve_column(table, name).map(|c| Evaluated::Column(c.clone()))
+            resolve_column(table, name).map(|c| Evaluated::Column(Cow::Borrowed(c)))
         }
         SqlExpr::Unary { op, expr } => {
             let v = eval_expr(engine, source, expr)?;
@@ -86,7 +100,7 @@ pub fn eval_expr(
                     let out: Vec<SqlValue> = (0..c.len())
                         .map(|i| SqlValue::Bool(c.is_null(i) != *negated))
                         .collect();
-                    Evaluated::Column(Column::from_values("is_null", &out)?)
+                    Evaluated::owned(Column::from_values("is_null", &out)?)
                 }
             })
         }
@@ -146,18 +160,18 @@ pub fn eval_expr(
             // (float()/int() lower to CAST); identical to `coerce` per value.
             if let Evaluated::Column(c) = &v {
                 if !c.has_nulls() {
-                    use crate::types::{ColumnData, SqlType};
+                    use crate::types::SqlType;
                     match (&c.data, target) {
                         (ColumnData::Int(_), SqlType::Integer)
                         | (ColumnData::Double(_), SqlType::Double) => return Ok(v),
                         (ColumnData::Int(ints), SqlType::Double) => {
-                            return Ok(Evaluated::Column(Column::new(
+                            return Ok(Evaluated::owned(Column::new(
                                 "cast",
                                 ColumnData::Double(ints.iter().map(|&x| x as f64).collect()),
                             )))
                         }
                         (ColumnData::Double(ds), SqlType::Integer) => {
-                            return Ok(Evaluated::Column(Column::new(
+                            return Ok(Evaluated::owned(Column::new(
                                 "cast",
                                 ColumnData::Int(ds.iter().map(|d| d.trunc() as i64).collect()),
                             )))
@@ -306,15 +320,15 @@ fn case_truth(v: &SqlValue) -> Result<bool, DbError> {
 /// Scalar conditions pick one branch for the whole batch. Columnar
 /// conditions evaluate each branch against the filtered sub-table and
 /// scatter the per-branch results back into row order.
-fn eval_case(
+fn eval_case<'t>(
     engine: &Engine,
-    source: Option<&Table>,
+    source: Option<&'t Table>,
     branches: &[(SqlExpr, SqlExpr)],
     else_: &SqlExpr,
-) -> Result<Evaluated, DbError> {
+) -> Result<Evaluated<'t>, DbError> {
     // First pass: evaluate conditions until one is columnar or one scalar
     // condition is true.
-    let mut cond_cols: Vec<(usize, Column)> = Vec::new();
+    let mut cond_cols: Vec<(usize, Cow<'t, Column>)> = Vec::new();
     let mut columnar = false;
     for (idx, (cond, value)) in branches.iter().enumerate() {
         match eval_expr(engine, source, cond)? {
@@ -327,11 +341,9 @@ fn eval_case(
                     // Scalar true: all remaining rows take this branch.
                     let table = source
                         .ok_or_else(|| DbError::exec("columnar CASE requires a FROM clause"))?;
-                    let trues = Column::new(
-                        "case",
-                        crate::types::ColumnData::Bool(vec![true; table.row_count()]),
-                    );
-                    cond_cols.push((idx, trues));
+                    let trues =
+                        Column::new("case", ColumnData::Bool(vec![true; table.row_count()]));
+                    cond_cols.push((idx, Cow::Owned(trues)));
                     break;
                 }
             }
@@ -390,7 +402,7 @@ fn eval_case(
         .into_iter()
         .map(|v| v.expect("every row assigned"))
         .collect();
-    Ok(Evaluated::Column(Column::from_values("case", &values)?))
+    Ok(Evaluated::owned(Column::from_values("case", &values)?))
 }
 
 /// Resolve a (possibly qualified) column reference against a table whose
@@ -440,7 +452,7 @@ fn map_evaluated(
     v: Evaluated,
     name: &str,
     f: impl Fn(&SqlValue) -> Result<SqlValue, DbError>,
-) -> Result<Evaluated, DbError> {
+) -> Result<Evaluated<'static>, DbError> {
     Ok(match v {
         Evaluated::Scalar(s) => Evaluated::Scalar(f(&s)?),
         Evaluated::Column(c) => {
@@ -448,12 +460,12 @@ fn map_evaluated(
             for i in 0..c.len() {
                 out.push(f(&c.get(i))?);
             }
-            Evaluated::Column(Column::from_values(name, &out)?)
+            Evaluated::owned(Column::from_values(name, &out)?)
         }
     })
 }
 
-fn apply_unary(op: UnaryOp, v: Evaluated) -> Result<Evaluated, DbError> {
+fn apply_unary(op: UnaryOp, v: Evaluated) -> Result<Evaluated<'static>, DbError> {
     let f = move |s: &SqlValue| -> Result<SqlValue, DbError> {
         Ok(match (op, s) {
             (_, SqlValue::Null) => SqlValue::Null,
@@ -475,7 +487,11 @@ fn apply_unary(op: UnaryOp, v: Evaluated) -> Result<Evaluated, DbError> {
     map_evaluated(v, "unary", f)
 }
 
-fn apply_binary(op: BinaryOp, l: Evaluated, r: Evaluated) -> Result<Evaluated, DbError> {
+fn apply_binary<'t>(
+    op: BinaryOp,
+    l: Evaluated<'t>,
+    r: Evaluated<'t>,
+) -> Result<Evaluated<'t>, DbError> {
     match (&l, &r) {
         (Evaluated::Scalar(a), Evaluated::Scalar(b)) => {
             Ok(Evaluated::Scalar(binary_values(op, a, b)?))
@@ -498,54 +514,97 @@ fn apply_binary(op: BinaryOp, l: Evaluated, r: Evaluated) -> Result<Evaluated, D
             for i in 0..len {
                 out.push(binary_values(op, &l.get(i), &r.get(i))?);
             }
-            Ok(Evaluated::Column(Column::from_values(op.symbol(), &out)?))
+            Ok(Evaluated::owned(Column::from_values(op.symbol(), &out)?))
+        }
+    }
+}
+
+/// One side of a typed kernel: a NULL-free column's values, or a scalar
+/// broadcast to every row.
+#[derive(Clone, Copy)]
+enum Side<'a, T> {
+    Col(&'a [T]),
+    Scalar(T),
+}
+
+impl<T: Copy> Side<'_, T> {
+    fn at(self, i: usize) -> T {
+        match self {
+            Side::Col(v) => v[i],
+            Side::Scalar(k) => k,
         }
     }
 }
 
 /// Typed view of a NULL-free numeric operand for the columnar fast path.
+#[derive(Clone, Copy)]
 enum NumOperand<'a> {
-    IntCol(&'a [i64]),
-    FloatCol(&'a [f64]),
-    IntScalar(i64),
-    FloatScalar(f64),
+    Int(Side<'a, i64>),
+    Float(Side<'a, f64>),
 }
 
 impl NumOperand<'_> {
-    fn is_int(&self) -> bool {
-        matches!(self, NumOperand::IntCol(_) | NumOperand::IntScalar(_))
-    }
-
-    fn int_at(&self, i: usize) -> i64 {
+    fn f64_at(self, i: usize) -> f64 {
         match self {
-            NumOperand::IntCol(v) => v[i],
-            NumOperand::IntScalar(k) => *k,
-            _ => unreachable!("int_at on a float operand"),
-        }
-    }
-
-    fn f64_at(&self, i: usize) -> f64 {
-        match self {
-            NumOperand::IntCol(v) => v[i] as f64,
-            NumOperand::FloatCol(v) => v[i],
-            NumOperand::IntScalar(k) => *k as f64,
-            NumOperand::FloatScalar(d) => *d,
+            NumOperand::Int(s) => s.at(i) as f64,
+            NumOperand::Float(s) => s.at(i),
         }
     }
 }
 
-fn num_operand(v: &Evaluated) -> Option<NumOperand<'_>> {
+fn num_operand<'a>(v: &'a Evaluated) -> Option<NumOperand<'a>> {
+    use NumOperand::{Float, Int};
     match v {
-        Evaluated::Scalar(SqlValue::Int(i)) => Some(NumOperand::IntScalar(*i)),
+        Evaluated::Scalar(SqlValue::Int(i)) => Some(Int(Side::Scalar(*i))),
         // Booleans count as 0/1 integers, matching `as_int`.
-        Evaluated::Scalar(SqlValue::Bool(b)) => Some(NumOperand::IntScalar(*b as i64)),
-        Evaluated::Scalar(SqlValue::Double(d)) => Some(NumOperand::FloatScalar(*d)),
+        Evaluated::Scalar(SqlValue::Bool(b)) => Some(Int(Side::Scalar(*b as i64))),
+        Evaluated::Scalar(SqlValue::Double(d)) => Some(Float(Side::Scalar(*d))),
         Evaluated::Column(c) if !c.has_nulls() => match &c.data {
-            crate::types::ColumnData::Int(v) => Some(NumOperand::IntCol(v)),
-            crate::types::ColumnData::Double(v) => Some(NumOperand::FloatCol(v)),
+            ColumnData::Int(v) => Some(Int(Side::Col(v))),
+            ColumnData::Double(v) => Some(Float(Side::Col(v))),
             _ => None,
         },
         _ => None,
+    }
+}
+
+/// `test` over every row of two sides, one loop per operand shape.
+fn zip_rows<X: Copy, Y: Copy>(
+    a: Side<X>,
+    b: Side<Y>,
+    len: usize,
+    test: impl Fn(X, Y) -> bool,
+) -> Vec<bool> {
+    match (a, b) {
+        (Side::Col(x), Side::Col(y)) => x.iter().zip(y).map(|(&x, &y)| test(x, y)).collect(),
+        (Side::Col(x), Side::Scalar(k)) => x.iter().map(|&x| test(x, k)).collect(),
+        (Side::Scalar(k), Side::Col(y)) => y.iter().map(|&y| test(k, y)).collect(),
+        (Side::Scalar(j), Side::Scalar(k)) => vec![test(j, k); len],
+    }
+}
+
+/// Comparison kernel: `op` over two sides whose elements are ordered as
+/// `K` once mapped through `kx` / `ky`. The op is matched once, outside the
+/// row loop, and each test uses `<` and `>` alone, so an unordered pair
+/// (NaN) compares `Equal`, as [`cmp_sql`] orders it.
+fn compare<X: Copy, Y: Copy, K: PartialOrd>(
+    op: BinaryOp,
+    a: Side<X>,
+    b: Side<Y>,
+    len: usize,
+    kx: impl Fn(X) -> K,
+    ky: impl Fn(Y) -> K,
+) -> Vec<bool> {
+    use BinaryOp::*;
+    let (lt, gt) = (|x, y| kx(x) < ky(y), |x, y| kx(x) > ky(y));
+    match op {
+        Eq => zip_rows(a, b, len, |x, y| !lt(x, y) && !gt(x, y)),
+        NotEq => zip_rows(a, b, len, |x, y| lt(x, y) || gt(x, y)),
+        Lt => zip_rows(a, b, len, lt),
+        Le => zip_rows(a, b, len, |x, y| !gt(x, y)),
+        Gt => zip_rows(a, b, len, gt),
+        Ge => zip_rows(a, b, len, |x, y| !lt(x, y)),
+        _ => unreachable!("comparison operators only"),
     }
 }
 
@@ -557,8 +616,9 @@ fn binary_fast(
     l: &Evaluated,
     r: &Evaluated,
     len: usize,
-) -> Option<Result<Evaluated, DbError>> {
+) -> Option<Result<Evaluated<'static>, DbError>> {
     use BinaryOp::*;
+    use NumOperand::{Float, Int};
     if matches!(op, And | Or) {
         return None;
     }
@@ -566,34 +626,25 @@ fn binary_fast(
     let b = num_operand(r)?;
     let name = op.symbol();
 
-    // Comparisons mirror cmp_sql: every numeric pair is ordered through f64.
+    // Comparisons mirror cmp_sql: Int×Int exactly, every other numeric
+    // pair through f64.
     if matches!(op, Eq | NotEq | Lt | Le | Gt | Ge) {
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            let ord = a
-                .f64_at(i)
-                .partial_cmp(&b.f64_at(i))
-                .unwrap_or(Ordering::Equal);
-            out.push(match op {
-                Eq => ord == Ordering::Equal,
-                NotEq => ord != Ordering::Equal,
-                Lt => ord == Ordering::Less,
-                Le => ord != Ordering::Greater,
-                Gt => ord == Ordering::Greater,
-                Ge => ord != Ordering::Less,
-                _ => unreachable!(),
-            });
-        }
-        return Some(Ok(Evaluated::Column(Column::new(
+        let out = match (a, b) {
+            (Int(x), Int(y)) => compare(op, x, y, len, |v| v, |v| v),
+            (Int(x), Float(y)) => compare(op, x, y, len, |v| v as f64, |v| v),
+            (Float(x), Int(y)) => compare(op, x, y, len, |v| v, |v| v as f64),
+            (Float(x), Float(y)) => compare(op, x, y, len, |v| v, |v| v),
+        };
+        return Some(Ok(Evaluated::owned(Column::new(
             name,
-            crate::types::ColumnData::Bool(out),
+            ColumnData::Bool(out),
         ))));
     }
 
-    if a.is_int() && b.is_int() {
+    if let (Int(x), Int(y)) = (a, b) {
         // Pow with a columnar or negative exponent can go float per row;
         // leave those shapes to the generic path.
-        if op == Pow && !matches!(b, NumOperand::IntScalar(e) if e >= 0) {
+        if op == Pow && !matches!(y, Side::Scalar(e) if e >= 0) {
             return None;
         }
         let kernel: fn(i64, i64) -> Result<i64, DbError> = match op {
@@ -632,14 +683,14 @@ fn binary_fast(
         };
         let mut out = Vec::with_capacity(len);
         for i in 0..len {
-            match kernel(a.int_at(i), b.int_at(i)) {
+            match kernel(x.at(i), y.at(i)) {
                 Ok(v) => out.push(v),
                 Err(e) => return Some(Err(e)),
             }
         }
-        return Some(Ok(Evaluated::Column(Column::new(
+        return Some(Ok(Evaluated::owned(Column::new(
             name,
-            crate::types::ColumnData::Int(out),
+            ColumnData::Int(out),
         ))));
     }
 
@@ -681,9 +732,9 @@ fn binary_fast(
             Err(e) => return Some(Err(e)),
         }
     }
-    Some(Ok(Evaluated::Column(Column::new(
+    Some(Ok(Evaluated::owned(Column::new(
         name,
-        crate::types::ColumnData::Double(out),
+        ColumnData::Double(out),
     ))))
 }
 
@@ -853,12 +904,15 @@ fn to_f64(v: &SqlValue) -> Option<f64> {
 }
 
 /// Total order over SQL values: NULL first, then numerics, strings, bools,
-/// blobs; cross-type numeric comparison promotes to double.
+/// blobs. Two integers compare exactly as `i64` (through `f64`, 2^53 and
+/// 2^53 + 1 would tie); every other numeric pair, booleans counting as 0/1,
+/// is ordered through `f64`, where an unordered pair (NaN) is `Equal`.
 pub fn cmp_sql(a: &SqlValue, b: &SqlValue) -> Ordering {
     match (a, b) {
         (SqlValue::Null, SqlValue::Null) => Ordering::Equal,
         (SqlValue::Null, _) => Ordering::Less,
         (_, SqlValue::Null) => Ordering::Greater,
+        (SqlValue::Int(x), SqlValue::Int(y)) => x.cmp(y),
         (SqlValue::Str(x), SqlValue::Str(y)) => x.cmp(y),
         (SqlValue::Bool(x), SqlValue::Bool(y)) => x.cmp(y),
         (SqlValue::Blob(x), SqlValue::Blob(y)) => x.cmp(y),
@@ -872,7 +926,9 @@ pub fn cmp_sql(a: &SqlValue, b: &SqlValue) -> Ordering {
     }
 }
 
-/// Evaluate a WHERE predicate into a row mask. NULL counts as false.
+/// Evaluate a WHERE predicate into a row mask. Only TRUE selects a row:
+/// NULL counts as false, and a non-boolean column selects nothing. A
+/// boolean column's vector becomes the mask, with its NULL rows cleared.
 pub fn predicate_mask(
     engine: &Engine,
     table: &Table,
@@ -887,9 +943,17 @@ pub fn predicate_mask(
             if c.len() != table.row_count() {
                 return Err(DbError::exec("predicate length mismatch"));
             }
-            Ok((0..c.len())
-                .map(|i| matches!(c.get(i), SqlValue::Bool(true)))
-                .collect())
+            if !matches!(c.data, ColumnData::Bool(_)) {
+                return Ok(vec![false; c.len()]);
+            }
+            let Column { data, nulls, .. } = c.into_owned();
+            let ColumnData::Bool(mut mask) = data else {
+                unreachable!("checked to be boolean above")
+            };
+            for (keep, null) in mask.iter_mut().zip(nulls) {
+                *keep &= !null;
+            }
+            Ok(mask)
         }
     }
 }
@@ -898,12 +962,12 @@ pub fn predicate_mask(
 // Function calls: aggregates, scalar builtins, stored UDFs
 // ----------------------------------------------------------------------
 
-fn eval_call(
+fn eval_call<'t>(
     engine: &Engine,
-    source: Option<&Table>,
+    source: Option<&'t Table>,
     name: &str,
     args: &[SqlExpr],
-) -> Result<Evaluated, DbError> {
+) -> Result<Evaluated<'t>, DbError> {
     let lname = name.to_ascii_lowercase();
     if is_aggregate(&lname) {
         return eval_aggregate(engine, source, &lname, args);
@@ -926,7 +990,7 @@ fn eval_call(
     let mut inputs = Vec::with_capacity(args.len());
     for (arg, (pname, _)) in args.iter().zip(&def.params) {
         let input = match eval_expr(engine, source, arg)? {
-            Evaluated::Column(c) => UdfInput::Column(c),
+            Evaluated::Column(c) => UdfInput::Column(c.into_owned()),
             Evaluated::Scalar(s) => UdfInput::Scalar(s),
         };
         inputs.push((pname.clone(), input));
@@ -960,7 +1024,7 @@ fn eval_call(
                         let v = match v {
                             Evaluated::Scalar(s) if per_row => {
                                 let rows = source.map(|t| t.row_count()).unwrap_or(1);
-                                Evaluated::Column(Column::from_values(&def.name, &vec![s; rows])?)
+                                Evaluated::owned(Column::from_values(&def.name, &vec![s; rows])?)
                             }
                             other => other,
                         };
@@ -987,7 +1051,7 @@ fn eval_call(
             engine.append_udf_stdout(&out.stdout);
             match &out.value {
                 pylite::Value::Array(_) | pylite::Value::List(_) | pylite::Value::Tuple(_) => {
-                    Evaluated::Column(udf::py_to_column(&def.name, &out.value)?)
+                    Evaluated::owned(udf::py_to_column(&def.name, &out.value)?)
                 }
                 scalar => Evaluated::Scalar(udf::py_to_scalar(scalar)?),
             }
@@ -998,7 +1062,7 @@ fn eval_call(
             engine.append_udf_stdout(&stdout);
             let scalars: Result<Vec<SqlValue>, DbError> =
                 values.iter().map(udf::py_to_scalar).collect();
-            Evaluated::Column(Column::from_values(&def.name, &scalars?)?)
+            Evaluated::owned(Column::from_values(&def.name, &scalars?)?)
         }
     };
     if let Some((span, disposition)) = fallback {
@@ -1037,7 +1101,7 @@ fn eval_aggregate(
     source: Option<&Table>,
     name: &str,
     args: &[SqlExpr],
-) -> Result<Evaluated, DbError> {
+) -> Result<Evaluated<'static>, DbError> {
     let table = source
         .ok_or_else(|| DbError::exec(format!("aggregate {name}() requires a FROM clause")))?;
     // count(*) counts rows.
@@ -1049,22 +1113,12 @@ fn eval_aggregate(
             "{name}() takes exactly one argument"
         )));
     }
-    // A bare column reference folds in place; anything else materializes.
-    let storage;
-    let col: &Column = match &args[0] {
-        SqlExpr::Column(name) => resolve_column(table, name)?,
-        other => {
-            storage =
-                eval_expr(engine, Some(table), other)?.into_column("agg", table.row_count())?;
-            &storage
-        }
-    };
+    let col = eval_expr(engine, Some(table), &args[0])?.into_cow(table.row_count())?;
     // Typed fast path: NULL-free numeric columns fold without boxing each
     // element into SqlValue. Semantics are bit-identical to the generic
     // loops below (same fold order, same overflow check). min/max stay
     // generic — their ordering goes through cmp_sql.
     if !col.has_nulls() && !col.is_empty() {
-        use crate::types::ColumnData;
         match (&col.data, name) {
             (ColumnData::Int(_) | ColumnData::Double(_), "count") => {
                 return Ok(Evaluated::Scalar(SqlValue::Int(col.len() as i64)))
@@ -1166,14 +1220,14 @@ fn eval_aggregate(
 
 /// Scalar builtins evaluated rowwise. Returns Ok(None) when `name` is not a
 /// builtin (the caller then tries stored UDFs).
-fn eval_scalar_builtin(
+fn eval_scalar_builtin<'t>(
     engine: &Engine,
-    source: Option<&Table>,
+    source: Option<&'t Table>,
     name: &str,
     args: &[SqlExpr],
-) -> Result<Option<Evaluated>, DbError> {
+) -> Result<Option<Evaluated<'t>>, DbError> {
     let unary =
-        |f: fn(&SqlValue) -> Result<SqlValue, DbError>| -> Result<Option<Evaluated>, DbError> {
+        |f: fn(&SqlValue) -> Result<SqlValue, DbError>| -> Result<Option<Evaluated<'t>>, DbError> {
             if args.len() != 1 {
                 return Err(DbError::exec(format!(
                     "{name}() takes exactly one argument"
@@ -1203,7 +1257,6 @@ fn eval_scalar_builtin(
             // Typed fast path over NULL-free numeric columns.
             if let Evaluated::Column(c) = &v {
                 if !c.has_nulls() {
-                    use crate::types::ColumnData;
                     match &c.data {
                         ColumnData::Int(ints) => {
                             let mut out = Vec::with_capacity(ints.len());
@@ -1214,13 +1267,13 @@ fn eval_scalar_builtin(
                                     })?,
                                 );
                             }
-                            return Ok(Some(Evaluated::Column(Column::new(
+                            return Ok(Some(Evaluated::owned(Column::new(
                                 "abs",
                                 ColumnData::Int(out),
                             ))));
                         }
                         ColumnData::Double(ds) => {
-                            return Ok(Some(Evaluated::Column(Column::new(
+                            return Ok(Some(Evaluated::owned(Column::new(
                                 "abs",
                                 ColumnData::Double(ds.iter().map(|d| d.abs()).collect()),
                             ))));

@@ -39,12 +39,11 @@ pub fn run_join(
             let lb = eval::resolve_column(&left, b).ok();
             let rb = eval::resolve_column(&right, a).ok();
             let pair = match (la, ra, lb, rb) {
-                (Some(lc), Some(rc), _, _) => Some((lc.clone(), rc.clone())),
-                (_, _, Some(lc), Some(rc)) => Some((lc.clone(), rc.clone())),
+                (Some(lc), Some(rc), _, _) | (_, _, Some(lc), Some(rc)) => Some((lc, rc)),
                 _ => None,
             };
             if let Some((lkey, rkey)) = pair {
-                return hash_join(&left, &right, &lkey, &rkey, kind);
+                return hash_join(&left, &right, lkey, rkey, kind);
             }
         }
     }

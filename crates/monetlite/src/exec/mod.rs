@@ -5,6 +5,8 @@ pub mod join;
 
 pub use eval::{cmp_sql, Evaluated};
 
+use std::borrow::Cow;
+
 use crate::engine::Engine;
 use crate::error::DbError;
 use crate::sql::ast::{FromClause, SelectItem, SelectStmt, SqlExpr, TableFuncArg};
@@ -190,7 +192,7 @@ fn project(
                 let table =
                     source.ok_or_else(|| DbError::exec("SELECT * requires a FROM clause"))?;
                 for c in table.columns.iter() {
-                    pieces.push((c.name.clone(), Evaluated::Column(c.clone())));
+                    pieces.push((c.name.clone(), Evaluated::Column(Cow::Borrowed(c))));
                 }
             }
             SelectItem::Expr { expr, .. } => {
@@ -219,7 +221,8 @@ fn project(
     let mut columns = Vec::with_capacity(pieces.len());
     for (name, v) in pieces {
         columns.push(match v {
-            Evaluated::Column(mut c) => {
+            Evaluated::Column(c) => {
+                let mut c = c.into_owned();
                 c.name = name;
                 c
             }
@@ -241,12 +244,7 @@ fn group_project(engine: &Engine, table: &Table, stmt: &SelectStmt) -> Result<Ta
     // Evaluate group keys as columns.
     let mut key_cols = Vec::with_capacity(stmt.group_by.len());
     for expr in &stmt.group_by {
-        match eval::eval_expr(engine, Some(table), expr)? {
-            Evaluated::Column(c) => key_cols.push(c),
-            Evaluated::Scalar(s) => {
-                key_cols.push(Column::from_values("key", &vec![s; table.row_count()])?)
-            }
-        }
+        key_cols.push(eval::eval_expr(engine, Some(table), expr)?.into_cow(table.row_count())?);
     }
     // Partition rows by key tuple, preserving first-seen order.
     let mut order: Vec<Vec<usize>> = Vec::new();
@@ -349,7 +347,7 @@ fn order_rows(
     source: Option<&Table>,
     order_by: &[(SqlExpr, bool)],
 ) -> Result<Table, DbError> {
-    let mut keys: Vec<(Column, bool)> = Vec::with_capacity(order_by.len());
+    let mut keys: Vec<(Cow<Column>, bool)> = Vec::with_capacity(order_by.len());
     for (expr, desc) in order_by {
         let evaluated =
             eval::eval_expr(engine, Some(result), expr).or_else(|first_err| match source {
@@ -358,10 +356,7 @@ fn order_rows(
                 }
                 _ => Err(first_err),
             })?;
-        let col = match evaluated {
-            Evaluated::Column(c) => c,
-            Evaluated::Scalar(s) => Column::from_values("key", &vec![s; result.row_count()])?,
-        };
+        let col = evaluated.into_cow(result.row_count())?;
         if col.len() != result.row_count() {
             return Err(DbError::exec("ORDER BY key length mismatch"));
         }
@@ -403,7 +398,7 @@ pub fn run_table_function(
             }
             TableFuncArg::Expr(e) => match eval::eval_expr(engine, None, e)? {
                 Evaluated::Scalar(s) => inputs.push(UdfInput::Scalar(s)),
-                Evaluated::Column(c) => inputs.push(UdfInput::Column(c)),
+                Evaluated::Column(c) => inputs.push(UdfInput::Column(c.into_owned())),
             },
         }
     }

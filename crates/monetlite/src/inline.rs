@@ -937,7 +937,7 @@ fn lower_builtin(
 pub enum InlineOutcome {
     /// Columnar result, same shape `eval_call` would build from the
     /// interpreter's output.
-    Done(crate::exec::eval::Evaluated),
+    Done(crate::exec::eval::Evaluated<'static>),
     /// Fall back to the interpreter for this invocation.
     Bailed(Bail),
 }
@@ -1030,7 +1030,7 @@ pub fn run_inlined(
         _ => expr,
     };
     match crate::exec::eval::eval_expr(engine, table.as_ref(), expr) {
-        Ok(v) => InlineOutcome::Done(v),
+        Ok(v) => InlineOutcome::Done(v.into_owned()),
         // Any evaluation error (overflow, div-by-zero, cast failure, …)
         // defers to the interpreter: pylite owns error text and traceback
         // lines, and the subset is pure so re-running is safe.

@@ -632,12 +632,15 @@ impl Storage {
         decode_snapshot(&payload)
     }
 
-    /// Append one statement to the WAL (and fsync, per policy).
+    /// Append one statement to the WAL (and fsync, per policy), under a
+    /// `monet.storage.append` span whose `bytes` field is the frame size.
     pub fn append(&mut self, sql: &str) -> Result<(), DbError> {
+        let mut span = obs::trace::span_active("monet.storage.append");
         let mut payload = Vec::with_capacity(sql.len() + 12);
         write_u64(&mut payload, self.next_seq);
         write_bytes(&mut payload, sql);
         let frame = encode_frame(&payload);
+        span.field("bytes", frame.len());
         let wal_path = self.dir.join(WAL_FILE);
         self.wal
             .write_all(&frame)
@@ -661,11 +664,15 @@ impl Storage {
     }
 
     /// Fold the catalog into `snapshot.db` (write-tmp, fsync, atomic
-    /// rename) and truncate the WAL back to its header.
+    /// rename) and truncate the WAL back to its header, under a
+    /// `monet.storage.checkpoint` span whose `bytes` field is the snapshot
+    /// file size.
     pub fn checkpoint(&mut self, catalog: &Catalog) -> Result<(), DbError> {
+        let mut span = obs::trace::span_active("monet.storage.checkpoint");
         let covered_seq = self.next_seq - 1;
         let mut file_bytes = header(SNAPSHOT_MAGIC).to_vec();
         file_bytes.extend_from_slice(&encode_frame(&encode_snapshot(catalog, covered_seq)));
+        span.field("bytes", file_bytes.len());
 
         let tmp = self.dir.join(SNAPSHOT_TMP);
         let snap = self.dir.join(SNAPSHOT_FILE);

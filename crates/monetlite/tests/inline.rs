@@ -508,3 +508,44 @@ fn mixed_type_promotion_matches_interpreter() {
         assert_eq!(got.unwrap(), vec!["8.0", "-7.5"]);
     }
 }
+
+#[test]
+fn regression_integers_past_2_pow_53_compare_exactly_in_every_engine() {
+    // Serialize with the counter-delta tests: every UDF run bumps the
+    // global inlined/bailed counters they measure.
+    let _serial = obs::metrics::test_lock();
+    use pylite::ExecMode;
+    // 2^53 and 2^53 + 1 round to the same f64, so ordered through f64
+    // they tie. Python orders two ints exactly; so must all three engines.
+    let setup = [
+        "CREATE TABLE t (a INTEGER, b INTEGER)",
+        "INSERT INTO t VALUES (9007199254740993, 9007199254740992)",
+    ];
+    for (body, expected) in [("return a == b", "false"), ("return b < a", "true")] {
+        let create = format!(
+            "CREATE FUNCTION f(a INTEGER, b INTEGER) RETURNS BOOLEAN LANGUAGE PYTHON {{\n{body}\n}}"
+        );
+        for model in BOTH_MODELS {
+            for (mode, inline) in [
+                (ExecMode::Ast, false),
+                (ExecMode::Bytecode, false),
+                (ExecMode::Bytecode, true),
+            ] {
+                let e = db(model, inline);
+                e.set_exec_mode(mode);
+                for stmt in setup.iter().copied().chain([create.as_str()]) {
+                    e.execute(stmt).unwrap();
+                }
+                if inline {
+                    let plan = explain_udf(&e, "SELECT f(a, b) FROM t", "f");
+                    assert!(plan.starts_with("inlined as "), "{body}: {plan}");
+                }
+                assert_eq!(
+                    run(&e, "SELECT f(a, b) FROM t"),
+                    Ok(vec![expected.to_string()]),
+                    "{body} under {model:?} / {mode:?} / inline={inline}"
+                );
+            }
+        }
+    }
+}

@@ -1862,6 +1862,8 @@ impl Interp {
     /// Total-order comparison used by `<`-style operators and `sorted`.
     pub fn order_values(&mut self, l: &Value, r: &Value, line: u32) -> Result<Ordering, PyError> {
         match (l, r) {
+            // Exact, as in Python: through f64, 2**53 and 2**53 + 1 would tie.
+            (Value::Int(a), Value::Int(b)) => Ok(a.cmp(b)),
             (Value::Str(a), Value::Str(b)) => Ok(a.cmp(b)),
             (Value::List(a), Value::List(b)) => {
                 let (a, b) = (a.borrow().clone(), b.borrow().clone());

@@ -993,24 +993,22 @@ fn float_binop_fast(op: BinOp, a: f64, b: f64) -> Option<Value> {
     }
 }
 
-/// Inline numeric ordering mirroring the walker's `order_values`
-/// non-sequence row (everything compares through `f64`, ties on
-/// incomparable NaN resolve `Equal`); `None` falls back to
-/// `compare_once` for equality, identity, membership, sequences,
+/// Inline numeric ordering mirroring the walker's `order_values`: two
+/// ints compare exactly, as Python does, and every other int/float pair
+/// through `f64`, where incomparable NaN resolves `Equal`; `None` falls
+/// back to `compare_once` for equality, identity, membership, sequences,
 /// `bool` operands and every error case.
 #[inline(always)]
 fn cmp_fast(op: CmpOp, l: &Value, r: &Value) -> Option<bool> {
-    let a = match l {
-        Value::Int(a) => *a as f64,
-        Value::Float(a) => *a,
-        _ => return None,
+    let float = |v: &Value| match v {
+        Value::Int(i) => Some(*i as f64),
+        Value::Float(f) => Some(*f),
+        _ => None,
     };
-    let b = match r {
-        Value::Int(b) => *b as f64,
-        Value::Float(b) => *b,
-        _ => return None,
+    let ord = match (l, r) {
+        (Value::Int(a), Value::Int(b)) => a.cmp(b),
+        _ => float(l)?.partial_cmp(&float(r)?).unwrap_or(Ordering::Equal),
     };
-    let ord = a.partial_cmp(&b).unwrap_or(Ordering::Equal);
     Some(match op {
         CmpOp::Lt => ord == Ordering::Less,
         CmpOp::Le => ord != Ordering::Greater,

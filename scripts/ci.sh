@@ -84,7 +84,8 @@ cargo run --offline --release -q --manifest-path devbench/Cargo.toml -- --second
 # directory, then drive the import -> run loop over the in-process
 # transport in a *separate* invocation (so the catalog demonstrably
 # survives the WAL replay), trace the debug query down to the engine's
-# operators, checkpoint it, and verify the WAL folded.
+# operators and a write down to its WAL append, checkpoint it, and verify
+# the WAL folded.
 echo "==> embedded mode smoke (WAL replay + checkpoint, no server)"
 EMB_DIR=$(mktemp -d /tmp/devudf-ci-embedded.XXXXXX)
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" --demo \
@@ -105,6 +106,12 @@ cargo run --offline --release -q -p devudf-ide --bin devudf trace "$EMB_DIR/proj
   > "$EMB_DIR/trace.txt"
 grep -q "embedded.query" "$EMB_DIR/trace.txt"
 grep -q "monet.op.scan" "$EMB_DIR/trace.txt"
+# A durable write traces its WHERE and its WAL append (the checkpoint below
+# still has to fold it: `wal: empty` at the end proves that).
+cargo run --offline --release -q -p devudf-ide --bin devudf trace "$EMB_DIR/proj" --embedded \
+  "EXPLAIN ANALYZE UPDATE numbers SET i = i WHERE i = 3" > "$EMB_DIR/analyze.txt"
+grep -q "monet.op.filter" "$EMB_DIR/analyze.txt"
+grep -q "monet.storage.append" "$EMB_DIR/analyze.txt"
 cargo run --offline --release -q -p devudf-ide --bin devudf checkpoint "$EMB_DIR/data" \
   | grep -q "checkpointed"
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" \
