@@ -1,7 +1,7 @@
 //! Bench regression guards: re-measure the perf claims CI depends on and
 //! fail (exit 1) on regression against the committed baselines.
 //!
-//! Six guards run, all ratio-normalized, one row each in [`SUITES`]:
+//! Seven guards run, all ratio-normalized, one row each in [`SUITES`]:
 //!
 //!  1. **Transfer codec** — the `compressed/1000` extract from the
 //!     `transfer` suite must stay within 10% of the committed
@@ -24,6 +24,10 @@
 //!     (`BENCH_server_concurrency.json`, DESIGN §16 / EXPERIMENTS C17).
 //!  6. **Embedded transport** — the in-process extract must keep beating
 //!     the TCP wire (`BENCH_embedded.json`, DESIGN §17 / EXPERIMENTS C18).
+//!  7. **Debugger overhead** — on the bytecode VM under the `run_local`
+//!     statement budget, a breakpoint on a line never reached must cost
+//!     within 1.3× of no debugger (`BENCH_interp.json`, DESIGN §13 /
+//!     EXPERIMENTS C6).
 //!
 //! Shared CI hosts drift by tens of percent run-to-run, so the guards
 //! compare *normalized* cost rather than absolute nanoseconds: both
@@ -40,8 +44,8 @@
 use codecs::json::Value as Json;
 use devharness::bench::Harness;
 use devudf_bench::{
-    bench_server, bench_session, scenario_a_interp, seed_numbers, udf_engine, SessionFleet,
-    MEAN_DEVIATION_STRAIGHT_BODY,
+    bench_server, bench_session, run_under_debugger, scenario_a_interp, seed_numbers, udf_engine,
+    SessionFleet, DEBUGGER_CASES, MEAN_DEVIATION_STRAIGHT_BODY,
 };
 use monetlite::{Engine, ExecutionModel};
 use pylite::ExecMode;
@@ -276,6 +280,25 @@ or a poisoned snapshot cache)",
             claim: Some(5.0),
             live_bound: Live::Floor(2.0),
             hint: "the embedded path is likely serializing again",
+            ..DEFAULTS
+        }],
+    },
+    Suite {
+        bench: "interp",
+        measure: measure_debugger,
+        guards: &[Guard {
+            name: "debugger",
+            file: "BENCH_interp.json",
+            group: "debugger_overhead",
+            baseline: ("hooks_off/10000", "unhit_breakpoint/10000"),
+            live: ("hooks_off", "unhit_breakpoint"),
+            ratio: Ratio::Overhead,
+            // EXPERIMENTS C6: the statement gate hands the debugger only
+            // the lines it can stop at. A gate that calls it on every
+            // statement again lands near 5×.
+            claim: Some(1.3),
+            live_bound: Live::Floor(1.6),
+            hint: "the statement gate likely calls the debugger on lines it cannot stop at",
             ..DEFAULTS
         }],
     },
@@ -559,6 +582,23 @@ fn measure_embedded() -> Json {
     });
     server.shutdown();
     doc
+}
+
+/// Scenario A (10 000 rows) on the bytecode VM under the `run_local`
+/// budget with no debugger and with a never-hit breakpoint, exactly as
+/// `benches/interp.rs` does.
+fn measure_debugger() -> Json {
+    scratch_harness("debugguard", |h| {
+        let mut group = h.benchmark_group("debugger_overhead");
+        group.sample_size(10);
+        for (name, arm) in &DEBUGGER_CASES[..2] {
+            let (mut interp, call) = scenario_a_interp(ExecMode::Bytecode, 10_000);
+            group.bench_function(*name, |b| {
+                b.iter(|| run_under_debugger(&mut interp, &call, *arm))
+            });
+        }
+        group.finish();
+    })
 }
 
 fn main() {

@@ -10,7 +10,7 @@ use std::time::Instant;
 use devudf::workflow;
 use devudf_bench::*;
 use monetlite::{Engine, ExecutionModel};
-use pylite::{Debugger, Interp, LineTracer, Value};
+use pylite::ExecMode;
 use wireproto::TransferOptions;
 
 fn main() {
@@ -218,46 +218,40 @@ fn exec_models_report() {
     println!("  claim: MonetDB's operator-at-a-time amortizes interpreter entry; tuple-at-a-time pays it per row.\n");
 }
 
-/// C6: cost of the debug hook (off / trace / breakpoints).
+/// C6: cost of attaching the debugger, on each engine.
 fn debugger_overhead_report() {
-    println!("C6  Debugger overhead on mean_deviation (local run)");
-    let src = format!(
-        "def mean_deviation(column):\n{}\nresult = mean_deviation(col)\n",
-        MEAN_DEVIATION_FIXED_BODY
-            .lines()
-            .map(|l| format!("    {l}"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    let col: Vec<i64> = (0..5000).map(|i| i % 97).collect();
-
-    let run = |with_tracer: bool, with_bp: bool| -> std::time::Duration {
-        let mut interp = Interp::new();
-        interp.set_global("col", Value::array(pylite::Array::Int(col.clone())));
-        if with_tracer {
-            interp.set_hook(LineTracer::new());
-        }
-        if with_bp {
-            let dbg = Debugger::scripted(vec![]);
-            dbg.borrow_mut().add_breakpoint(9999); // never hit
-            interp.set_hook(dbg);
-        }
-        let start = Instant::now();
-        interp.eval_module(&src).unwrap();
-        start.elapsed()
-    };
-    let off = run(false, false);
-    let trace = run(true, false);
-    let bp = run(false, true);
-    println!("  hooks off:          {off:?}");
+    const ROWS: usize = 100_000;
     println!(
-        "  line tracer:        {trace:?}  ({:.2}x)",
-        trace.as_secs_f64() / off.as_secs_f64()
+        "C6  Debugger overhead on mean_deviation ({ROWS} rows, run_local budget, median of 5)"
     );
-    println!(
-        "  unhit breakpoints:  {bp:?}  ({:.2}x)",
-        bp.as_secs_f64() / off.as_secs_f64()
-    );
+    println!("  engine    hooks off   unhit bp        hot-line cond   bp hit once");
+    for mode in [ExecMode::Bytecode, ExecMode::Ast] {
+        let median = |arm| {
+            let (mut interp, call) = scenario_a_interp(mode, ROWS);
+            let mut runs: Vec<_> = (0..5)
+                .map(|_| {
+                    let start = Instant::now();
+                    run_under_debugger(&mut interp, &call, arm);
+                    start.elapsed()
+                })
+                .collect();
+            runs.sort();
+            runs[2]
+        };
+        let times: Vec<_> = DEBUGGER_CASES.iter().map(|(_, arm)| median(*arm)).collect();
+        let ratio = |t: std::time::Duration| t.as_secs_f64() / times[0].as_secs_f64();
+        println!(
+            "  {:<8} {:>9.1?}  {:>8.1?} {:>4.2}x  {:>8.1?} {:>4.2}x  {:>8.1?} {:>4.2}x",
+            mode.as_str(),
+            times[0],
+            times[1],
+            ratio(times[1]),
+            times[2],
+            ratio(times[2]),
+            times[3],
+            ratio(times[3])
+        );
+    }
     println!("  claim: interactive debugging is affordable because it runs locally, not in the server.\n");
 }
 

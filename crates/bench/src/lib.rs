@@ -7,13 +7,13 @@
 //! * `figures` (bin) — Figures 1–3 as text renderings,
 //! * `report` (bin) — a deterministic paper-vs-measured summary feeding
 //!   EXPERIMENTS.md,
-//! * `devharness::bench` benches: `transfer` (C1–C3), `workflow` (C4),
+//! * `devharness::bench` benches: `transfer` (C1–C3),
 //!   `exec_models` (C5), `interp` (C6), `import_export` (C7),
 //!   `codecs_bench` (C8), `vcs` (C9). Each writes a `BENCH_<suite>.json`
 //!   artifact at the workspace root (see EXPERIMENTS.md for the schema).
 
 use monetlite::{Engine, ExecutionModel};
-use pylite::{Array, ExecMode, Interp, Value};
+use pylite::{Array, Debugger, ExecMode, Interp, Value};
 use wireproto::{Client, Server, ServerConfig};
 
 /// Table 1 of the paper: "Most Popular Development Environments" — PYPL
@@ -178,6 +178,40 @@ pub fn scenario_a_interp(mode: ExecMode, rows: usize) -> (Interp, pylite::ast::M
     interp.set_global("col", Value::array(Array::Int(col)));
     let call = pylite::parse_module("result = mean_deviation(col)\n").unwrap();
     (interp, call)
+}
+
+/// Sets up the breakpoints of one [`DEBUGGER_CASES`] entry.
+pub type SetBreakpoints = fn(&mut Debugger);
+
+/// The debugger configurations C6 measures on [`scenario_a_interp`], by
+/// case name: none, a breakpoint on a line never reached, a never-true
+/// condition on the hot accumulation line (line 8), and a breakpoint hit
+/// once per run (line 5, `mean = mean / len(column)`).
+pub const DEBUGGER_CASES: [(&str, Option<SetBreakpoints>); 4] = [
+    ("hooks_off", None),
+    ("unhit_breakpoint", Some(|d| d.add_breakpoint(9_999))),
+    (
+        "hot_conditional",
+        Some(|d| d.add_conditional_breakpoint(8, "distance < 0")),
+    ),
+    ("hit_breakpoint_once", Some(|d| d.add_breakpoint(5))),
+];
+
+/// Run Scenario A's `call` once on `interp` the way `run_local` runs a
+/// UDF: under its statement budget, with a fresh debugger set up by `arm`
+/// attached (none for `hooks_off`).
+pub fn run_under_debugger(
+    interp: &mut Interp,
+    call: &pylite::ast::Module,
+    arm: Option<SetBreakpoints>,
+) -> Value {
+    interp.set_step_budget(devudf::debug::STEP_BUDGET);
+    if let Some(arm) = arm {
+        let dbg = Debugger::scripted(vec![]);
+        arm(&mut dbg.borrow_mut());
+        interp.set_hook(dbg);
+    }
+    interp.run_module(call).unwrap()
 }
 
 /// A demo server with `numbers` (given row count) plus the buggy Listing-4

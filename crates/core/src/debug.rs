@@ -11,7 +11,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use pylite::debugger::DebugHook;
 use pylite::value::{Dict, NativeObject};
 use pylite::{pickle, Array, Debugger, Interp, PyError, Value};
 use wireproto::client::FunctionInfo;
@@ -44,6 +43,10 @@ pub struct DebugOutcome {
     pub pauses: usize,
 }
 
+/// The statement budget of every local run, nested UDFs included: a
+/// runaway loop fails instead of hanging the IDE.
+pub const STEP_BUDGET: u64 = 200_000_000;
+
 /// Fetch the input data for `udf` via the extract function and store it as
 /// `input.bin` (paper §2.2).
 pub fn fetch_inputs(dev: &mut DevUdf, udf: &str) -> Result<TransferStats> {
@@ -66,12 +69,12 @@ pub fn fetch_inputs(dev: &mut DevUdf, udf: &str) -> Result<TransferStats> {
     Ok(stats)
 }
 
-/// Run an imported UDF locally. Fetches inputs automatically when
-/// `input.bin` is missing.
+/// Run an imported UDF locally, under `debugger` when given. Fetches
+/// inputs automatically when `input.bin` is missing.
 pub fn run_local(
     dev: &mut DevUdf,
     name: &str,
-    hook: Option<Rc<RefCell<dyn DebugHook>>>,
+    debugger: Option<Rc<RefCell<Debugger>>>,
 ) -> Result<RunOutcome> {
     let mut span = obs::trace::span("core.run");
     span.field("udf", name);
@@ -86,12 +89,12 @@ pub fn run_local(
     let script = dev.project.read_udf(name)?;
 
     let mut interp = Interp::with_fs(dev.project.fs_provider());
-    interp.set_step_budget(200_000_000);
+    interp.set_step_budget(STEP_BUDGET);
     interp.set_exec_mode(dev.settings.interp.pylite_mode());
-    let conn = LocalConn::new(dev, hook.clone());
+    let conn = LocalConn::new(dev, debugger.clone());
     interp.set_global("_conn", Value::Native(Rc::new(conn)));
-    if let Some(h) = hook {
-        interp.set_hook(h);
+    if let Some(d) = debugger {
+        interp.set_hook(d);
     }
     let eval = interp.eval_module(&script);
     let stdout = interp.take_stdout();
@@ -181,8 +184,7 @@ pub fn debug_local(
     debugger: Rc<RefCell<Debugger>>,
 ) -> Result<DebugOutcome> {
     let _span = obs::trace::span("core.debug");
-    let hook: Rc<RefCell<dyn DebugHook>> = debugger.clone();
-    match run_local(dev, name, Some(hook)) {
+    match run_local(dev, name, Some(debugger.clone())) {
         Ok(run) => Ok(DebugOutcome {
             run: Some(run),
             pauses: debugger.borrow().pause_count(),
@@ -207,8 +209,8 @@ pub struct LocalConn {
     functions: Vec<FunctionInfo>,
     options: TransferOptions,
     transfers: Rc<RefCell<Vec<TransferStats>>>,
-    /// Debug hook propagated into nested UDF runs.
-    hook: Option<Rc<RefCell<dyn DebugHook>>>,
+    /// Debugger propagated into nested UDF runs.
+    debugger: Option<Rc<RefCell<Debugger>>>,
     fs: Rc<dyn pylite::FsProvider>,
     /// Engine selection propagated into nested UDF interpreters.
     exec_mode: pylite::ExecMode,
@@ -222,7 +224,7 @@ pub struct LocalConn {
 const MAX_LOCAL_UDF_DEPTH: usize = 12;
 
 impl LocalConn {
-    fn new(dev: &DevUdf, hook: Option<Rc<RefCell<dyn DebugHook>>>) -> LocalConn {
+    fn new(dev: &DevUdf, debugger: Option<Rc<RefCell<Debugger>>>) -> LocalConn {
         let names = dev
             .client()
             .borrow_mut()
@@ -239,7 +241,7 @@ impl LocalConn {
             functions,
             options: dev.settings.transfer_options(),
             transfers: dev.transfers.clone(),
-            hook,
+            debugger,
             fs: dev.project.fs_provider(),
             exec_mode: dev.settings.interp.pylite_mode(),
             depth: Rc::new(RefCell::new(0)),
@@ -279,9 +281,9 @@ impl LocalConn {
             };
 
             // Fresh interpreter, same _conn (deeper nesting keeps working)
-            // and same debug hook (stepping descends into nested UDFs).
+            // and same debugger (stepping descends into nested UDFs).
             let mut interp = Interp::with_fs(self.fs.clone());
-            interp.set_step_budget(200_000_000);
+            interp.set_step_budget(STEP_BUDGET);
             interp.set_exec_mode(self.exec_mode);
             for (k, v) in d.borrow().entries() {
                 interp.set_global(&k.py_str(), v.clone());
@@ -293,14 +295,14 @@ impl LocalConn {
                     functions: self.functions.clone(),
                     options: self.options,
                     transfers: self.transfers.clone(),
-                    hook: self.hook.clone(),
+                    debugger: self.debugger.clone(),
                     fs: self.fs.clone(),
                     exec_mode: self.exec_mode,
                     depth: self.depth.clone(),
                 })),
             );
-            if let Some(h) = &self.hook {
-                interp.set_hook(h.clone());
+            if let Some(d) = &self.debugger {
+                interp.set_hook(d.clone());
             }
             let mut span = obs::trace::span("core.run.nested");
             span.field("udf", &info.name);
@@ -709,6 +711,62 @@ mod tests {
         assert!(spans.iter().any(|(n, _, _)| n == "core.extract"));
         std::fs::remove_dir_all(&dir).ok();
         server.shutdown();
+    }
+
+    /// A watch whose `_conn.execute` runs a nested UDF runs it in a second
+    /// interpreter that shares the debugger. Its statements neither pause
+    /// nor re-enter the debugger evaluating the watch, in either engine,
+    /// while the real nested run still stops at its breakpoint.
+    #[test]
+    fn watch_running_a_nested_udf_does_not_reenter_the_debugger() {
+        for mode in [crate::InterpMode::Ast, crate::InterpMode::Bytecode] {
+            let server = Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), |db| {
+                db.execute("CREATE TABLE numbers (i INTEGER)").unwrap();
+                db.execute("INSERT INTO numbers VALUES (10), (20)").unwrap();
+                db.execute(
+                    "CREATE FUNCTION inner_fn(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON { return sum(column) }",
+                )
+                .unwrap();
+                db.execute(
+                    "CREATE FUNCTION outer_fn(column INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\nres = _conn.execute('SELECT inner_fn(i) FROM numbers')\ntotal = 0\nfor v in res:\n    total += v\nreturn total\n}",
+                )
+                .unwrap();
+            });
+            let mut dev = temp_dev(&server, &format!("nested-watch-{}", mode.as_str()));
+            dev.settings.debug_query = "SELECT outer_fn(i) FROM numbers".to_string();
+            dev.settings.interp = mode;
+            dev.import_all().unwrap();
+            let dbg = Debugger::scripted(vec![]);
+            {
+                let mut d = dbg.borrow_mut();
+                // Line 1: the script's `import pickle`, and inner_fn's
+                // body in the nested interpreter.
+                d.add_breakpoint(1);
+                d.add_breakpoint(5 + transform::BODY_LINE_OFFSET); // `return total`
+                d.add_watch("_conn.execute('SELECT inner_fn(i) FROM numbers')");
+            }
+            let outcome = dev.debug_udf("outer_fn", dbg.clone()).unwrap();
+            assert_eq!(outcome.run.unwrap().result, Value::Int(30));
+            let d = dbg.borrow();
+            let trail: Vec<_> = d
+                .pauses()
+                .iter()
+                .map(|p| (p.line, p.function.as_str(), p.watches[0].1.as_str()))
+                .collect();
+            let watch = "<local result_set 30>";
+            assert_eq!(
+                trail,
+                vec![
+                    (1, "<module>", watch),
+                    (1, "<module>", watch),
+                    (8, "outer_fn", watch)
+                ],
+                "{}",
+                mode.as_str()
+            );
+            std::fs::remove_dir_all(dev.project.root()).ok();
+            server.shutdown();
+        }
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl BenchmarkId {
             full: format!("{name}/{parameter}"),
         }
     }
-
-    /// A bare name with no parameter.
-    pub fn from_name(name: impl Into<String>) -> BenchmarkId {
-        BenchmarkId { full: name.into() }
-    }
 }
 
 /// One finished measurement.
@@ -484,7 +479,6 @@ mod tests {
     #[test]
     fn benchmark_id_formats() {
         assert_eq!(BenchmarkId::new("lz", 4096).full, "lz/4096");
-        assert_eq!(BenchmarkId::from_name("plain").full, "plain");
     }
 
     #[test]

@@ -44,12 +44,6 @@ pub struct Status {
     pub entries: Vec<(String, FileStatus)>,
 }
 
-impl Status {
-    pub fn is_clean(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// A repository over a real directory. Metadata lives under `<root>/.minivcs`.
 pub struct Repository {
     root: PathBuf,
@@ -442,7 +436,7 @@ mod tests {
         fs::write(dir.join("gone.py"), "g\n").unwrap();
         repo.add_all().unwrap();
         repo.commit("base", "dev").unwrap();
-        assert!(repo.status().unwrap().is_clean());
+        assert!(repo.status().unwrap().entries.is_empty());
 
         fs::write(dir.join("keep.py"), "changed\n").unwrap();
         fs::write(dir.join("fresh.py"), "f\n").unwrap();

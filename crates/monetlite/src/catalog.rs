@@ -273,10 +273,6 @@ impl Catalog {
         Ok(self.tables.get_mut(&key).expect("presence checked above"))
     }
 
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.values().map(|t| t.name.clone()).collect()
-    }
-
     // ---------------- functions ----------------
 
     pub fn create_function(&mut self, def: FunctionDef, or_replace: bool) -> Result<(), DbError> {

@@ -172,11 +172,6 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Whether this engine persists to a storage directory.
-    pub fn is_persistent(&self) -> bool {
-        self.storage.borrow().is_some()
-    }
-
     /// Persistence counters of a persistent engine (`None` otherwise).
     pub fn storage_stats(&self) -> Option<crate::storage::StorageStats> {
         self.storage.borrow().as_ref().map(|s| s.stats())
@@ -368,10 +363,6 @@ impl Engine {
 
     pub fn function_names(&self) -> Vec<String> {
         self.inner.borrow().catalog.function_names()
-    }
-
-    pub fn table_names(&self) -> Vec<String> {
-        self.inner.borrow().catalog.table_names()
     }
 
     pub(crate) fn extract_matches(&self, fn_name: &str) -> bool {

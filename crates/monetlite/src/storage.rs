@@ -738,6 +738,16 @@ mod tests {
         d
     }
 
+    /// The user tables `sys.tables` lists.
+    fn table_names(db: &Engine) -> Vec<SqlValue> {
+        let t = db
+            .execute("SELECT name FROM sys.tables")
+            .unwrap()
+            .into_table()
+            .unwrap();
+        (0..t.row_count()).map(|i| t.row(i)[0].clone()).collect()
+    }
+
     fn no_sync() -> StorageOptions {
         StorageOptions {
             fsync: FsyncPolicy::Never,
@@ -859,7 +869,7 @@ mod tests {
         data[last] ^= 0xff; // flip a checksum byte of the final record
         fs::write(&wal, &data).unwrap();
         let db = Engine::open_with(&dir, no_sync()).unwrap();
-        assert_eq!(db.table_names(), vec!["t".to_string()]);
+        assert_eq!(table_names(&db), vec![SqlValue::Str("t".into())]);
         assert_eq!(
             db.execute("SELECT i FROM t")
                 .unwrap()
@@ -882,7 +892,7 @@ mod tests {
         // Simulate a crash mid-checkpoint: a half-written tmp file.
         fs::write(dir.join(SNAPSHOT_TMP), b"DUSNgarbage").unwrap();
         let db = Engine::open_with(&dir, no_sync()).unwrap();
-        assert_eq!(db.table_names(), vec!["t".to_string()]);
+        assert_eq!(table_names(&db), vec![SqlValue::Str("t".into())]);
         assert!(!dir.join(SNAPSHOT_TMP).exists());
         fs::remove_dir_all(&dir).ok();
     }
@@ -962,7 +972,7 @@ mod tests {
     #[test]
     fn checkpoint_without_storage_errors() {
         let db = Engine::new();
-        assert!(!db.is_persistent());
+        assert!(db.storage_stats().is_none());
         let err = db.checkpoint().unwrap_err();
         assert_eq!(err.code, crate::error::ErrorCode::Storage);
     }

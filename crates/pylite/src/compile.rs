@@ -20,9 +20,9 @@
 //!   [`Instr::MakeFunction`] (function bodies compile lazily, on first
 //!   call, and are cached per definition);
 //! * `lines` — the line-number table, one source line per instruction.
-//!   [`Instr::Trace`] marks statement boundaries: the VM consults the
-//!   debug hook there, which is how breakpoints and stepping keep
-//!   working identically in both execution modes
+//!   [`Instr::Trace`] marks statement boundaries: the VM runs the
+//!   walker's statement gate there, which is how breakpoints and
+//!   stepping keep working identically in both execution modes
 //!   ([`CodeObject::statement_lines`] exposes the breakpoint-able set).
 //!
 //! Statement-level control flow (`if`/`while`/`for`/`break`/`continue`)
@@ -106,8 +106,13 @@ pub enum PendingKind {
 /// indices, patched during compilation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Instr {
-    /// Statement boundary: bump the statement counter, update the frame
-    /// line, charge the step budget and consult the debug hook.
+    /// Statement boundary: run the statement gate both engines share —
+    /// bump the statement counter, update the frame line, charge the
+    /// statement budget, feed the line profiler — and, only on a line the
+    /// attached debugger can stop at (a breakpoint line while running,
+    /// every line while stepping), flush the slot cache and hand the
+    /// statement to the debugger, invalidating the cache afterwards if
+    /// the debugger's evaluations bound or deleted a name.
     Trace,
     LoadConst(u16),
     /// Read a name through the frame's slot cache (falling back to the

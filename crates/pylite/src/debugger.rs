@@ -7,12 +7,19 @@
 //!
 //! # Architecture
 //!
-//! The interpreter consults a [`DebugHook`] before executing every statement.
-//! [`Debugger`] is the standard hook: it decides *when* to pause (breakpoint
-//! hit, step completed, or explicit pause request) and then hands control to
-//! a *controller* — a callback that receives a [`PauseInfo`] snapshot (stack,
-//! locals, line) and answers with a [`DebugCommand`]. A CLI controller reads
-//! commands from the user; test controllers replay a scripted command list.
+//! Both engines run one statement gate before every statement (DESIGN
+//! §13). With a [`Debugger`] attached, the gate hands it a statement only
+//! when the debugger reports that the statement's line can stop — the
+//! model of PEP 669, which instruments only the locations a tool
+//! subscribed to. While running, that is a line with a plain or
+//! conditional breakpoint; while stepping, before the first statement
+//! under `break_on_entry`, or with a pause requested, it is every line.
+//! The debugger then decides whether to pause (breakpoint hit, condition
+//! true, step completed, or explicit pause request) and hands control to
+//! a *controller* — a callback that receives a [`PauseInfo`] snapshot
+//! (stack, locals, line) and answers with a [`DebugCommand`]. A CLI
+//! controller reads commands from the user; test controllers replay a
+//! scripted command list.
 //!
 //! ```
 //! use pylite::{Debugger, DebugCommand, Interp};
@@ -36,38 +43,10 @@ use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use crate::error::PyError;
+use crate::ast::Expr;
+use crate::error::{ErrorKind, PyError};
 use crate::interp::Interp;
-
-/// What the interpreter should do after a hook ran.
-pub enum HookOutcome {
-    /// Keep executing.
-    Continue,
-    /// Abort execution (debugger "quit").
-    Terminate,
-}
-
-/// Hook consulted by the interpreter around statement execution.
-pub trait DebugHook {
-    /// Called before each statement. `function` is the enclosing function
-    /// name, `line` the 1-based source line.
-    fn on_statement(
-        &mut self,
-        interp: &mut Interp,
-        function: &str,
-        line: u32,
-    ) -> Result<HookOutcome, PyError>;
-
-    /// Called when a function frame is pushed.
-    fn on_call(&mut self, function: &str, line: u32) {
-        let _ = (function, line);
-    }
-
-    /// Called when a function frame is popped.
-    fn on_return(&mut self, function: &str) {
-        let _ = function;
-    }
-}
+use crate::parser::parse_expression;
 
 /// Command returned by a debugger controller at a pause.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,12 +104,15 @@ enum StepMode {
 
 type Controller = Box<dyn FnMut(&PauseInfo) -> DebugCommand>;
 
-/// The standard interactive debugger hook.
+/// The interactive debugger an [`Interp`] consults through its statement
+/// gate.
 pub struct Debugger {
     breakpoints: BTreeSet<u32>,
-    /// line → condition expression; pauses only when it evaluates truthy.
-    conditional: Vec<(u32, String)>,
-    watches: Vec<String>,
+    /// line → condition, parsed when added; pauses only when it
+    /// evaluates truthy.
+    conditional: Vec<(u32, Expr)>,
+    /// Watch expressions as written, each with its parse.
+    watches: Vec<(String, Result<Expr, PyError>)>,
     mode: StepMode,
     depth: usize,
     /// Pause before the very first statement (like an IDE "Debug" button).
@@ -138,10 +120,11 @@ pub struct Debugger {
     /// One-shot pause request (the IDE pause button, §1 "pausing code
     /// execution"); consumed at the next statement boundary.
     pause_requested: bool,
+    /// Whether the gate has handed this debugger a statement yet; the
+    /// first one is the `break_on_entry` stop.
+    entered: bool,
     controller: Controller,
     pauses: Vec<PauseInfo>,
-    /// Statements executed while this hook was installed.
-    statements: u64,
 }
 
 impl Debugger {
@@ -157,9 +140,9 @@ impl Debugger {
             depth: 0,
             break_on_entry: false,
             pause_requested: false,
+            entered: false,
             controller: Box::new(controller),
             pauses: Vec::new(),
-            statements: 0,
         }))
     }
 
@@ -177,18 +160,15 @@ impl Debugger {
         self.breakpoints.insert(line);
     }
 
-    /// Remove a breakpoint.
-    pub fn remove_breakpoint(&mut self, line: u32) {
-        self.breakpoints.remove(&line);
-        self.conditional.retain(|(l, _)| *l != line);
-    }
-
     /// Set a conditional breakpoint: pause at `line` only when `condition`
     /// (a Python expression over the paused frame) is truthy. Evaluation
     /// errors never pause (a condition referencing a not-yet-bound name is
-    /// simply not met yet).
+    /// simply not met yet). A condition that does not parse is dropped:
+    /// it never pauses and does not make its line stop.
     pub fn add_conditional_breakpoint(&mut self, line: u32, condition: impl Into<String>) {
-        self.conditional.push((line, condition.into()));
+        if let Ok(condition) = parse_expression(&condition.into()) {
+            self.conditional.push((line, condition));
+        }
     }
 
     /// Current breakpoints, sorted.
@@ -203,9 +183,12 @@ impl Debugger {
         self.pause_requested = true;
     }
 
-    /// Register a watch expression evaluated at every pause.
+    /// Register a watch expression evaluated at every pause. One that
+    /// does not parse renders its parse error at every pause.
     pub fn add_watch(&mut self, expr: impl Into<String>) {
-        self.watches.push(expr.into());
+        let source = expr.into();
+        let parsed = parse_expression(&source);
+        self.watches.push((source, parsed));
     }
 
     /// All pauses recorded so far.
@@ -218,12 +201,23 @@ impl Debugger {
         self.pauses.len()
     }
 
+    /// The stop rule: whether the statement on `line` can pause. The
+    /// statement gate hands the debugger only these statements.
+    #[inline]
+    pub(crate) fn can_stop(&self, line: u32) -> bool {
+        self.pause_requested
+            || !matches!(self.mode, StepMode::Run)
+            || (self.break_on_entry && !self.entered)
+            || self.breakpoints.contains(&line)
+            || self.conditional.iter().any(|(l, _)| *l == line)
+    }
+
     fn should_pause(&mut self, line: u32) -> Option<PauseReason> {
         if self.pause_requested {
             self.pause_requested = false;
             return Some(PauseReason::Requested);
         }
-        if self.break_on_entry && self.statements == 0 {
+        if self.break_on_entry && !self.entered {
             return Some(PauseReason::Entry);
         }
         match self.mode {
@@ -250,22 +244,19 @@ impl Debugger {
                     .unwrap_or(false)
             })
     }
-}
 
-impl DebugHook for Debugger {
-    fn on_statement(
-        &mut self,
-        interp: &mut Interp,
-        function: &str,
-        line: u32,
-    ) -> Result<HookOutcome, PyError> {
+    /// A statement on a line that [can stop](Self::can_stop): pause if a
+    /// stop condition holds, snapshot the frame and the watches for the
+    /// controller, and take its command. Quit ends the run with the
+    /// `terminated by debugger` error.
+    pub(crate) fn on_statement(&mut self, interp: &mut Interp, line: u32) -> Result<(), PyError> {
         let mut reason = self.should_pause(line);
         if reason.is_none() && self.conditional_hit(interp, line) {
             reason = Some(PauseReason::Breakpoint);
         }
-        self.statements += 1;
+        self.entered = true;
         let Some(reason) = reason else {
-            return Ok(HookOutcome::Continue);
+            return Ok(());
         };
         obs::counter!("pylite.debug.pauses").inc();
         match reason {
@@ -275,16 +266,20 @@ impl DebugHook for Debugger {
         }
 
         let mut watches = Vec::with_capacity(self.watches.len());
-        for expr in &self.watches {
-            let rendered = match interp.eval_in_frame(expr) {
+        for (source, expr) in &self.watches {
+            let value = expr
+                .as_ref()
+                .map_err(PyError::clone)
+                .and_then(|e| interp.eval_in_frame(e));
+            let rendered = match value {
                 Ok(v) => v.repr(),
                 Err(e) => format!("<error: {e}>"),
             };
-            watches.push((expr.clone(), rendered));
+            watches.push((source.clone(), rendered));
         }
         let info = PauseInfo {
             reason,
-            function: function.to_string(),
+            function: interp.current_function_name(),
             line,
             stack: interp.stack(),
             locals: interp.locals_snapshot(),
@@ -292,67 +287,33 @@ impl DebugHook for Debugger {
         };
         let command = (self.controller)(&info);
         self.pauses.push(info);
-        match command {
-            DebugCommand::Continue => {
-                self.mode = StepMode::Run;
-                Ok(HookOutcome::Continue)
+        self.mode = match command {
+            DebugCommand::Continue => StepMode::Run,
+            DebugCommand::StepInto => StepMode::Into,
+            DebugCommand::StepOver => StepMode::Over(self.depth),
+            DebugCommand::StepOut => StepMode::Out(self.depth),
+            DebugCommand::Quit => {
+                return Err(PyError::new(ErrorKind::Resource, "terminated by debugger"))
             }
-            DebugCommand::StepInto => {
-                self.mode = StepMode::Into;
-                Ok(HookOutcome::Continue)
-            }
-            DebugCommand::StepOver => {
-                self.mode = StepMode::Over(self.depth);
-                Ok(HookOutcome::Continue)
-            }
-            DebugCommand::StepOut => {
-                self.mode = StepMode::Out(self.depth);
-                Ok(HookOutcome::Continue)
-            }
-            DebugCommand::Quit => Ok(HookOutcome::Terminate),
-        }
+        };
+        Ok(())
     }
 
-    fn on_call(&mut self, _function: &str, _line: u32) {
+    /// A Python function frame was pushed.
+    pub(crate) fn on_call(&mut self) {
         self.depth += 1;
     }
 
-    fn on_return(&mut self, _function: &str) {
+    /// A Python function frame was popped.
+    pub(crate) fn on_return(&mut self) {
         self.depth = self.depth.saturating_sub(1);
-    }
-}
-
-/// A lightweight hook that records every (function, line) executed.
-///
-/// Useful for coverage-style assertions in tests and for measuring hook
-/// overhead in benchmarks.
-#[derive(Default)]
-pub struct LineTracer {
-    /// Executed (function, line) pairs in order.
-    pub trace: Vec<(String, u32)>,
-}
-
-impl LineTracer {
-    pub fn new() -> Rc<RefCell<LineTracer>> {
-        Rc::new(RefCell::new(LineTracer::default()))
-    }
-}
-
-impl DebugHook for LineTracer {
-    fn on_statement(
-        &mut self,
-        _interp: &mut Interp,
-        function: &str,
-        line: u32,
-    ) -> Result<HookOutcome, PyError> {
-        self.trace.push((function.to_string(), line));
-        Ok(HookOutcome::Continue)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ExecMode, Value};
 
     const PROGRAM: &str = "\
 def helper(v):
@@ -486,29 +447,6 @@ final = total
     }
 
     #[test]
-    fn line_tracer_records_execution_order() {
-        let mut interp = Interp::new();
-        let tracer = LineTracer::new();
-        interp.set_hook(tracer.clone());
-        interp
-            .eval_module("a = 1\nif a:\n    b = 2\nc = 3\n")
-            .unwrap();
-        let lines: Vec<u32> = tracer.borrow().trace.iter().map(|(_, l)| *l).collect();
-        assert_eq!(lines, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn removing_breakpoint_stops_pausing() {
-        let mut interp = Interp::new();
-        let dbg = Debugger::scripted(vec![]);
-        dbg.borrow_mut().add_breakpoint(1);
-        dbg.borrow_mut().remove_breakpoint(1);
-        interp.set_hook(dbg.clone());
-        interp.eval_module("x = 1\n").unwrap();
-        assert_eq!(dbg.borrow().pause_count(), 0);
-    }
-
-    #[test]
     fn requested_pause_fires_once_at_next_statement() {
         let mut interp = Interp::new();
         let dbg = Debugger::scripted(vec![DebugCommand::Continue; 4]);
@@ -555,15 +493,120 @@ c = 3
         assert_eq!(dbg.borrow().pause_count(), 0);
     }
 
+    /// A condition that does not parse is dropped and never pauses; a
+    /// watch that does not parse renders its parse error at every pause.
     #[test]
-    fn remove_breakpoint_clears_conditionals_too() {
+    fn unparsable_condition_and_watch() {
         let mut interp = Interp::new();
-        let dbg = Debugger::scripted(vec![DebugCommand::Continue; 8]);
-        dbg.borrow_mut().add_conditional_breakpoint(2, "True");
-        dbg.borrow_mut().remove_breakpoint(2);
+        let dbg = Debugger::scripted(vec![]);
+        {
+            let mut d = dbg.borrow_mut();
+            d.add_conditional_breakpoint(2, "v >");
+            d.add_breakpoint(3);
+            d.add_watch("v +");
+        }
         interp.set_hook(dbg.clone());
         interp.eval_module(PROGRAM).unwrap();
-        assert_eq!(dbg.borrow().pause_count(), 0);
+        let d = dbg.borrow();
+        assert_eq!(d.pause_count(), 3, "only the plain breakpoint pauses");
+        assert!(!d.can_stop(2), "a dropped condition arms no line");
+        for pause in d.pauses() {
+            assert_eq!(pause.line, 3);
+            assert!(pause.watches[0].1.starts_with("<error: "), "{pause:?}");
+        }
+    }
+
+    /// A condition or watch that calls a Python function runs statements
+    /// of its own. In both engines those neither pause (even on a
+    /// breakpoint line) nor re-enter the debugger evaluating them.
+    #[test]
+    fn conditions_and_watches_may_call_functions() {
+        for mode in [ExecMode::Ast, ExecMode::Bytecode] {
+            let mut interp = Interp::new();
+            interp.set_exec_mode(mode);
+            let dbg = Debugger::scripted(vec![]);
+            {
+                let mut d = dbg.borrow_mut();
+                d.add_breakpoint(2); // inside helper
+                d.add_conditional_breakpoint(6, "helper(i) > 2");
+                d.add_watch("helper(total)");
+            }
+            interp.set_hook(dbg.clone());
+            interp.eval_module(PROGRAM).unwrap();
+            let d = dbg.borrow();
+            let trail: Vec<_> = d
+                .pauses()
+                .iter()
+                .map(|p| (p.line, p.function.as_str(), p.watches[0].1.as_str()))
+                .collect();
+            assert_eq!(
+                trail,
+                vec![
+                    (2, "helper", "0"),
+                    (2, "helper", "0"),
+                    (6, "<module>", "4"),
+                    (2, "helper", "4"),
+                ],
+                "{mode}"
+            );
+            assert_eq!(interp.get_global("final"), Some(Value::Int(6)));
+
+            // A watch rebinds a global, then Quit raises inside a `try`
+            // that catches it: the code after the handler reads the value
+            // the watch wrote, not one the VM cached before the stop.
+            let mut interp = Interp::new();
+            interp.set_exec_mode(mode);
+            let dbg = Debugger::scripted(vec![DebugCommand::Quit]);
+            dbg.borrow_mut().add_breakpoint(7);
+            dbg.borrow_mut().add_watch("bump()");
+            interp.set_hook(dbg.clone());
+            let src = "\
+def bump():
+    global g
+    g = g + 10
+    return g
+g = 0
+try:
+    h = g + 1
+except Exception:
+    pass
+after = g
+";
+            interp.eval_module(src).unwrap();
+            assert_eq!(dbg.borrow().pauses()[0].watches[0].1, "10", "{mode}");
+            assert_eq!(interp.get_global("h"), None, "{mode}");
+            assert_eq!(interp.get_global("after"), Some(Value::Int(10)), "{mode}");
+
+            // Conditions that never hold but bind and delete globals on
+            // the lines they guard: the code after each reads the scopes
+            // as the condition left them.
+            let mut interp = Interp::new();
+            interp.set_exec_mode(mode);
+            let dbg = Debugger::scripted(vec![]);
+            dbg.borrow_mut().add_conditional_breakpoint(11, "bump()");
+            dbg.borrow_mut().add_conditional_breakpoint(13, "forget()");
+            interp.set_hook(dbg.clone());
+            let src = "\
+def bump():
+    global g
+    g = g + 1
+    return False
+def forget():
+    global h
+    del h
+    return False
+g = 0
+for k in range(3):
+    g = g + 10
+h = 1
+x = g
+y = h
+";
+            let err = interp.eval_module(src).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::Name, "{mode}: {err}");
+            assert_eq!(interp.get_global("x"), Some(Value::Int(33)), "{mode}");
+            assert_eq!(dbg.borrow().pause_count(), 0, "{mode}");
+        }
     }
 
     #[test]

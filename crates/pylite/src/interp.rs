@@ -26,7 +26,7 @@ use std::time::Instant;
 use crate::ast::*;
 use crate::builtins;
 use crate::compile;
-use crate::debugger::{DebugHook, HookOutcome};
+use crate::debugger::Debugger;
 use crate::error::{ErrorKind, PyError};
 use crate::fs::{FsProvider, MemFs};
 use crate::methods;
@@ -146,19 +146,25 @@ pub struct Interp {
     pub echo_stdout: bool,
     /// Virtual filesystem used by `open` / `os.listdir`.
     pub fs: Rc<dyn FsProvider>,
-    /// Debug hook consulted before each statement.
-    pub(crate) hook: Option<Rc<RefCell<dyn DebugHook>>>,
-    /// Statement budget; `Some(0)` means exhausted.
-    pub(crate) steps_left: Option<u64>,
+    /// Debugger the statement gate hands the statements it can stop at.
+    debugger: Option<Rc<RefCell<Debugger>>>,
+    /// The statement budget: the `stmts_executed` count past which
+    /// statements fail.
+    stmt_limit: u64,
     /// Line-profiler buffer, armed per run while [`obs::profile::active`]
     /// (boxed so the steady-state `Interp` stays small).
-    pub(crate) prof: Option<Box<ProfBuf>>,
+    prof: Option<Box<ProfBuf>>,
     /// Deterministic seed consumed by the `random` module and sklearn.
     pub rng_seed: u64,
     /// Statements executed over this interpreter's lifetime (flushed to
     /// the `pylite.statements` metric once per module run, keeping the
     /// per-statement hot path free of atomics).
-    pub(crate) stmts_executed: u64,
+    stmts_executed: u64,
+    /// Name bindings and deletions over this interpreter's lifetime.
+    /// Every write to a scope a running frame can see goes through
+    /// `bind_name` or `delete_name`, which count it here, so the VM keeps
+    /// its slot cache across a debugger call that leaves this unchanged.
+    pub(crate) binds: u64,
     /// Extra modules injected by the embedder (e.g. a loopback `_conn`).
     pub extra_modules: HashMap<String, Value>,
     /// Which engine executes statements (bytecode VM by default).
@@ -185,11 +191,12 @@ impl Interp {
             stdout: String::new(),
             echo_stdout: false,
             fs: Rc::new(MemFs::new()),
-            hook: None,
-            steps_left: None,
+            debugger: None,
+            stmt_limit: u64::MAX,
             prof: None,
             rng_seed: 0x5eed_cafe,
             stmts_executed: 0,
+            binds: 0,
             extra_modules: HashMap::new(),
             exec_mode: ExecMode::default(),
             code_cache: vm::CodeCache::default(),
@@ -204,14 +211,16 @@ impl Interp {
         interp
     }
 
-    /// Install a debug hook consulted before every statement.
-    pub fn set_hook(&mut self, hook: Rc<RefCell<dyn DebugHook>>) {
-        self.hook = Some(hook);
+    /// Attach a debugger: the statement gate hands it every statement on
+    /// a line where it can stop.
+    pub fn set_hook(&mut self, debugger: Rc<RefCell<Debugger>>) {
+        self.debugger = Some(debugger);
     }
 
-    /// Limit the number of statements executed (guards runaway loops).
+    /// Limit the number of statements executed from now on (guards
+    /// runaway loops).
     pub fn set_step_budget(&mut self, steps: u64) {
-        self.steps_left = Some(steps);
+        self.stmt_limit = self.stmts_executed.saturating_add(steps);
     }
 
     /// Select the execution engine (bytecode VM vs. AST walker).
@@ -295,17 +304,16 @@ impl Interp {
         out
     }
 
-    /// Evaluate an expression string in the context of the current frame
-    /// (used by the debugger's watch/eval command).
-    pub fn eval_in_frame(&mut self, source: &str) -> Result<Value, PyError> {
-        let expr = crate::parser::parse_expression(source)?;
+    /// Evaluate a parsed expression in the context of the current frame
+    /// (the debugger's conditions and watches).
+    pub(crate) fn eval_in_frame(&mut self, expr: &Expr) -> Result<Value, PyError> {
         if self.frames.is_empty() {
             self.push_module_frame();
-            let r = self.eval_expr(&expr);
+            let r = self.eval_expr(expr);
             self.frames.pop();
             r
         } else {
-            self.eval_expr(&expr)
+            self.eval_expr(expr)
         }
     }
 
@@ -405,10 +413,61 @@ impl Interp {
         }
     }
 
+    /// The statement gate both engines run before every statement: count
+    /// it, record its line in the frame (so [`Self::stack`] and tracebacks
+    /// agree), charge the statement budget, feed the line profiler, and
+    /// report whether the debugger can stop on `line`. On `true` the
+    /// engine calls [`Self::debug_statement`], the VM after flushing its
+    /// slot cache. A debugger busy evaluating its own conditions and
+    /// watches cannot stop, so the statements those run neither pause nor
+    /// re-enter it. Inlined, with the budget error, the profiler and the
+    /// debugger query out of line: a run with no debugger or profiler,
+    /// budgeted or not, makes no call here.
+    #[inline]
+    pub(crate) fn statement_gate(&mut self, line: u32) -> Result<bool, PyError> {
+        self.stmts_executed += 1;
+        if let Some(frame) = self.frames.last_mut() {
+            frame.line = line;
+        }
+        if self.stmts_executed > self.stmt_limit {
+            return Err(budget_exhausted());
+        }
+        if self.prof.is_some() {
+            self.prof_statement(line);
+        }
+        Ok(self.debugger.is_some() && self.debugger_can_stop(line))
+    }
+
+    /// Whether the attached debugger can stop on `line`; `false` while it
+    /// is busy evaluating its own expressions.
+    #[inline(never)]
+    fn debugger_can_stop(&self, line: u32) -> bool {
+        self.debugger
+            .as_ref()
+            .is_some_and(|d| d.try_borrow().is_ok_and(|d| d.can_stop(line)))
+    }
+
+    /// Hand the statement on `line`, which the gate found the debugger can
+    /// stop at, to the debugger.
+    #[cold]
+    pub(crate) fn debug_statement(&mut self, line: u32) -> Result<(), PyError> {
+        let debugger = self.debugger.clone().expect("the gate saw a debugger");
+        let mut debugger = debugger.borrow_mut();
+        debugger.on_statement(self, line)
+    }
+
+    /// Tell a debugger that is not busy evaluating its own expressions
+    /// that a Python frame was pushed or popped.
+    fn debugger_frame(&self, event: fn(&mut Debugger)) {
+        if let Some(Ok(mut debugger)) = self.debugger.as_ref().map(|d| d.try_borrow_mut()) {
+            event(&mut debugger);
+        }
+    }
+
     /// One profiled statement event; out-of-line so the unprofiled
     /// dispatch paths pay only the `prof.is_some()` check.
     #[cold]
-    pub(crate) fn prof_statement(&mut self, line: u32) {
+    fn prof_statement(&mut self, line: u32) {
         let fname = self
             .frames
             .last()
@@ -540,9 +599,7 @@ impl Interp {
             line: def.line,
             is_module: false,
         });
-        if let Some(hook) = self.hook.clone() {
-            hook.borrow_mut().on_call(&def.name, def.line);
-        }
+        self.debugger_frame(Debugger::on_call);
         let result = match self.exec_mode {
             ExecMode::Ast => self.exec_block(&def.body),
             ExecMode::Bytecode => {
@@ -552,9 +609,7 @@ impl Interp {
         };
         let frame_line = self.frames.last().map(|f| f.line).unwrap_or(def.line);
         self.frames.pop();
-        if let Some(hook) = self.hook.clone() {
-            hook.borrow_mut().on_return(&def.name);
-        }
+        self.debugger_frame(Debugger::on_return);
         match result {
             Ok(Flow::Return(v)) => Ok(v),
             Ok(Flow::Normal) => Ok(Value::None),
@@ -584,34 +639,8 @@ impl Interp {
     }
 
     fn exec_stmt(&mut self, stmt: &Stmt) -> Result<Flow, PyError> {
-        self.stmts_executed += 1;
-        if let Some(frame) = self.frames.last_mut() {
-            frame.line = stmt.line;
-        }
-        if let Some(budget) = self.steps_left.as_mut() {
-            if *budget == 0 {
-                return Err(PyError::new(
-                    ErrorKind::Resource,
-                    "statement budget exhausted (possible infinite loop)",
-                ));
-            }
-            *budget -= 1;
-        }
-        if self.prof.is_some() {
-            self.prof_statement(stmt.line);
-        }
-        if let Some(hook) = self.hook.clone() {
-            let outcome = {
-                let fname = self
-                    .frames
-                    .last()
-                    .map(|f| f.name.clone())
-                    .unwrap_or_else(|| "<module>".to_string());
-                hook.borrow_mut().on_statement(self, &fname, stmt.line)?
-            };
-            if matches!(outcome, HookOutcome::Terminate) {
-                return Err(PyError::new(ErrorKind::Resource, "terminated by debugger"));
-            }
+        if self.statement_gate(stmt.line)? {
+            self.debug_statement(stmt.line)?;
         }
 
         match &stmt.kind {
@@ -861,6 +890,7 @@ impl Interp {
     // ------------------------------------------------------------------
 
     pub(crate) fn bind_name(&mut self, name: &str, value: Value) -> Result<(), PyError> {
+        self.binds += 1;
         let frame = self.frames.last().expect("bind outside any frame");
         if !frame.is_module && frame.globals_decl.iter().any(|g| g == name) {
             self.globals.borrow_mut().insert(name.to_string(), value);
@@ -998,6 +1028,7 @@ impl Interp {
 
     /// `del name`: remove a binding from locals (or globals).
     pub(crate) fn delete_name(&mut self, name: &str, line: u32) -> Result<(), PyError> {
+        self.binds += 1;
         let frame = self.frames.last().expect("delete outside frame");
         let removed = frame.locals.borrow_mut().remove(name).is_some()
             || self.globals.borrow_mut().remove(name).is_some();
@@ -1945,6 +1976,15 @@ impl Interp {
     }
 }
 
+/// The error a statement past the budget raises.
+#[cold]
+fn budget_exhausted() -> PyError {
+    PyError::new(
+        ErrorKind::Resource,
+        "statement budget exhausted (possible infinite loop)",
+    )
+}
+
 /// Broadcast helper: element i of an array, or the scalar itself.
 fn element_at(v: &Value, i: usize) -> Value {
     match v {
@@ -2434,6 +2474,38 @@ mod tests {
         assert_eq!(e.kind, ErrorKind::Resource);
     }
 
+    /// The budget fails the (N+1)-th statement the same way in both
+    /// engines, with and without a debugger attached: the same error at
+    /// the same line after the same bindings, and the same statement
+    /// count for `pylite.statements`.
+    #[test]
+    fn step_budget_exhausts_at_the_same_statement_everywhere() {
+        let src = "def f(n):\n    t = 0\n    for k in range(n):\n        t += k\n    return t\nx = 0\nwhile True:\n    x += f(3)\n";
+        for budget in [0, 1, 4, 9, 10, 11, 12, 13, 14, 50] {
+            let mut runs = Vec::new();
+            for mode in [ExecMode::Ast, ExecMode::Bytecode] {
+                for debugger in [false, true] {
+                    let mut i = Interp::new();
+                    i.set_exec_mode(mode);
+                    if debugger {
+                        let dbg = Debugger::scripted(vec![]);
+                        dbg.borrow_mut().add_breakpoint(4);
+                        i.set_hook(dbg);
+                    }
+                    i.set_step_budget(budget);
+                    let e = i.eval_module(src).unwrap_err();
+                    assert_eq!(e.kind, ErrorKind::Resource);
+                    assert_eq!(i.stmts_executed, budget + 1);
+                    runs.push((e.to_string(), e.traceback, i.get_global("x")));
+                }
+            }
+            assert!(
+                runs.iter().all(|r| *r == runs[0]),
+                "budget {budget}: {runs:?}"
+            );
+        }
+    }
+
     #[test]
     fn module_return_value_surfaces() {
         let mut i = Interp::new();
@@ -2513,7 +2585,8 @@ result = mean_deviation([1, 2, 3, 4, 5])
     fn eval_in_frame_sees_globals() {
         let mut i = Interp::new();
         i.eval_module("x = 41\n").unwrap();
-        let v = i.eval_in_frame("x + 1").unwrap();
+        let expr = crate::parser::parse_expression("x + 1").unwrap();
+        let v = i.eval_in_frame(&expr).unwrap();
         assert_eq!(v, Value::Int(42));
     }
 

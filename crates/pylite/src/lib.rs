@@ -52,7 +52,7 @@ pub mod value;
 pub mod vm;
 
 pub use compile::{compile_module, CodeObject};
-pub use debugger::{DebugCommand, Debugger, LineTracer, PauseInfo};
+pub use debugger::{DebugCommand, Debugger, PauseInfo};
 pub use error::{ErrorKind, PyError, TraceEntry};
 pub use fs::{FsProvider, MemFs};
 pub use interp::{ExecMode, Interp};

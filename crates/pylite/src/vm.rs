@@ -23,7 +23,8 @@
 //!   module scope exactly like the walker);
 //! * **invalidate** — mark every slot `Stale` after foreign code may
 //!   have rebound names (a Python-function call, a native method on a
-//!   [`Value::Native`] receiver, a debug-hook pause, an import).
+//!   [`Value::Native`] receiver, a debugger stop that rebound a name,
+//!   an import).
 //!
 //! Calls to builtins with only inert arguments (no functions, natives
 //! or modules) skip the barrier — that keeps `append`/`int`/`len` hot
@@ -36,12 +37,20 @@
 //!
 //! # Debugger parity
 //!
-//! [`Instr::Trace`] replicates the walker's statement preamble: bump
-//! the statement counter, record the line in the frame (so
-//! `Interp::stack` and tracebacks agree), charge the step budget, then
-//! consult the debug hook behind a full barrier — watches evaluated by
-//! the debugger read the real scopes, never the cache. Breakpoints and
-//! stepping therefore behave identically in both [`crate::ExecMode`]s.
+//! [`Instr::Trace`] runs the statement gate the walker runs before every
+//! statement: it counts the statement, records the line in the frame (so
+//! `Interp::stack` and tracebacks agree), charges the statement budget,
+//! feeds the line profiler and asks whether the attached debugger can
+//! stop on this line — a breakpoint line while running, every line while
+//! stepping. Only then does the VM flush its slot cache and hand the
+//! statement to the debugger, whose conditions and watches read the real
+//! scopes, never the cache. They may rebind names through the functions
+//! they call, so the VM invalidates the cache afterwards if any name was
+//! bound or deleted during the call (`Interp::binds` moved), even when
+//! the stop ends in a Quit that a `try` catches. Lines the debugger
+//! cannot stop on, and stops that rebind nothing, keep the cache warm.
+//! Breakpoints and stepping therefore behave identically in both
+//! [`crate::ExecMode`]s.
 //!
 //! # Example: a breakpoint pauses the VM on a line-table line
 //!
@@ -73,7 +82,6 @@ use std::rc::Rc;
 
 use crate::ast::{BinOp, CmpOp};
 use crate::compile::{CodeObject, Instr, PendingKind};
-use crate::debugger::HookOutcome;
 use crate::error::{ErrorKind, PyError};
 use crate::interp::{Flow, Interp};
 use crate::value::{Dict, Value};
@@ -276,12 +284,19 @@ fn exec(interp: &mut Interp, code: &CodeObject, st: &mut State, pc: usize) -> Re
     let line = code.lines[pc];
     match &code.instrs[pc] {
         Instr::Trace => {
-            interp.stmts_executed += 1;
-            if let Some(frame) = interp.frames.last_mut() {
-                frame.line = line;
-            }
-            if interp.steps_left.is_some() || interp.hook.is_some() || interp.prof.is_some() {
-                trace_slow(interp, code, st, line)?;
+            if interp.statement_gate(line)? {
+                // The debugger reads the real scopes. The conditions and
+                // watches it evaluates may rebind names through the
+                // functions they call: drop the cache if a name was bound
+                // or deleted, also when the stop ends in an error (a Quit)
+                // that a `try` may catch.
+                st.slots.flush(interp, code)?;
+                let binds = interp.binds;
+                let stop = interp.debug_statement(line);
+                if interp.binds != binds {
+                    st.slots.invalidate();
+                }
+                stop?;
             }
         }
         Instr::LoadConst(i) => st.stack.push(code.consts[*i as usize].clone()),
@@ -819,49 +834,6 @@ fn exec(interp: &mut Interp, code: &CodeObject, st: &mut State, pc: usize) -> Re
         }
     }
     Ok(Ctl::Next)
-}
-
-/// The statement-budget, line-profiler and debug-hook half of `Trace`,
-/// out-of-line so the unhooked, unbudgeted hot path stays a single
-/// predicted branch.
-/// The hook runs arbitrary watch expressions against the real scopes:
-/// synchronize before, distrust after.
-#[cold]
-fn trace_slow(
-    interp: &mut Interp,
-    code: &CodeObject,
-    st: &mut State,
-    line: u32,
-) -> Result<(), PyError> {
-    if let Some(budget) = interp.steps_left.as_mut() {
-        if *budget == 0 {
-            return Err(PyError::new(
-                ErrorKind::Resource,
-                "statement budget exhausted (possible infinite loop)",
-            ));
-        }
-        *budget -= 1;
-    }
-    if interp.prof.is_some() {
-        interp.prof_statement(line);
-    }
-    let Some(hook) = interp.hook.clone() else {
-        return Ok(());
-    };
-    st.slots.barrier(interp, code)?;
-    let outcome = {
-        let fname = interp
-            .frames
-            .last()
-            .map(|f| f.name.clone())
-            .unwrap_or_else(|| "<module>".to_string());
-        hook.borrow_mut().on_statement(interp, &fname, line)?
-    };
-    st.slots.invalidate();
-    if matches!(outcome, HookOutcome::Terminate) {
-        return Err(PyError::new(ErrorKind::Resource, "terminated by debugger"));
-    }
-    Ok(())
 }
 
 /// Keyword-less small-call path shared by `Call` and `CallName`:

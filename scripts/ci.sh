@@ -67,8 +67,13 @@ echo "digests identical"
 #  - the embedded transport must keep beating the TCP wire on input
 #    extraction (committed BENCH_embedded.json documents >=5x on 200k
 #    rows; live floor 2x — an embedded path that starts serializing
-#    again lands near 1x).
-echo "==> bench guards (transfer codec + bytecode VM + UDF inlining + observability + concurrency + embedded)"
+#    again lands near 1x);
+#  - attaching the debugger must stay cheap on the bytecode VM: a
+#    breakpoint on a line never reached costs within 1.3x of no debugger
+#    under the run_local statement budget (committed BENCH_interp.json;
+#    live floor 1.6x — a statement gate that calls the debugger on every
+#    statement again lands near 5x).
+echo "==> bench guards (transfer codec + bytecode VM + UDF inlining + observability + concurrency + embedded + debugger)"
 cargo run --offline --release -q -p devudf-bench --bin bench_guard
 
 # devbench (the repo's end-to-end benchmark, devbench/README.md) lives
@@ -84,8 +89,9 @@ cargo run --offline --release -q --manifest-path devbench/Cargo.toml -- --second
 # directory, then drive the import -> run loop over the in-process
 # transport in a *separate* invocation (so the catalog demonstrably
 # survives the WAL replay), trace the debug query down to the engine's
-# operators and a write down to its WAL append, checkpoint it, and verify
-# the WAL folded.
+# operators and a write down to its WAL append, stop twice at a
+# conditional breakpoint on the Listing-4 accumulation line and quit the
+# debug session, checkpoint it, and verify the WAL folded.
 echo "==> embedded mode smoke (WAL replay + checkpoint, no server)"
 EMB_DIR=$(mktemp -d /tmp/devudf-ci-embedded.XXXXXX)
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" --demo \
@@ -112,6 +118,12 @@ cargo run --offline --release -q -p devudf-ide --bin devudf trace "$EMB_DIR/proj
   "EXPLAIN ANALYZE UPDATE numbers SET i = i WHERE i = 3" > "$EMB_DIR/analyze.txt"
 grep -q "monet.op.filter" "$EMB_DIR/analyze.txt"
 grep -q "monet.storage.append" "$EMB_DIR/analyze.txt"
+# Line 10 is `distance += column[i] - mean` (body line 7 + the 3-line
+# header): continue past the first stop, quit at the second.
+printf 'c\nq\n' | cargo run --offline --release -q -p devudf-ide --bin devudf debug "$EMB_DIR/proj" \
+  mean_deviation "10:distance < 0" --embedded > "$EMB_DIR/debug.txt"
+grep -q "paused at line 10" "$EMB_DIR/debug.txt"
+grep -q "debug session terminated" "$EMB_DIR/debug.txt"
 cargo run --offline --release -q -p devudf-ide --bin devudf checkpoint "$EMB_DIR/data" \
   | grep -q "checkpointed"
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" \

@@ -3,6 +3,7 @@
 //! the nested UDF).
 
 use devudf::{DevUdf, Settings};
+use pylite::debugger::PauseReason;
 use pylite::{DebugCommand, Debugger, Value};
 use wireproto::{Server, ServerConfig, WireValue};
 
@@ -200,6 +201,96 @@ fn debugger_steps_into_nested_udf() {
 
     std::fs::remove_dir_all(&dir).ok();
     server.shutdown();
+}
+
+/// One pause of a recorded trail: reason, function, line and stack.
+type Pause = (PauseReason, String, u32, Vec<(String, u32)>);
+
+/// Debug `find_best_classifier` under `mode` with a breakpoint on line 4,
+/// answering each hit inside the nested `train_rnforest` body (the
+/// nested interpreter runs it as `<module>`) with `step` and every other
+/// pause with Continue. Returns the pause trail.
+fn nested_step_trail(mode: devudf::InterpMode, step: DebugCommand) -> Vec<Pause> {
+    let server = listing3_server();
+    let dir = temp_project(&format!("trail-{}-{step:?}", mode.as_str()));
+    let mut settings = settings();
+    settings.interp = mode;
+    let mut dev = DevUdf::connect_in_proc(&server, settings, &dir).unwrap();
+    dev.import_all().unwrap();
+    let dbg = Debugger::with_controller(move |p| {
+        if p.reason == PauseReason::Breakpoint && p.function == "<module>" {
+            step.clone()
+        } else {
+            DebugCommand::Continue
+        }
+    });
+    dbg.borrow_mut().add_breakpoint(4);
+    let outcome = dev.debug_udf("find_best_classifier", dbg.clone()).unwrap();
+    assert!(outcome.run.is_some());
+    let trail = dbg
+        .borrow()
+        .pauses()
+        .iter()
+        .map(|p| (p.reason, p.function.clone(), p.line, p.stack.clone()))
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    server.shutdown();
+    trail
+}
+
+/// A trail's first pause: the outer script's line 4 (`import pickle`, the
+/// first body line of `find_best_classifier`, called from harness line
+/// 32).
+fn nested_trail_prefix() -> Vec<Pause> {
+    let outer = vec![
+        ("<module>".to_string(), 32),
+        ("find_best_classifier".to_string(), 4),
+    ];
+    vec![(
+        PauseReason::Breakpoint,
+        "find_best_classifier".to_string(),
+        4,
+        outer,
+    )]
+}
+
+/// A pause on `line` of the nested `train_rnforest` body.
+fn nested_pause(reason: PauseReason, line: u32) -> Pause {
+    (
+        reason,
+        "<module>".to_string(),
+        line,
+        vec![("<module>".to_string(), line)],
+    )
+}
+
+#[test]
+fn step_over_inside_nested_udf_stays_in_its_body() {
+    let mut expected = nested_trail_prefix();
+    for _ in 0..2 {
+        expected.push(nested_pause(PauseReason::Breakpoint, 4));
+        expected.push(nested_pause(PauseReason::Step, 5));
+    }
+    for mode in [devudf::InterpMode::Ast, devudf::InterpMode::Bytecode] {
+        let trail = nested_step_trail(mode, DebugCommand::StepOver);
+        assert_eq!(trail, expected, "{}", mode.as_str());
+    }
+}
+
+#[test]
+fn step_out_of_nested_udf_runs_to_its_next_breakpoint() {
+    // A nested UDF is a module run in a second interpreter, not a call:
+    // its body runs at the caller's depth. Stepping out of it stops only
+    // when `find_best_classifier` returns, after which no statement
+    // runs, or at the next breakpoint: the second candidate's `clf.fit`.
+    let mut expected = nested_trail_prefix();
+    for _ in 0..2 {
+        expected.push(nested_pause(PauseReason::Breakpoint, 4));
+    }
+    for mode in [devudf::InterpMode::Ast, devudf::InterpMode::Bytecode] {
+        let trail = nested_step_trail(mode, DebugCommand::StepOut);
+        assert_eq!(trail, expected, "{}", mode.as_str());
+    }
 }
 
 #[test]

@@ -413,6 +413,59 @@ fn delta_cache_never_serves_stale_data() {
     });
 }
 
+/// A random UDF body of `n_stmts` generated statements over `acc` and
+/// `items`: loops with `break`/`continue`, `while`, `try`/`finally`,
+/// nested `def`s and calls, prints, comprehensions, slices, dicts,
+/// branches and the occasional uncaught error.
+fn random_udf_body(rng: &mut devharness::Rng, n_stmts: usize) -> String {
+    let mut body = String::from("acc = 0\nitems = [3, 1, 4, 1, 5, 9, 2, 6]\n");
+    for i in 0..n_stmts {
+        let s = rng.next_u64();
+        let k = (s % 7) as i64;
+        match s % 12 {
+            0 => body.push_str(&format!("x{i} = ({} - {k}) * 3 % 5\n", s % 40)),
+            1 => body.push_str(&format!(
+                "for j{i} in items:\n    if j{i} % 2 == 0:\n        continue\n    if j{i} > {}:\n        break\n    acc += j{i}\n",
+                s % 10
+            )),
+            2 => body.push_str(&format!(
+                "w{i} = {k}\nwhile w{i} > 0:\n    w{i} -= 1\n    acc += w{i}\n"
+            )),
+            3 => body.push_str(&format!(
+                "try:\n    acc += items[{}]\nexcept Exception as e{i}:\n    m{i} = str(e{i})\nfinally:\n    acc += 1\n",
+                s % 12
+            )),
+            4 => body.push_str(&format!(
+                "def f{i}(x, y={k}):\n    return x * y + len(items)\nacc += f{i}({})\n",
+                s % 5
+            )),
+            5 => body.push_str("print('acc is', acc)\n"),
+            6 => body.push_str(&format!(
+                "sq{i} = [v * v for v in items if v > {k}]\nacc += len(sq{i})\n"
+            )),
+            7 => body.push_str(&format!("s{i} = 'ab' * {k}\nacc += len(s{i})\n")),
+            8 => body.push_str(&format!(
+                "part{i} = items[1:{}]\nacc += sum(part{i})\n",
+                s % 9
+            )),
+            9 => body.push_str(&format!(
+                "d{i} = {{'a': {k}, 'b': acc}}\nacc += d{i}['a']\n"
+            )),
+            10 => body.push_str(&format!(
+                "if acc % 3 == 0:\n    acc += {k}\nelif acc % 3 == 1:\n    acc -= 1\nelse:\n    acc = acc * 2\n"
+            )),
+            // Rarely: an uncaught failure, so error parity is
+            // exercised too (index error or a type error mid-binop).
+            _ => body.push_str(if s.is_multiple_of(5) {
+                "acc += items[99]\n"
+            } else {
+                "acc = acc + sorted(items)[0] * 2\n"
+            }),
+        }
+    }
+    body
+}
+
 /// The bytecode VM and the AST walker are observationally identical on
 /// arbitrary generated UDF bodies: same result value, same globals, same
 /// captured stdout, and — when the program fails — the same error kind,
@@ -450,52 +503,7 @@ fn bytecode_vm_matches_ast_walker_on_random_udf_bodies() {
 
     let strategy = (prop::usize_in(2..10), prop::any_u64());
     prop::check(Config::cases(96), strategy, |&(n_stmts, seed)| {
-        let mut rng = devharness::Rng::new(seed);
-        let mut body = String::from("acc = 0\nitems = [3, 1, 4, 1, 5, 9, 2, 6]\n");
-        for i in 0..n_stmts {
-            let s = rng.next_u64();
-            let k = (s % 7) as i64;
-            match s % 12 {
-                0 => body.push_str(&format!("x{i} = ({} - {k}) * 3 % 5\n", s % 40)),
-                1 => body.push_str(&format!(
-                    "for j{i} in items:\n    if j{i} % 2 == 0:\n        continue\n    if j{i} > {}:\n        break\n    acc += j{i}\n",
-                    s % 10
-                )),
-                2 => body.push_str(&format!(
-                    "w{i} = {k}\nwhile w{i} > 0:\n    w{i} -= 1\n    acc += w{i}\n"
-                )),
-                3 => body.push_str(&format!(
-                    "try:\n    acc += items[{}]\nexcept Exception as e{i}:\n    m{i} = str(e{i})\nfinally:\n    acc += 1\n",
-                    s % 12
-                )),
-                4 => body.push_str(&format!(
-                    "def f{i}(x, y={k}):\n    return x * y + len(items)\nacc += f{i}({})\n",
-                    s % 5
-                )),
-                5 => body.push_str("print('acc is', acc)\n"),
-                6 => body.push_str(&format!(
-                    "sq{i} = [v * v for v in items if v > {k}]\nacc += len(sq{i})\n"
-                )),
-                7 => body.push_str(&format!("s{i} = 'ab' * {k}\nacc += len(s{i})\n")),
-                8 => body.push_str(&format!(
-                    "part{i} = items[1:{}]\nacc += sum(part{i})\n",
-                    s % 9
-                )),
-                9 => body.push_str(&format!(
-                    "d{i} = {{'a': {k}, 'b': acc}}\nacc += d{i}['a']\n"
-                )),
-                10 => body.push_str(&format!(
-                    "if acc % 3 == 0:\n    acc += {k}\nelif acc % 3 == 1:\n    acc -= 1\nelse:\n    acc = acc * 2\n"
-                )),
-                // Rarely: an uncaught failure, so error parity is
-                // exercised too (index error or a type error mid-binop).
-                _ => body.push_str(if s.is_multiple_of(5) {
-                    "acc += items[99]\n"
-                } else {
-                    "acc = acc + sorted(items)[0] * 2\n"
-                }),
-            }
-        }
+        let body = random_udf_body(&mut devharness::Rng::new(seed), n_stmts);
         let (ast_out, ast_stdout) = observe(&body, ExecMode::Ast);
         let (vm_out, vm_stdout) = observe(&body, ExecMode::Bytecode);
         prop_assert!(
@@ -503,6 +511,168 @@ fn bytecode_vm_matches_ast_walker_on_random_udf_bodies() {
             "engines diverged ({vm_out:?} vs {ast_out:?}) on:\n{body}"
         );
         prop_assert!(vm_stdout == ast_stdout, "stdout diverged on:\n{body}");
+        Ok(())
+    });
+}
+
+/// Walker and VM stop identically in generated debug sessions: programs
+/// from [`random_udf_body`] with random breakpoint lines, conditions and
+/// watches under random Continue/StepInto/StepOver/StepOut scripts give
+/// the same outcome, the same pause trail (reason, function, line, stack,
+/// locals, watches) and the same `pylite.debug.*` deltas. Both engines
+/// share one statement gate, so with plain breakpoints both trails must
+/// also equal the trail predicted from the every-statement trace (a
+/// StepInto-only run from entry) by the breakpoint lines and the step
+/// commands' depth rules: only that oracle catches a line the gate fails
+/// to arm.
+#[test]
+fn debug_sessions_match_across_engines_and_the_statement_trace() {
+    use pylite::debugger::PauseReason;
+    use pylite::{DebugCommand, Debugger, ExecMode, Interp, PauseInfo};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    const WATCHES: [&str; 4] = ["acc", "items[acc % 8] + len(items)", "missing", "acc +"];
+    const CONDITIONS: [&str; 4] = ["acc % 2 == 0", "acc > 5", "missing > 1", "acc >"];
+
+    // The outcome, the pauses and the `pylite.debug.{pauses,breakpoints,
+    // steps}` deltas of one run of `src` under `dbg`.
+    fn session(
+        src: &str,
+        mode: ExecMode,
+        dbg: Rc<RefCell<Debugger>>,
+    ) -> (String, Vec<PauseInfo>, [u64; 3]) {
+        let counts = || {
+            [
+                obs::counter!("pylite.debug.pauses").get(),
+                obs::counter!("pylite.debug.breakpoints").get(),
+                obs::counter!("pylite.debug.steps").get(),
+            ]
+        };
+        let before = counts();
+        let mut interp = Interp::new();
+        interp.set_exec_mode(mode);
+        interp.set_step_budget(200_000);
+        interp.set_hook(dbg.clone());
+        let outcome = match interp.eval_module(src) {
+            Ok(v) => v.repr(),
+            Err(e) => e.to_string(),
+        };
+        let after = counts();
+        let pauses = dbg.borrow().pauses().to_vec();
+        (outcome, pauses, [0, 1, 2].map(|i| after[i] - before[i]))
+    }
+
+    // The pauses a session with `breakpoints` and `commands` makes, read
+    // off the every-statement trace.
+    fn predict(
+        trace: &[PauseInfo],
+        breakpoints: &[u32],
+        commands: &[DebugCommand],
+    ) -> Vec<PauseInfo> {
+        enum Mode {
+            Run,
+            Into,
+            Over(usize),
+            Out(usize),
+        }
+        let mut mode = Mode::Run;
+        let mut commands = commands.iter();
+        let mut pauses = Vec::new();
+        for event in trace {
+            let depth = event.stack.len() - 1;
+            let reason = match mode {
+                Mode::Into => PauseReason::Step,
+                Mode::Over(d) if depth <= d => PauseReason::Step,
+                Mode::Out(d) if depth < d => PauseReason::Step,
+                _ if breakpoints.contains(&event.line) => PauseReason::Breakpoint,
+                _ => continue,
+            };
+            pauses.push(PauseInfo {
+                reason,
+                ..event.clone()
+            });
+            mode = match commands.next().unwrap_or(&DebugCommand::Continue) {
+                DebugCommand::Continue => Mode::Run,
+                DebugCommand::StepInto => Mode::Into,
+                DebugCommand::StepOver => Mode::Over(depth),
+                DebugCommand::StepOut => Mode::Out(depth),
+                DebugCommand::Quit => unreachable!("scripts never quit"),
+            };
+        }
+        pauses
+    }
+
+    let render = |pauses: &[PauseInfo]| pauses.iter().map(|p| format!("{p:?}")).collect::<Vec<_>>();
+    let strategy = (prop::usize_in(2..8), prop::any_u64());
+    prop::check(Config::cases(64), strategy, |&(n_stmts, seed)| {
+        let mut rng = devharness::Rng::new(seed);
+        let src = random_udf_body(&mut rng, n_stmts);
+        let lines = src.lines().count() as u64;
+        let breakpoints: Vec<u32> = (0..rng.u64_below(4))
+            .map(|_| 1 + rng.u64_below(lines) as u32)
+            .collect();
+        let condition = match rng.u64_below(3) {
+            0 => Some((
+                1 + rng.u64_below(lines) as u32,
+                CONDITIONS[rng.u64_below(4) as usize],
+            )),
+            _ => None,
+        };
+        let watches: Vec<&str> = (0..rng.u64_below(3))
+            .map(|_| WATCHES[rng.u64_below(4) as usize])
+            .collect();
+        let commands: Vec<DebugCommand> = (0..rng.u64_below(12))
+            .map(|_| match rng.u64_below(4) {
+                0 => DebugCommand::Continue,
+                1 => DebugCommand::StepInto,
+                2 => DebugCommand::StepOver,
+                _ => DebugCommand::StepOut,
+            })
+            .collect();
+        let debugger = |controller: Rc<RefCell<Debugger>>, breakpoints: &[u32]| {
+            {
+                let mut d = controller.borrow_mut();
+                breakpoints.iter().for_each(|&l| d.add_breakpoint(l));
+                watches.iter().for_each(|w| d.add_watch(*w));
+            }
+            controller
+        };
+
+        let run = |mode| {
+            let dbg = debugger(Debugger::scripted(commands.clone()), &breakpoints);
+            if let Some((line, cond)) = condition {
+                dbg.borrow_mut().add_conditional_breakpoint(line, cond);
+            }
+            session(&src, mode, dbg)
+        };
+        let (ast, vm) = (run(ExecMode::Ast), run(ExecMode::Bytecode));
+        prop_assert!(
+            ast.0 == vm.0 && render(&ast.1) == render(&vm.1) && ast.2 == vm.2,
+            "debug sessions diverged (breakpoints {breakpoints:?}, condition {condition:?}, \
+watches {watches:?}, commands {commands:?}):\n  ast {ast:?}\n  vm  {vm:?}\non:\n{src}"
+        );
+        prop_assert_eq!(ast.2[0], ast.1.len() as u64);
+
+        let trace = |mode| {
+            let dbg = debugger(Debugger::with_controller(|_| DebugCommand::StepInto), &[]);
+            dbg.borrow_mut().break_on_entry = true;
+            session(&src, mode, dbg).1
+        };
+        let (ast_trace, vm_trace) = (trace(ExecMode::Ast), trace(ExecMode::Bytecode));
+        prop_assert!(
+            render(&ast_trace) == render(&vm_trace),
+            "statement traces diverged on:\n{src}"
+        );
+        if condition.is_none() {
+            let predicted = render(&predict(&ast_trace, &breakpoints, &commands));
+            prop_assert!(
+                render(&ast.1) == predicted,
+                "trail {:?} is not the predicted {predicted:?} (breakpoints {breakpoints:?}, \
+commands {commands:?}) on:\n{src}",
+                render(&ast.1)
+            );
+        }
         Ok(())
     });
 }
