@@ -4,20 +4,23 @@
 //! locally on the developers' machine instead of remotely inside the
 //! database server." The input data is fetched through the server-side
 //! extract function, stored as `input.bin` in the project, and the
-//! transformed script runs in a pylite interpreter whose `_conn` is rewired
-//! to [`LocalConn`] — which forwards plain loopback queries to the live
-//! connection and runs *nested UDFs locally* (§2.3).
+//! transformed script runs in a pylite interpreter whose `_conn` is the
+//! engine's own [`LoopbackConn`], answered by [`LocalConn`] — which
+//! forwards plain loopback queries to the live connection and runs *nested
+//! UDFs locally* (§2.3).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 
-use pylite::value::{Dict, NativeObject};
-use pylite::{pickle, Array, Debugger, Interp, PyError, Value};
-use wireproto::client::FunctionInfo;
-use wireproto::message::{WireResult, WireTable, WireValue};
+use monetlite::engine::{collect_call_names, function_def};
+use monetlite::sql::{parse_statement, Statement};
+use monetlite::udf::{self, loopback_error, Loopback, LoopbackConn};
+use monetlite::{DbError, FunctionDef, QueryResult};
+use pylite::{pickle, Debugger, Interp, PyError, Value};
+use wireproto::message::WireResult;
 use wireproto::{EngineTransport, TransferOptions, TransferStats};
 
-use crate::nested;
 use crate::session::DevUdf;
 use crate::transform;
 use crate::{DevUdfError, Result};
@@ -92,7 +95,7 @@ pub fn run_local(
     interp.set_step_budget(STEP_BUDGET);
     interp.set_exec_mode(dev.settings.interp.pylite_mode());
     let conn = LocalConn::new(dev, debugger.clone());
-    interp.set_global("_conn", Value::Native(Rc::new(conn)));
+    interp.set_global("_conn", LoopbackConn::value(Rc::new(conn)));
     if let Some(d) = debugger {
         interp.set_hook(d);
     }
@@ -127,8 +130,8 @@ pub struct ProfileReport {
 /// Run an imported UDF locally with the line profiler armed: activates
 /// `obs::profile` around the run, then joins the per-line counters back
 /// onto the script's source text. Requires telemetry to be enabled
-/// (`obs::set_enabled(true)`, the default); with the `telemetry` feature
-/// off the report's rows are empty.
+/// (`obs::set_enabled(true)`, the default); switched off, the report's
+/// rows are empty.
 pub fn profile_local(dev: &mut DevUdf, name: &str) -> Result<ProfileReport> {
     let mut span = obs::trace::span("core.profile");
     span.field("udf", name);
@@ -199,14 +202,18 @@ pub fn debug_local(
     }
 }
 
-/// The local `_conn` replacement (paper §2.3): plain loopback queries go to
-/// the live server connection (transferring their results); queries that
-/// invoke a known UDF run that UDF *locally*, on inputs extracted from the
-/// server — so nested UDFs are debuggable too.
+/// The local loopback router (paper §2.3) behind a local run's `_conn`: a
+/// statement that invokes a stored UDF runs that UDF *locally*, on inputs
+/// extracted from the server, so nested UDFs are debuggable too; every
+/// other statement goes to the live connection. It answers with the
+/// engine's own result type, and [`LoopbackConn`] turns that into what the
+/// UDF sees, exactly as inside the server.
+#[derive(Clone)]
 pub struct LocalConn {
     client: Rc<RefCell<dyn EngineTransport>>,
-    /// Known server functions (name → metadata), for nested-call detection.
-    functions: Vec<FunctionInfo>,
+    /// The server's functions, learned on the first statement that calls
+    /// any function.
+    functions: Rc<RefCell<ServerFunctions>>,
     options: TransferOptions,
     transfers: Rc<RefCell<Vec<TransferStats>>>,
     /// Debugger propagated into nested UDF runs.
@@ -217,7 +224,17 @@ pub struct LocalConn {
     /// Shared nesting depth across the whole local run (each nested UDF
     /// spawns a fresh interpreter, so interpreter-level recursion guards
     /// cannot see loopback cycles).
-    depth: Rc<RefCell<usize>>,
+    depth: Rc<Cell<usize>>,
+}
+
+/// What a local run knows of the server's functions.
+#[derive(Default)]
+struct ServerFunctions {
+    /// Every function's name, fetched once.
+    names: Option<Vec<String>>,
+    /// The definitions of the functions a statement invoked, by lower-cased
+    /// name.
+    defs: HashMap<String, FunctionDef>,
 }
 
 /// Maximum local nested-UDF depth (mirrors the engine-side guard).
@@ -225,238 +242,117 @@ const MAX_LOCAL_UDF_DEPTH: usize = 12;
 
 impl LocalConn {
     fn new(dev: &DevUdf, debugger: Option<Rc<RefCell<Debugger>>>) -> LocalConn {
-        let names = dev
-            .client()
-            .borrow_mut()
-            .list_functions()
-            .unwrap_or_default();
-        let mut functions = Vec::with_capacity(names.len());
-        for n in &names {
-            if let Ok(info) = dev.client().borrow_mut().get_function(n) {
-                functions.push(info);
-            }
-        }
         LocalConn {
             client: dev.client(),
-            functions,
+            functions: Rc::default(),
             options: dev.settings.transfer_options(),
             transfers: dev.transfers.clone(),
             debugger,
             fs: dev.project.fs_provider(),
             exec_mode: dev.settings.interp.pylite_mode(),
-            depth: Rc::new(RefCell::new(0)),
+            depth: Rc::default(),
         }
     }
 
-    fn function_names(&self) -> Vec<String> {
-        self.functions.iter().map(|f| f.name.clone()).collect()
-    }
-
-    fn execute_sql(&self, sql: &str) -> std::result::Result<Value, PyError> {
-        let py_err = |m: String| PyError::new(pylite::ErrorKind::Value, m);
-
-        // Nested UDF? Run it locally on extracted inputs.
-        let known = self.function_names();
-        let invoked = nested::udfs_in_sql(sql, &known);
-        if let Some(udf_name) = invoked.first() {
-            if *self.depth.borrow() >= MAX_LOCAL_UDF_DEPTH {
-                return Err(py_err(format!(
-                    "maximum nested-UDF depth exceeded ({MAX_LOCAL_UDF_DEPTH}) — loopback recursion?"
-                )));
-            }
-            let info = self
-                .functions
-                .iter()
-                .find(|f| f.name.eq_ignore_ascii_case(udf_name))
-                .expect("invoked name came from this list")
-                .clone();
-            let (inputs, stats) = self
-                .client
-                .borrow_mut()
-                .extract_inputs(sql, &info.name, self.options)
-                .map_err(|e| py_err(format!("nested extract failed: {e}")))?;
-            self.transfers.borrow_mut().push(stats);
-            let Value::Dict(d) = &inputs else {
-                return Err(py_err("extracted inputs were not a dict".to_string()));
-            };
-
-            // Fresh interpreter, same _conn (deeper nesting keeps working)
-            // and same debugger (stepping descends into nested UDFs).
-            let mut interp = Interp::with_fs(self.fs.clone());
-            interp.set_step_budget(STEP_BUDGET);
-            interp.set_exec_mode(self.exec_mode);
-            for (k, v) in d.borrow().entries() {
-                interp.set_global(&k.py_str(), v.clone());
-            }
-            interp.set_global(
-                "_conn",
-                Value::Native(Rc::new(LocalConn {
-                    client: self.client.clone(),
-                    functions: self.functions.clone(),
-                    options: self.options,
-                    transfers: self.transfers.clone(),
-                    debugger: self.debugger.clone(),
-                    fs: self.fs.clone(),
-                    exec_mode: self.exec_mode,
-                    depth: self.depth.clone(),
-                })),
-            );
-            if let Some(d) = &self.debugger {
-                interp.set_hook(d.clone());
-            }
-            let mut span = obs::trace::span("core.run.nested");
-            span.field("udf", &info.name);
-            span.field("depth", *self.depth.borrow() + 1);
-            *self.depth.borrow_mut() += 1;
-            let value = interp.eval_module(&info.body);
-            *self.depth.borrow_mut() -= 1;
-            drop(span);
-            return Ok(local_result_set(value?));
+    /// The stored UDF `stmt` invokes, if any, found as the server's
+    /// classifier and `EXPLAIN` find calls.
+    fn invoked_udf(&self, stmt: &Statement) -> std::result::Result<Option<FunctionDef>, PyError> {
+        let calls = collect_call_names(stmt);
+        if calls.is_empty() {
+            return Ok(None);
         }
-
-        // Plain data query: forward to the server.
-        let result = self
+        let mut functions = self.functions.borrow_mut();
+        if functions.names.is_none() {
+            let names = self.client.borrow_mut().list_functions();
+            functions.names = Some(names.map_err(loopback_error)?);
+        }
+        let names = functions.names.as_deref().unwrap_or_default();
+        let Some(name) = calls
+            .iter()
+            .find_map(|c| names.iter().find(|n| n.eq_ignore_ascii_case(c)))
+            .cloned()
+        else {
+            return Ok(None);
+        };
+        let key = name.to_ascii_lowercase();
+        if let Some(def) = functions.defs.get(&key) {
+            return Ok(Some(def.clone()));
+        }
+        let info = self
             .client
             .borrow_mut()
+            .get_function(&name)
+            .map_err(loopback_error)?;
+        let create = transform::to_create_statement(&info, &info.body);
+        let def = parse_statement(&create)
+            .and_then(|stmt| function_def(&stmt))
+            .map_err(loopback_error)?;
+        functions.defs.insert(key, def.clone());
+        Ok(Some(def))
+    }
+
+    /// Run `def` in a fresh interpreter on the inputs `sql` hands it on the
+    /// server, and shape its value by its declared return type.
+    fn run_nested(
+        &self,
+        sql: &str,
+        def: &FunctionDef,
+    ) -> std::result::Result<QueryResult, PyError> {
+        if self.depth.get() >= MAX_LOCAL_UDF_DEPTH {
+            return Err(loopback_error(DbError::exec(format!(
+                "maximum UDF nesting depth exceeded ({MAX_LOCAL_UDF_DEPTH}) — loopback recursion?"
+            ))));
+        }
+        let (inputs, stats) = self
+            .client
+            .borrow_mut()
+            .extract_inputs(sql, &def.name, self.options)
+            .map_err(loopback_error)?;
+        self.transfers.borrow_mut().push(stats);
+        let Value::Dict(d) = &inputs else {
+            return Err(loopback_error("extracted inputs were not a dict"));
+        };
+
+        // Same _conn (deeper nesting keeps working) and same debugger
+        // (stepping descends into nested UDFs).
+        let mut interp = Interp::with_fs(self.fs.clone());
+        interp.set_step_budget(STEP_BUDGET);
+        interp.set_exec_mode(self.exec_mode);
+        for (k, v) in d.borrow().entries() {
+            interp.set_global(&k.py_str(), v.clone());
+        }
+        interp.set_global("_conn", LoopbackConn::value(Rc::new(self.clone())));
+        if let Some(d) = &self.debugger {
+            interp.set_hook(d.clone());
+        }
+        let mut span = obs::trace::span("core.run.nested");
+        span.field("udf", &def.name);
+        span.field("depth", self.depth.get() + 1);
+        self.depth.set(self.depth.get() + 1);
+        let value = interp.eval_module(&def.body);
+        self.depth.set(self.depth.get() - 1);
+        drop(span);
+        let value = value.map_err(|e| loopback_error(DbError::udf(&e)))?;
+        udf::output_to_table(def, &value)
+            .map(QueryResult::Table)
+            .map_err(loopback_error)
+    }
+}
+
+impl Loopback for LocalConn {
+    /// A statement that does not parse invokes no UDF: it goes to the
+    /// server, whose error then reaches the UDF.
+    fn execute(&self, sql: &str) -> std::result::Result<QueryResult, PyError> {
+        if let Ok(stmt) = parse_statement(sql) {
+            if let Some(def) = self.invoked_udf(&stmt)? {
+                return self.run_nested(sql, &def);
+            }
+        }
+        self.client
+            .borrow_mut()
             .query(sql)
-            .map_err(|e| py_err(format!("loopback query failed: {e}")))?;
-        match result {
-            WireResult::Table(t) => Ok(table_result_set(&t)),
-            WireResult::Affected { message, .. } => Err(py_err(format!(
-                "loopback statement produced no result set ({message})"
-            ))),
-        }
-    }
-}
-
-impl NativeObject for LocalConn {
-    fn type_name(&self) -> &'static str {
-        "monetdb_connection"
-    }
-
-    fn repr(&self) -> String {
-        "<devudf local connection>".to_string()
-    }
-
-    fn call_method(
-        &self,
-        name: &str,
-        _interp: &mut Interp,
-        args: &[Value],
-        _kwargs: &[(String, Value)],
-    ) -> std::result::Result<Value, PyError> {
-        match name {
-            "execute" => {
-                let Some(Value::Str(sql)) = args.first() else {
-                    return Err(PyError::new(
-                        pylite::ErrorKind::Type,
-                        "_conn.execute() takes a SQL string",
-                    ));
-                };
-                self.execute_sql(sql)
-            }
-            other => Err(PyError::new(
-                pylite::ErrorKind::Attribute,
-                format!("'monetdb_connection' object has no method '{other}'"),
-            )),
-        }
-    }
-}
-
-/// Wrap a local UDF's return value the way server loopback results are
-/// wrapped: dicts become name-addressable result sets; everything else is
-/// a single-column result.
-pub fn local_result_set(value: Value) -> Value {
-    Value::Native(Rc::new(LocalResultSet { value }))
-}
-
-/// Convert a wire table into a result-set value (columns as arrays; 1-row
-/// columns collapse to scalars, mirroring `monetlite`'s loopback behaviour).
-pub fn table_result_set(t: &WireTable) -> Value {
-    let mut d = Dict::new();
-    for (idx, (name, _)) in t.columns.iter().enumerate() {
-        let values: Vec<Value> = t.rows.iter().map(|r| wire_to_py(&r[idx])).collect();
-        let v = column_value(values);
-        d.insert(Value::str(name.clone()), v)
-            .expect("string keys are hashable");
-    }
-    local_result_set(Value::dict(d))
-}
-
-fn wire_to_py(v: &WireValue) -> Value {
-    match v {
-        WireValue::Null => Value::None,
-        WireValue::Int(i) => Value::Int(*i),
-        WireValue::Double(d) => Value::Float(*d),
-        WireValue::Str(s) => Value::str(s.clone()),
-        WireValue::Bool(b) => Value::Bool(*b),
-        WireValue::Blob(b) => Value::bytes(b.clone()),
-    }
-}
-
-/// Build the friendliest value for a column: scalar when single-row, a
-/// typed array when possible, else a plain list.
-fn column_value(values: Vec<Value>) -> Value {
-    if values.len() == 1 {
-        return values.into_iter().next().expect("len checked");
-    }
-    match Array::from_values(&values) {
-        Ok(a) => Value::array(a),
-        Err(_) => Value::list(values),
-    }
-}
-
-/// Result-set wrapper for local values.
-struct LocalResultSet {
-    value: Value,
-}
-
-impl NativeObject for LocalResultSet {
-    fn type_name(&self) -> &'static str {
-        "result_set"
-    }
-
-    fn repr(&self) -> String {
-        format!("<local result_set {}>", self.value.repr())
-    }
-
-    fn iterate(&self) -> Option<Vec<Value>> {
-        match &self.value {
-            Value::Dict(d) => Some(d.borrow().values()),
-            other => Some(vec![other.clone()]),
-        }
-    }
-
-    fn call_method(
-        &self,
-        name: &str,
-        _interp: &mut Interp,
-        args: &[Value],
-        _kwargs: &[(String, Value)],
-    ) -> std::result::Result<Value, PyError> {
-        match name {
-            "__getitem__" => {
-                let key = args.first().cloned().unwrap_or(Value::None);
-                match &self.value {
-                    Value::Dict(d) => d
-                        .borrow()
-                        .get(&key)?
-                        .ok_or_else(|| PyError::new(pylite::ErrorKind::Key, key.repr())),
-                    other => Err(PyError::new(
-                        pylite::ErrorKind::Type,
-                        format!("result of type '{}' is not keyed", other.type_name()),
-                    )),
-                }
-            }
-            "keys" => match &self.value {
-                Value::Dict(d) => Ok(Value::list(d.borrow().keys())),
-                _ => Ok(Value::list(vec![])),
-            },
-            other => Err(PyError::new(
-                pylite::ErrorKind::Attribute,
-                format!("'result_set' object has no method '{other}'"),
-            )),
-        }
+            .and_then(WireResult::into_query_result)
+            .map_err(loopback_error)
     }
 }
 
@@ -753,7 +649,7 @@ mod tests {
                 .iter()
                 .map(|p| (p.line, p.function.as_str(), p.watches[0].1.as_str()))
                 .collect();
-            let watch = "<local result_set 30>";
+            let watch = "<result_set 1 column(s) x 1 row(s)>";
             assert_eq!(
                 trail,
                 vec![

@@ -96,7 +96,10 @@ fn extract_string_literal(text: &str) -> Option<String> {
     }
 }
 
-/// Which of `known` appear as word-bounded names in `sql`.
+/// Which of `known` appear as word-bounded names in `sql`. Import-time
+/// discovery only: the SQL it scans is a body's literal, whose `%d`
+/// placeholders do not parse. A local run finds the UDF a loopback query
+/// invokes by parsing it, as the server does (`devudf::debug::LocalConn`).
 pub fn udfs_in_sql(sql: &str, known: &[String]) -> Vec<String> {
     let lower = sql.to_ascii_lowercase();
     let mut out = Vec::new();

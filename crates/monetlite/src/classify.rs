@@ -91,8 +91,9 @@ fn classify_excluding(stmt: &Statement, catalog: &Catalog, exclude: Option<&str>
 
 /// Statement-shape check (ignoring UDF bodies). `EXPLAIN` only plans, so it
 /// is read-only whatever it wraps; `EXPLAIN ANALYZE` executes for real and
-/// inherits its inner statement's class.
-fn kind_is_read_only(stmt: &Statement) -> bool {
+/// inherits its inner statement's class. The wire client's retry rule
+/// uses it too.
+pub fn kind_is_read_only(stmt: &Statement) -> bool {
     match stmt {
         Statement::Select(_) => true,
         Statement::Explain(_) => true,

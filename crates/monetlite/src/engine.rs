@@ -426,35 +426,9 @@ impl Engine {
                 })
             }
             Statement::CreateFunction {
-                or_replace,
-                name,
-                params,
-                returns,
-                language,
-                body,
+                or_replace, name, ..
             } => {
-                if language != "PYTHON" {
-                    return Err(DbError::catalog(format!(
-                        "unsupported UDF language '{language}' (only PYTHON)"
-                    )));
-                }
-                // Validate that the body at least parses, so syntax errors
-                // surface at CREATE time like MonetDB does.
-                pylite::parse_module(&normalize_body(body)).map_err(|e| DbError {
-                    code: ErrorCode::Parse,
-                    message: format!("function body: {e}"),
-                    traceback: Some(e.render()),
-                })?;
-                let def = FunctionDef {
-                    name: name.clone(),
-                    params: params.clone(),
-                    returns: match returns {
-                        FunctionReturnAst::Scalar(t) => FunctionReturn::Scalar(*t),
-                        FunctionReturnAst::Table(cols) => FunctionReturn::Table(cols.clone()),
-                    },
-                    language: language.clone(),
-                    body: normalize_body(body),
-                };
+                let def = function_def(stmt)?;
                 self.inner
                     .borrow_mut()
                     .catalog
@@ -580,37 +554,33 @@ impl Engine {
             evaluated.push(out);
         }
         let mut inner = self.inner.borrow_mut();
-        let table = inner.catalog.table_mut(table_name)?;
-        let count = evaluated.len();
-        match columns {
-            None => {
-                for row in &evaluated {
-                    table.push_row(row)?;
-                }
-            }
-            Some(cols) => {
-                // Reorder values to the table's column order; unnamed
-                // columns get NULL.
-                let idx: Vec<usize> = cols
-                    .iter()
-                    .map(|c| {
-                        table.column_index(c).ok_or_else(|| {
+        let schema = inner.catalog.table(table_name)?.schema();
+        if let Some(cols) = columns {
+            // Reorder values to the table's column order; unnamed columns
+            // get NULL.
+            let idx: Vec<usize> = cols
+                .iter()
+                .map(|c| {
+                    schema
+                        .iter()
+                        .position(|(name, _)| name.eq_ignore_ascii_case(c))
+                        .ok_or_else(|| {
                             DbError::catalog(format!("no such column '{c}' in '{table_name}'"))
                         })
-                    })
-                    .collect::<Result<_, _>>()?;
-                for row in &evaluated {
-                    if row.len() != idx.len() {
-                        return Err(DbError::exec("INSERT value count mismatch"));
-                    }
-                    let mut full = vec![SqlValue::Null; table.column_count()];
-                    for (value, &slot) in row.iter().zip(&idx) {
-                        full[slot] = value.clone();
-                    }
-                    table.push_row(&full)?;
+                })
+                .collect::<Result<_, _>>()?;
+            for row in &mut evaluated {
+                if row.len() != idx.len() {
+                    return Err(DbError::exec("INSERT value count mismatch"));
                 }
+                let mut full = vec![SqlValue::Null; schema.len()];
+                for (value, &slot) in row.drain(..).zip(&idx) {
+                    full[slot] = value;
+                }
+                *row = full;
             }
         }
+        let count = append_staged(&mut inner.catalog, table_name, &schema, &mut evaluated)?;
         Ok(QueryResult::Affected {
             rows: count,
             message: format!("{count} row(s) inserted"),
@@ -716,20 +686,20 @@ impl Engine {
         let text = String::from_utf8(data)
             .map_err(|_| DbError::load("COPY INTO: file is not valid UTF-8"))?;
         let mut inner = self.inner.borrow_mut();
-        let table = inner.catalog.table_mut(table_name)?;
-        let mut count = 0usize;
+        let schema = inner.catalog.table(table_name)?.schema();
+        let mut rows = Vec::new();
         for (line_no, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
             let fields: Vec<&str> = line.split(delimiter).collect();
-            if fields.len() != table.column_count() {
+            if fields.len() != schema.len() {
                 return Err(DbError::load(format!(
                     "COPY INTO: line {} has {} fields, table '{}' has {} columns",
                     line_no + 1,
                     fields.len(),
                     table_name,
-                    table.column_count()
+                    schema.len()
                 )));
             }
             let row: Vec<SqlValue> = fields
@@ -743,9 +713,9 @@ impl Engine {
                     }
                 })
                 .collect();
-            table.push_row(&row)?;
-            count += 1;
+            rows.push(row);
         }
+        let count = append_staged(&mut inner.catalog, table_name, &schema, &mut rows)?;
         Ok(QueryResult::Affected {
             rows: count,
             message: format!("{count} row(s) loaded from '{path}'"),
@@ -835,6 +805,39 @@ impl Drop for UdfDepthGuard {
     }
 }
 
+/// INSERT's and COPY INTO's one write step: cast every value of every row
+/// to its column's type first, then append the rows, so a row that does not
+/// cast leaves the table, and the catalog's version, as they were.
+///
+/// The rows are cast in place, not into staged columns: appending staged
+/// columns moved glibc's heap layout enough to raise the embedded_durable
+/// benchmark's peak RSS from about 17.7 to 22.2 MiB (measured on a 2-core
+/// x86-64 Linux host, in 4 of 5 working directories).
+fn append_staged(
+    catalog: &mut Catalog,
+    table_name: &str,
+    schema: &[(String, crate::types::SqlType)],
+    rows: &mut [Vec<SqlValue>],
+) -> Result<usize, DbError> {
+    for row in rows.iter_mut() {
+        if row.len() != schema.len() {
+            return Err(DbError::exec(format!(
+                "row has {} values, table '{table_name}' has {} columns",
+                row.len(),
+                schema.len()
+            )));
+        }
+        for (value, (_, t)) in row.iter_mut().zip(schema) {
+            *value = value.coerce(*t)?;
+        }
+    }
+    let table = catalog.table_mut(table_name)?;
+    for row in rows.iter() {
+        table.push_row(row)?;
+    }
+    Ok(rows.len())
+}
+
 /// The live table an UPDATE or DELETE writes in place, provided it still
 /// holds the storage its row positions were computed on (`read`); a UDF's
 /// loopback write during evaluation replaces that storage. Dropping `read`
@@ -912,10 +915,49 @@ fn statement_kind(stmt: &Statement) -> &'static str {
     }
 }
 
-/// Collect every function-call name appearing in a statement (EXPLAIN uses
-/// this to look up stored UDFs; builtin/aggregate names are filtered out by
-/// the catalog lookup).
-pub(crate) fn collect_call_names(stmt: &Statement) -> Vec<String> {
+/// The function a `CREATE FUNCTION` statement defines, as the engine stores
+/// it: PYTHON only, the body normalized and checked to parse, so syntax
+/// errors surface at CREATE time like MonetDB does.
+pub fn function_def(stmt: &Statement) -> Result<FunctionDef, DbError> {
+    let Statement::CreateFunction {
+        name,
+        params,
+        returns,
+        language,
+        body,
+        ..
+    } = stmt
+    else {
+        return Err(DbError::parse("not a CREATE FUNCTION statement"));
+    };
+    if language != "PYTHON" {
+        return Err(DbError::catalog(format!(
+            "unsupported UDF language '{language}' (only PYTHON)"
+        )));
+    }
+    let body = normalize_body(body);
+    pylite::parse_module(&body).map_err(|e| DbError {
+        code: ErrorCode::Parse,
+        message: format!("function body: {e}"),
+        traceback: Some(e.render()),
+    })?;
+    Ok(FunctionDef {
+        name: name.clone(),
+        params: params.clone(),
+        returns: match returns {
+            FunctionReturnAst::Scalar(t) => FunctionReturn::Scalar(*t),
+            FunctionReturnAst::Table(cols) => FunctionReturn::Table(cols.clone()),
+        },
+        language: language.clone(),
+        body,
+    })
+}
+
+/// Collect every function-call name appearing in a statement (EXPLAIN, the
+/// read/write classifier and devUDF's local loopback router use this to
+/// find stored UDFs; builtin/aggregate names are filtered out by the
+/// catalog lookup).
+pub fn collect_call_names(stmt: &Statement) -> Vec<String> {
     use crate::sql::ast::{FromClause, SelectItem, SelectStmt, SqlExpr, TableFuncArg};
 
     fn from_expr(e: &SqlExpr, out: &mut Vec<String>) {

@@ -21,7 +21,7 @@ use pylite::value::NativeObject;
 use pylite::{Array, Interp, PyError, Value};
 
 use crate::catalog::{FunctionDef, FunctionReturn};
-use crate::engine::Engine;
+use crate::engine::{Engine, QueryResult};
 use crate::error::DbError;
 use crate::table::Table;
 use crate::types::{Column, ColumnData, SqlType, SqlValue};
@@ -38,13 +38,13 @@ impl UdfInput {
     /// (operator-at-a-time shape), moving a column's data into it.
     pub fn into_py(self) -> Result<Value, DbError> {
         match self {
-            UdfInput::Scalar(v) => scalar_to_py(&v),
+            UdfInput::Scalar(v) => Ok(scalar_to_py(&v)),
             UdfInput::Column(c) => column_to_py(c),
         }
     }
 
     /// Scalar value for row `i` (tuple-at-a-time shape).
-    pub fn row_py(&self, i: usize) -> Result<Value, DbError> {
+    pub fn row_py(&self, i: usize) -> Value {
         match self {
             UdfInput::Scalar(v) => scalar_to_py(v),
             UdfInput::Column(c) => scalar_to_py(&c.get(i)),
@@ -53,15 +53,15 @@ impl UdfInput {
 }
 
 /// Convert a SQL scalar to an interpreter value.
-pub fn scalar_to_py(v: &SqlValue) -> Result<Value, DbError> {
-    Ok(match v {
+pub fn scalar_to_py(v: &SqlValue) -> Value {
+    match v {
         SqlValue::Null => Value::None,
         SqlValue::Int(i) => Value::Int(*i),
         SqlValue::Double(d) => Value::Float(*d),
         SqlValue::Str(s) => Value::str(s.clone()),
         SqlValue::Bool(b) => Value::Bool(*b),
         SqlValue::Blob(b) => Value::bytes(b.clone()),
-    })
+    }
 }
 
 /// Convert a column to the interpreter value a UDF receives.
@@ -142,14 +142,37 @@ pub struct UdfOutput {
     pub stdout: String,
 }
 
+/// What answers a UDF's `_conn.execute(sql)` (§2.3): the engine itself on
+/// the server and in embedded mode, or, during a devUDF local run, the
+/// router in `devudf::debug` that forwards plain queries to the server and
+/// runs nested UDFs in the IDE. Either way [`LoopbackConn`] turns the
+/// answer into what the UDF sees, so the two cannot drift apart.
+pub trait Loopback {
+    /// Run one statement; the error is the exception `_conn.execute` raises.
+    fn execute(&self, sql: &str) -> Result<QueryResult, PyError>;
+}
+
+impl Loopback for Engine {
+    fn execute(&self, sql: &str) -> Result<QueryResult, PyError> {
+        Engine::execute(self, sql).map_err(loopback_error)
+    }
+}
+
+/// The exception `_conn.execute` raises for a statement that failed: a
+/// ValueError carrying the error's text.
+pub fn loopback_error(e: impl std::fmt::Display) -> PyError {
+    PyError::new(pylite::ErrorKind::Value, e.to_string())
+}
+
 /// The loopback connection object (`_conn`) passed to every UDF (§2.3).
 pub struct LoopbackConn {
-    engine: Engine,
+    source: Rc<dyn Loopback>,
 }
 
 impl LoopbackConn {
-    pub fn new(engine: Engine) -> Self {
-        LoopbackConn { engine }
+    /// The `_conn` value answering through `source`.
+    pub fn value(source: Rc<dyn Loopback>) -> Value {
+        Value::Native(Rc::new(LoopbackConn { source }))
     }
 }
 
@@ -177,14 +200,7 @@ impl NativeObject for LoopbackConn {
                         "_conn.execute() takes a SQL string",
                     ));
                 };
-                let result = self
-                    .engine
-                    .execute(sql)
-                    .map_err(|e| PyError::new(pylite::ErrorKind::Value, e.to_string()))?;
-                let table = result
-                    .into_table()
-                    .map_err(|e| PyError::new(pylite::ErrorKind::Value, e.to_string()))?;
-                Ok(result_set_value(&table))
+                Ok(loopback_value(self.source.execute(sql)?))
             }
             other => Err(PyError::new(
                 pylite::ErrorKind::Attribute,
@@ -194,18 +210,20 @@ impl NativeObject for LoopbackConn {
     }
 }
 
-/// Wrap a query result table for UDF consumption.
+/// What `_conn.execute` returns: a table becomes a [`ResultSet`]; a
+/// statement without a result set returns its affected-row count.
 ///
 /// MonetDB/Python returns a dict of column name → numpy array. The paper's
 /// Listing 3 both tuple-unpacks the result *and* subscripts it by column
-/// name, so we return a [`ResultSet`] native that supports both: iteration
-/// yields column values in order; subscripting accepts a column name.
-/// Single-row columns collapse to scalars, matching how Listing 3 consumes
-/// `res['clf']` directly.
-pub fn result_set_value(table: &Table) -> Value {
-    Value::Native(Rc::new(ResultSet {
-        table: table.clone(),
-    }))
+/// name, so a [`ResultSet`] supports both: iteration yields column values
+/// in order; subscripting accepts a column name. Single-row columns
+/// collapse to scalars, matching how Listing 3 consumes `res['clf']`
+/// directly.
+fn loopback_value(result: QueryResult) -> Value {
+    match result {
+        QueryResult::Table(table) => Value::Native(Rc::new(ResultSet { table })),
+        QueryResult::Affected { rows, .. } => Value::Int(rows as i64),
+    }
 }
 
 /// Query-result wrapper exposed to UDFs.
@@ -214,11 +232,16 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    fn column_value(&self, c: &Column) -> Value {
+    /// A 1-row column is its scalar; a column with NULLs is a list with
+    /// `None` in its NULL rows; any other column is what a UDF parameter
+    /// of that column would be.
+    fn column_value(c: &Column) -> Value {
         if c.len() == 1 {
-            scalar_to_py(&c.get(0)).unwrap_or(Value::None)
+            scalar_to_py(&c.get(0))
+        } else if c.has_nulls() {
+            Value::list((0..c.len()).map(|i| scalar_to_py(&c.get(i))).collect())
         } else {
-            column_to_py(c.clone()).unwrap_or(Value::None)
+            column_to_py(c.clone()).expect("a column without NULLs converts")
         }
     }
 }
@@ -237,13 +260,7 @@ impl NativeObject for ResultSet {
     }
 
     fn iterate(&self) -> Option<Vec<Value>> {
-        Some(
-            self.table
-                .columns
-                .iter()
-                .map(|c| self.column_value(c))
-                .collect(),
-        )
+        Some(self.table.columns.iter().map(Self::column_value).collect())
     }
 
     fn call_method(
@@ -267,7 +284,7 @@ impl NativeObject for ResultSet {
                         format!("no column '{col}' in result set"),
                     )
                 })?;
-                Ok(self.column_value(c))
+                Ok(Self::column_value(c))
             }
             "keys" => Ok(Value::list(
                 self.table
@@ -338,10 +355,7 @@ pub fn run_operator_at_a_time(
     for (name, input) in inputs {
         interp.set_global(name, input.clone().into_py()?);
     }
-    interp.set_global(
-        "_conn",
-        Value::Native(Rc::new(LoopbackConn::new(engine.clone()))),
-    );
+    interp.set_global("_conn", LoopbackConn::value(Rc::new(engine.clone())));
     let value = interp
         .eval_module(&def.body)
         .map_err(|e| DbError::udf(&e))?;
@@ -373,13 +387,13 @@ pub fn run_tuple_at_a_time(
         pylite::ExecMode::Bytecode => Some(pylite::compile_module(&module)),
         pylite::ExecMode::Ast => None,
     };
-    let conn = Value::Native(Rc::new(LoopbackConn::new(engine.clone())));
+    let conn = LoopbackConn::value(Rc::new(engine.clone()));
     let mut outputs = Vec::with_capacity(rows);
     let mut stdout = String::new();
     for row in 0..rows {
         interp.reset();
         for (name, input) in inputs {
-            interp.set_global(name, input.row_py(row)?);
+            interp.set_global(name, input.row_py(row));
         }
         interp.set_global("_conn", conn.clone());
         let v = match &code {
@@ -492,7 +506,7 @@ mod tests {
             SqlValue::Bool(true),
             SqlValue::Blob(vec![1, 2]),
         ] {
-            let py = scalar_to_py(&v).unwrap();
+            let py = scalar_to_py(&v);
             assert_eq!(py_to_scalar(&py).unwrap(), v);
         }
     }
@@ -542,7 +556,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let rs = result_set_value(&table);
+        let rs = loopback_value(QueryResult::Table(table));
         let mut interp = Interp::new();
         interp.set_global("res", rs);
         interp

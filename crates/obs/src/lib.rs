@@ -21,15 +21,10 @@
 //! macros cache them in a `static OnceLock`), so the steady-state cost of
 //! a counter bump is one relaxed load of the global enable flag plus one
 //! relaxed `fetch_add` — a few nanoseconds against the ~3.5 µs in-process
-//! ping it instruments (see `BENCH_obs.json`). Two switches exist:
-//!
-//! * **runtime**: [`set_enabled`]`(false)` short-circuits every handle and
-//!   span behind one relaxed atomic load, letting a single binary measure
-//!   instrumented-vs-uninstrumented (the obs benchmark does exactly this);
-//! * **compile time**: building with `--no-default-features` (dropping the
-//!   `telemetry` feature) turns the whole crate into zero-sized no-ops
-//!   while keeping the API identical, so dependants need no `cfg` of
-//!   their own.
+//! ping it instruments (see `BENCH_obs.json`). The one off switch is
+//! [`set_enabled`]`(false)`: it short-circuits every handle and span
+//! behind one relaxed atomic load, letting a single binary measure
+//! instrumented-vs-uninstrumented (the obs benchmark does exactly this).
 //!
 //! # Example
 //!
@@ -37,7 +32,7 @@
 //! obs::counter!("demo.requests").inc();
 //! let _span = obs::trace::span("demo.handle");
 //! obs::histogram!("demo.latency_ns").record(1_250);
-//! // One row per registered metric, sorted by name; empty in a no-op build.
+//! // One row per registered metric, sorted by name.
 //! let rows = obs::metrics::rows();
 //! assert_eq!(rows.iter().any(|r| r.name == "demo.requests"), obs::enabled());
 //! ```
@@ -46,34 +41,20 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicBool, Ordering};
 
-#[cfg(feature = "telemetry")]
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Runtime kill-switch: with telemetry disabled every counter bump,
 /// histogram record and span close becomes a single relaxed load.
 /// Defaults to enabled.
-#[cfg(feature = "telemetry")]
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
 /// Whether telemetry is currently recording (see [`set_enabled`]).
-#[cfg(feature = "telemetry")]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// No-op build: the switch exists but nothing ever records.
-#[cfg(not(feature = "telemetry"))]
-pub fn set_enabled(_on: bool) {}
-
-/// No-op build: telemetry is never recording.
-#[cfg(not(feature = "telemetry"))]
-pub fn enabled() -> bool {
-    false
 }
 
 /// A counter handle for a metric name, resolved once per call site.

@@ -11,11 +11,8 @@
 //! keeps quantile estimates within a factor of two — plenty for latency
 //! telemetry that feeds dashboards, not billing.
 
-#[cfg(feature = "telemetry")]
 use std::collections::HashMap;
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-#[cfg(feature = "telemetry")]
 use std::sync::{Arc, RwLock};
 use std::sync::{Mutex, OnceLock};
 use std::time::Duration;
@@ -23,7 +20,6 @@ use std::time::Duration;
 /// A monotonically increasing counter.
 #[derive(Clone)]
 pub struct Counter {
-    #[cfg(feature = "telemetry")]
     cell: Arc<AtomicU64>,
 }
 
@@ -34,27 +30,15 @@ impl Counter {
     }
 
     /// Increment by `n`.
-    #[cfg(feature = "telemetry")]
     pub fn add(&self, n: u64) {
         if crate::enabled() {
             self.cell.fetch_add(n, Ordering::Relaxed);
         }
     }
 
-    /// Increment by `n` (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn add(&self, _n: u64) {}
-
     /// Current value.
-    #[cfg(feature = "telemetry")]
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Current value (no-op build: always zero).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn get(&self) -> u64 {
-        0
     }
 }
 
@@ -62,59 +46,39 @@ impl Counter {
 /// current UDF nesting depth).
 #[derive(Clone)]
 pub struct Gauge {
-    #[cfg(feature = "telemetry")]
     cell: Arc<AtomicI64>,
 }
 
 impl Gauge {
     /// Set the gauge to `v`.
-    #[cfg(feature = "telemetry")]
     pub fn set(&self, v: i64) {
         if crate::enabled() {
             self.cell.store(v, Ordering::Relaxed);
         }
     }
 
-    /// Set the gauge to `v` (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn set(&self, _v: i64) {}
-
     /// Add `delta` (may be negative).
-    #[cfg(feature = "telemetry")]
     pub fn add(&self, delta: i64) {
         if crate::enabled() {
             self.cell.fetch_add(delta, Ordering::Relaxed);
         }
     }
 
-    /// Add `delta` (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn add(&self, _delta: i64) {}
-
     /// Current value.
-    #[cfg(feature = "telemetry")]
     pub fn get(&self) -> i64 {
         self.cell.load(Ordering::Relaxed)
-    }
-
-    /// Current value (no-op build: always zero).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn get(&self) -> i64 {
-        0
     }
 }
 
 /// Number of log2 buckets; covers the full `u64` range.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-#[cfg(feature = "telemetry")]
 struct HistogramCells {
     count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
-#[cfg(feature = "telemetry")]
 impl HistogramCells {
     fn new() -> HistogramCells {
         HistogramCells {
@@ -128,19 +92,16 @@ impl HistogramCells {
 /// A fixed-bucket latency histogram (values in nanoseconds by convention).
 #[derive(Clone)]
 pub struct Histogram {
-    #[cfg(feature = "telemetry")]
     cells: Arc<HistogramCells>,
 }
 
 /// Bucket index for a value: position of its highest set bit (0 for 0).
-#[cfg(feature = "telemetry")]
 fn bucket_of(v: u64) -> usize {
     (63 - v.max(1).leading_zeros()) as usize
 }
 
 impl Histogram {
     /// Record one observation.
-    #[cfg(feature = "telemetry")]
     pub fn record(&self, v: u64) {
         if crate::enabled() {
             self.cells.count.fetch_add(1, Ordering::Relaxed);
@@ -149,37 +110,19 @@ impl Histogram {
         }
     }
 
-    /// Record one observation (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn record(&self, _v: u64) {}
-
     /// Record a duration in nanoseconds.
     pub fn record_duration(&self, d: Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Number of recorded observations.
-    #[cfg(feature = "telemetry")]
     pub fn count(&self) -> u64 {
         self.cells.count.load(Ordering::Relaxed)
     }
 
-    /// Number of recorded observations (no-op build: zero).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn count(&self) -> u64 {
-        0
-    }
-
     /// Sum of all recorded observations.
-    #[cfg(feature = "telemetry")]
     pub fn sum(&self) -> u64 {
         self.cells.sum.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded observations (no-op build: zero).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn sum(&self) -> u64 {
-        0
     }
 
     /// Mean observation, or 0.0 when empty.
@@ -195,7 +138,6 @@ impl Histogram {
     /// Estimated quantile (`q` in `[0, 1]`): the upper bound of the log2
     /// bucket at which the cumulative count reaches `q * total`. Accurate
     /// to within a factor of two by construction.
-    #[cfg(feature = "telemetry")]
     pub fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -211,16 +153,9 @@ impl Histogram {
         }
         u64::MAX
     }
-
-    /// Estimated quantile (no-op build: zero).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn quantile(&self, _q: f64) -> u64 {
-        0
-    }
 }
 
 /// One metric as registered.
-#[cfg(feature = "telemetry")]
 #[derive(Clone)]
 enum Metric {
     Counter(Counter),
@@ -255,7 +190,6 @@ pub struct MetricRow {
 /// for tests that want isolation.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    #[cfg(feature = "telemetry")]
     metrics: RwLock<HashMap<String, Metric>>,
 }
 
@@ -265,7 +199,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    #[cfg(feature = "telemetry")]
     fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         if let Some(m) = self.metrics.read().expect("metrics lock").get(name) {
             return m.clone();
@@ -276,7 +209,6 @@ impl MetricsRegistry {
 
     /// Get or create the counter `name`. Panics if `name` is already
     /// registered as a different kind.
-    #[cfg(feature = "telemetry")]
     pub fn counter(&self, name: &str) -> Counter {
         match self.get_or_insert(name, || {
             Metric::Counter(Counter {
@@ -288,15 +220,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or create the counter `name` (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn counter(&self, _name: &str) -> Counter {
-        Counter {}
-    }
-
     /// Get or create the gauge `name`. Panics if `name` is already
     /// registered as a different kind.
-    #[cfg(feature = "telemetry")]
     pub fn gauge(&self, name: &str) -> Gauge {
         match self.get_or_insert(name, || {
             Metric::Gauge(Gauge {
@@ -308,15 +233,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or create the gauge `name` (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn gauge(&self, _name: &str) -> Gauge {
-        Gauge {}
-    }
-
     /// Get or create the histogram `name`. Panics if `name` is already
     /// registered as a different kind.
-    #[cfg(feature = "telemetry")]
     pub fn histogram(&self, name: &str) -> Histogram {
         match self.get_or_insert(name, || {
             Metric::Histogram(Histogram {
@@ -328,15 +246,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Get or create the histogram `name` (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn histogram(&self, _name: &str) -> Histogram {
-        Histogram {}
-    }
-
     /// Flattened rows for every registered metric, sorted by name — the
     /// backing data of monetlite's `sys.metrics` table.
-    #[cfg(feature = "telemetry")]
     pub fn rows(&self) -> Vec<MetricRow> {
         let map = self.metrics.read().expect("metrics lock");
         let mut rows: Vec<MetricRow> = map
@@ -377,12 +288,6 @@ impl MetricsRegistry {
         rows.sort_by(|a, b| a.name.cmp(&b.name));
         rows
     }
-
-    /// Flattened rows (no-op build: empty).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn rows(&self) -> Vec<MetricRow> {
-        Vec::new()
-    }
 }
 
 /// The process-wide registry the macros record into.
@@ -419,15 +324,10 @@ mod tests {
         let g = reg.gauge("t.gauge");
         g.set(10);
         g.add(-3);
-        if cfg!(feature = "telemetry") {
-            assert_eq!(c.get(), 5);
-            assert_eq!(g.get(), 7);
-            // Handles for the same name share the cell.
-            assert_eq!(reg.counter("t.counter").get(), 5);
-        } else {
-            assert_eq!(c.get(), 0);
-            assert_eq!(g.get(), 0);
-        }
+        assert_eq!(c.get(), 5);
+        assert_eq!(g.get(), 7);
+        // Handles for the same name share the cell.
+        assert_eq!(reg.counter("t.counter").get(), 5);
     }
 
     #[test]
@@ -438,16 +338,12 @@ mod tests {
         for v in [1u64, 2, 3, 100, 1000] {
             h.record(v);
         }
-        if cfg!(feature = "telemetry") {
-            assert_eq!(h.count(), 5);
-            assert_eq!(h.sum(), 1106);
-            assert!((h.mean() - 221.2).abs() < 1e-9);
-            // p99 lands in the bucket containing 1000: [512, 1024).
-            assert_eq!(h.quantile(0.99), 1023);
-            assert_eq!(h.quantile(0.0), 1);
-        } else {
-            assert_eq!(h.count(), 0);
-        }
+        assert_eq!(h.count(), 5);
+        assert_eq!(h.sum(), 1106);
+        assert!((h.mean() - 221.2).abs() < 1e-9);
+        // p99 lands in the bucket containing 1000: [512, 1024).
+        assert_eq!(h.quantile(0.99), 1023);
+        assert_eq!(h.quantile(0.0), 1);
     }
 
     #[test]
@@ -463,19 +359,14 @@ mod tests {
         h.record(2000);
         reg.counter("q.count").inc();
         let rows = reg.rows();
-        if cfg!(feature = "telemetry") {
-            let lat = rows.iter().find(|r| r.name == "q.lat").unwrap();
-            assert_eq!(lat.p50, 7);
-            assert_eq!(lat.p90, 7);
-            assert_eq!(lat.p99, 2047);
-            let count = rows.iter().find(|r| r.name == "q.count").unwrap();
-            assert_eq!((count.p50, count.p90, count.p99), (0, 0, 0));
-        } else {
-            assert!(rows.is_empty());
-        }
+        let lat = rows.iter().find(|r| r.name == "q.lat").unwrap();
+        assert_eq!(lat.p50, 7);
+        assert_eq!(lat.p90, 7);
+        assert_eq!(lat.p99, 2047);
+        let count = rows.iter().find(|r| r.name == "q.count").unwrap();
+        assert_eq!((count.p50, count.p90, count.p99), (0, 0, 0));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn bucket_boundaries() {
         assert_eq!(bucket_of(0), 0);
@@ -493,17 +384,12 @@ mod tests {
         reg.counter("a.count").add(7);
         reg.histogram("b.lat").record(500);
         let rows = reg.rows();
-        if cfg!(feature = "telemetry") {
-            assert_eq!(rows.len(), 2);
-            assert_eq!(rows[0].name, "a.count");
-            assert_eq!(rows[0].value, 7);
-            assert_eq!(rows[1].kind, "histogram");
-        } else {
-            assert!(rows.is_empty());
-        }
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].name, "a.count");
+        assert_eq!(rows[0].value, 7);
+        assert_eq!(rows[1].kind, "histogram");
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     #[should_panic(expected = "is not a counter")]
     fn kind_mismatch_panics() {
@@ -522,9 +408,7 @@ mod tests {
         crate::set_enabled(true);
         assert_eq!(c.get(), 0);
         c.inc();
-        if cfg!(feature = "telemetry") {
-            assert_eq!(c.get(), 1);
-        }
+        assert_eq!(c.get(), 1);
     }
 
     #[test]
@@ -533,8 +417,6 @@ mod tests {
         crate::counter!("m.macro.count").inc();
         crate::gauge!("m.macro.gauge").set(2);
         crate::histogram!("m.macro.hist").record(9);
-        if cfg!(feature = "telemetry") {
-            assert!(registry().counter("m.macro.count").get() >= 1);
-        }
+        assert!(registry().counter("m.macro.count").get() >= 1);
     }
 }

@@ -8,14 +8,8 @@
 //! the global mutex is touched once per UDF run. The consumers are the
 //! `sys.profile` virtual table and the `devudf profile` CLI, which joins
 //! the rows back onto the source text to print annotated hot lines.
-//!
-//! Like the rest of the crate, everything here compiles to a true no-op
-//! without the `telemetry` feature: [`active`] is a constant `false`, so
-//! the interpreter hook folds away.
 
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicBool, Ordering};
-#[cfg(feature = "telemetry")]
 use std::sync::Mutex;
 
 /// Accumulated cost of one source line of one function.
@@ -36,10 +30,8 @@ pub struct ProfileRow {
 /// the batch format the interpreters flush through [`record`].
 pub type ProfileEntry = ((String, u32), (u64, u64));
 
-#[cfg(feature = "telemetry")]
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 
-#[cfg(feature = "telemetry")]
 static DATA: Mutex<Vec<ProfileEntry>> = Mutex::new(Vec::new());
 
 /// Distinct (function, line) keys kept before further keys are dropped —
@@ -48,32 +40,19 @@ pub const PROFILE_CAP: usize = 65_536;
 
 /// Switch the line profiler on or off. Data already collected is kept
 /// until [`reset`].
-#[cfg(feature = "telemetry")]
 pub fn set_active(on: bool) {
     ACTIVE.store(on, Ordering::Relaxed);
 }
 
-/// Switch the profiler (no-op build: it can never activate).
-#[cfg(not(feature = "telemetry"))]
-pub fn set_active(_on: bool) {}
-
 /// Whether interpreters should profile: the profiler switch is on and
 /// telemetry is enabled. One relaxed load — checked once per UDF run.
-#[cfg(feature = "telemetry")]
 pub fn active() -> bool {
     crate::enabled() && ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Whether interpreters should profile (no-op build: never).
-#[cfg(not(feature = "telemetry"))]
-pub fn active() -> bool {
-    false
 }
 
 /// Merge one run's (function, line) → (hits, nanoseconds) table into the
 /// global profile. Entries beyond [`PROFILE_CAP`] distinct keys are
 /// dropped.
-#[cfg(feature = "telemetry")]
 pub fn record(entries: &[ProfileEntry]) {
     if entries.is_empty() {
         return;
@@ -89,12 +68,7 @@ pub fn record(entries: &[ProfileEntry]) {
     }
 }
 
-/// Merge a profile batch (no-op build: dropped).
-#[cfg(not(feature = "telemetry"))]
-pub fn record(_entries: &[ProfileEntry]) {}
-
 /// The accumulated profile, sorted by (function, line).
-#[cfg(feature = "telemetry")]
 pub fn rows() -> Vec<ProfileRow> {
     let data = DATA.lock().unwrap_or_else(|e| e.into_inner());
     let mut rows: Vec<ProfileRow> = data
@@ -110,15 +84,8 @@ pub fn rows() -> Vec<ProfileRow> {
     rows
 }
 
-/// The accumulated profile (no-op build: always empty).
-#[cfg(not(feature = "telemetry"))]
-pub fn rows() -> Vec<ProfileRow> {
-    Vec::new()
-}
-
 /// Discard all accumulated profile data.
 pub fn reset() {
-    #[cfg(feature = "telemetry")]
     DATA.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
@@ -139,15 +106,11 @@ mod tests {
         ]);
         record(&[(("f".to_string(), 3), (1, 50))]);
         let rows = rows();
-        if cfg!(feature = "telemetry") {
-            assert_eq!(rows.len(), 2);
-            assert_eq!(rows[0].line, 1);
-            assert_eq!(rows[1].line, 3);
-            assert_eq!(rows[1].hits, 3);
-            assert_eq!(rows[1].ns, 250);
-        } else {
-            assert!(rows.is_empty());
-        }
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].line, 1);
+        assert_eq!(rows[1].line, 3);
+        assert_eq!(rows[1].hits, 3);
+        assert_eq!(rows[1].ns, 250);
         reset();
         assert!(super::rows().is_empty());
     }
@@ -158,7 +121,7 @@ mod tests {
         crate::set_enabled(true);
         assert!(!active(), "profiler must be off by default");
         set_active(true);
-        assert_eq!(active(), cfg!(feature = "telemetry"));
+        assert!(active());
         crate::set_enabled(false);
         assert!(!active());
         crate::set_enabled(true);

@@ -13,16 +13,13 @@
 //! capture everything.
 
 use std::fmt::Write as _;
-#[cfg(feature = "telemetry")]
 use std::io::Write as _;
 use std::sync::Mutex;
-#[cfg(feature = "telemetry")]
 use std::sync::{
     atomic::{AtomicU64, AtomicUsize, Ordering},
     RwLock,
 };
 use std::time::Duration;
-#[cfg(feature = "telemetry")]
 use std::time::Instant;
 
 /// Severity of a log event.
@@ -141,31 +138,23 @@ pub trait Subscriber: Send + Sync {
     fn on_event(&self, event: &Event);
 }
 
-#[cfg(feature = "telemetry")]
 static SUBSCRIBERS: RwLock<Vec<std::sync::Arc<dyn Subscriber>>> = RwLock::new(Vec::new());
 
 /// Cached `SUBSCRIBERS.len()`, so hot paths ([`span_active`]) can ask
 /// "is anyone listening?" with one relaxed load instead of a lock.
-#[cfg(feature = "telemetry")]
 static SUBSCRIBER_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 /// Install a subscriber; events fan out to all installed subscribers in
 /// installation order.
-#[cfg(feature = "telemetry")]
 pub fn add_subscriber(sub: std::sync::Arc<dyn Subscriber>) {
     let mut subs = SUBSCRIBERS.write().unwrap_or_else(|e| e.into_inner());
     subs.push(sub);
     SUBSCRIBER_COUNT.store(subs.len(), Ordering::Relaxed);
 }
 
-/// Install a subscriber (no-op build: dropped).
-#[cfg(not(feature = "telemetry"))]
-pub fn add_subscriber(_sub: std::sync::Arc<dyn Subscriber>) {}
-
 /// Remove every installed subscriber (used by tests to restore the
 /// stderr-fallback default).
 pub fn clear_subscribers() {
-    #[cfg(feature = "telemetry")]
     {
         let mut subs = SUBSCRIBERS.write().unwrap_or_else(|e| e.into_inner());
         subs.clear();
@@ -175,7 +164,6 @@ pub fn clear_subscribers() {
 
 /// Dispatch an event: to all subscribers, or — for log events only — as a
 /// JSONL line on stderr when none is installed.
-#[cfg(feature = "telemetry")]
 fn dispatch(event: Event) {
     let subs = SUBSCRIBERS.read().unwrap_or_else(|e| e.into_inner());
     if subs.is_empty() {
@@ -191,7 +179,6 @@ fn dispatch(event: Event) {
 }
 
 /// Emit a log event at `level`.
-#[cfg(feature = "telemetry")]
 pub fn log(level: Level, message: &str, fields: &[(&str, &str)]) {
     if !crate::enabled() {
         return;
@@ -206,20 +193,14 @@ pub fn log(level: Level, message: &str, fields: &[(&str, &str)]) {
     });
 }
 
-/// Emit a log event (no-op build).
-#[cfg(not(feature = "telemetry"))]
-pub fn log(_level: Level, _message: &str, _fields: &[(&str, &str)]) {}
-
 /// Emit a warning (see [`log`]); the [`warn!`](crate::warn) macro is the
 /// ergonomic front end.
 pub fn warn(message: &str, fields: &[(&str, &str)]) {
     log(Level::Warn, message, fields);
 }
 
-#[cfg(feature = "telemetry")]
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
-#[cfg(feature = "telemetry")]
 std::thread_local! {
     /// Stack of open span ids on this thread (innermost last).
     static SPAN_STACK: std::cell::RefCell<Vec<u64>> = const { std::cell::RefCell::new(Vec::new()) };
@@ -228,11 +209,9 @@ std::thread_local! {
 /// An open span; closing (dropping) it reports the duration to all
 /// subscribers. Create via [`span`].
 pub struct SpanGuard {
-    #[cfg(feature = "telemetry")]
     inner: Option<SpanInner>,
 }
 
-#[cfg(feature = "telemetry")]
 struct SpanInner {
     id: u64,
     parent: Option<u64>,
@@ -246,33 +225,20 @@ struct SpanInner {
 
 impl SpanGuard {
     /// Attach a key/value field, reported when the span closes.
-    #[cfg(feature = "telemetry")]
     pub fn field(&mut self, key: &str, value: impl ToString) {
         if let Some(inner) = self.inner.as_mut() {
             inner.fields.push((key.to_string(), value.to_string()));
         }
     }
 
-    /// Attach a key/value field (no-op build).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn field(&mut self, _key: &str, _value: impl ToString) {}
-
-    /// This span's id (0 in a no-op build or when disabled at runtime).
-    #[cfg(feature = "telemetry")]
+    /// This span's id (0 when telemetry is disabled at runtime).
     pub fn id(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.id)
-    }
-
-    /// This span's id (no-op build: zero).
-    #[cfg(not(feature = "telemetry"))]
-    pub fn id(&self) -> u64 {
-        0
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
         if let Some(inner) = self.inner.take() {
             SPAN_STACK.with(|s| {
                 let mut stack = s.borrow_mut();
@@ -302,7 +268,6 @@ impl Drop for SpanGuard {
 
 /// Open a span. The guard closes it on drop; nesting is tracked per
 /// thread, so a span opened while another is live records it as parent.
-#[cfg(feature = "telemetry")]
 pub fn span(name: &'static str) -> SpanGuard {
     if !crate::enabled() {
         return SpanGuard { inner: None };
@@ -328,12 +293,6 @@ pub fn span(name: &'static str) -> SpanGuard {
     }
 }
 
-/// Open a span (no-op build: an inert guard).
-#[cfg(not(feature = "telemetry"))]
-pub fn span(_name: &'static str) -> SpanGuard {
-    SpanGuard {}
-}
-
 /// Open a span only when someone is listening — a per-trace capture or a
 /// subscriber is installed. Hot paths (per-operator, per-command, per-UDF
 /// call) use this so the profiling-off cost stays at one relaxed load.
@@ -345,40 +304,25 @@ pub fn span_active(name: &'static str) -> SpanGuard {
     }
 }
 
-#[cfg(feature = "telemetry")]
 fn inert_span() -> SpanGuard {
     SpanGuard { inner: None }
-}
-
-#[cfg(not(feature = "telemetry"))]
-fn inert_span() -> SpanGuard {
-    SpanGuard {}
 }
 
 /// Whether any span sink is currently live: telemetry enabled and at
 /// least one per-trace capture or subscriber installed. One relaxed load
 /// per check; [`span_active`] is the ergonomic front end.
-#[cfg(feature = "telemetry")]
 pub fn trace_active() -> bool {
     crate::enabled()
         && (CAPTURE_COUNT.load(Ordering::Relaxed) > 0
             || SUBSCRIBER_COUNT.load(Ordering::Relaxed) > 0)
 }
 
-/// Whether any span sink is live (no-op build: never).
-#[cfg(not(feature = "telemetry"))]
-pub fn trace_active() -> bool {
-    false
-}
-
 // ---------------------------------------------------------------------------
 // Trace ids and cross-thread / cross-wire context propagation (DESIGN §15).
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "telemetry")]
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 
-#[cfg(feature = "telemetry")]
 std::thread_local! {
     /// The trace id new spans on this thread join (0 = untraced).
     static CURRENT_TRACE: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -386,7 +330,6 @@ std::thread_local! {
 
 /// Mint a process-unique trace id (never zero). Returns 0 when telemetry
 /// is disabled at runtime — [`capture`] treats 0 as "do not trace".
-#[cfg(feature = "telemetry")]
 fn new_trace_id() -> u64 {
     if !crate::enabled() {
         return 0;
@@ -406,7 +349,6 @@ pub struct SpanContext {
 }
 
 /// Capture the calling thread's current context.
-#[cfg(feature = "telemetry")]
 pub fn current_context() -> SpanContext {
     SpanContext {
         trace: CURRENT_TRACE.with(|t| t.get()),
@@ -414,17 +356,10 @@ pub fn current_context() -> SpanContext {
     }
 }
 
-/// Capture the current context (no-op build: the empty context).
-#[cfg(not(feature = "telemetry"))]
-pub fn current_context() -> SpanContext {
-    SpanContext::default()
-}
-
 /// Re-enter a captured context on this thread: until the returned guard
 /// drops, new spans join `ctx.trace` and parent under `ctx.parent`. Used
 /// by pool jobs (the thread-local parent stack does not cross threads)
 /// and by [`capture`].
-#[cfg(feature = "telemetry")]
 pub fn enter_context(ctx: SpanContext) -> ContextGuard {
     let prev_trace = CURRENT_TRACE.with(|t| t.replace(ctx.trace));
     let pushed = if ctx.parent != 0 {
@@ -436,24 +371,15 @@ pub fn enter_context(ctx: SpanContext) -> ContextGuard {
     ContextGuard { prev_trace, pushed }
 }
 
-/// Re-enter a captured context (no-op build: an inert guard).
-#[cfg(not(feature = "telemetry"))]
-pub fn enter_context(_ctx: SpanContext) -> ContextGuard {
-    ContextGuard {}
-}
-
 /// Restores the previous trace context on drop. Create via
 /// [`enter_context`].
 pub struct ContextGuard {
-    #[cfg(feature = "telemetry")]
     prev_trace: u64,
-    #[cfg(feature = "telemetry")]
     pushed: Option<u64>,
 }
 
 impl Drop for ContextGuard {
     fn drop(&mut self) {
-        #[cfg(feature = "telemetry")]
         {
             if let Some(id) = self.pushed.take() {
                 SPAN_STACK.with(|s| {
@@ -505,19 +431,15 @@ impl SpanRecord {
 /// must not buffer unbounded telemetry.
 pub const CAPTURE_CAP: usize = 8192;
 
-#[cfg(feature = "telemetry")]
 static CAPTURE_COUNT: AtomicUsize = AtomicUsize::new(0);
 
-#[cfg(feature = "telemetry")]
 static CAPTURES: Mutex<Vec<(u64, Vec<SpanRecord>)>> = Mutex::new(Vec::new());
 
 /// Run `f` inside a fresh per-trace capture and return its result with
 /// every span that closed in it, in close order (children before their
 /// parents): spans opened on this thread, in pool jobs it submits, and
 /// spans a peer recorded for it ([`extend_capture`]). The capture is empty
-/// when telemetry is disabled at runtime or compiled out; `f` runs either
-/// way.
-#[cfg(feature = "telemetry")]
+/// when telemetry is disabled at runtime; `f` runs either way.
 pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
     let trace = new_trace_id();
     if trace == 0 {
@@ -542,16 +464,9 @@ pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
     (result, records)
 }
 
-/// Run `f` inside a capture (no-op build: nothing is captured).
-#[cfg(not(feature = "telemetry"))]
-pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
-    (f(), Vec::new())
-}
-
 /// Append spans recorded elsewhere (a server's half of a traced call) to
 /// the capture this thread is inside, up to [`CAPTURE_CAP`]. Does nothing
 /// outside a capture.
-#[cfg(feature = "telemetry")]
 pub fn extend_capture(spans: impl IntoIterator<Item = SpanRecord>) {
     let trace = CURRENT_TRACE.with(|t| t.get());
     let mut caps = CAPTURES.lock().unwrap_or_else(|e| e.into_inner());
@@ -561,11 +476,6 @@ pub fn extend_capture(spans: impl IntoIterator<Item = SpanRecord>) {
     }
 }
 
-/// Append spans to the current capture (no-op build).
-#[cfg(not(feature = "telemetry"))]
-pub fn extend_capture(_spans: impl IntoIterator<Item = SpanRecord>) {}
-
-#[cfg(feature = "telemetry")]
 fn capture_span(inner: &SpanInner, duration: Duration) {
     let mut caps = CAPTURES.lock().unwrap_or_else(|e| e.into_inner());
     if let Some((_, records)) = caps.iter_mut().find(|(t, _)| *t == inner.trace) {
@@ -582,7 +492,7 @@ fn capture_span(inner: &SpanInner, duration: Duration) {
 }
 
 // ---------------------------------------------------------------------------
-// Tree assembly and rendering (pure data — works in no-op builds too, so
+// Tree assembly and rendering (pure data — works with telemetry off too, so
 // the CLI can render spans a telemetry-enabled server sent over the wire).
 // ---------------------------------------------------------------------------
 
@@ -745,45 +655,39 @@ mod tests {
                 let mut outer = span("outer");
                 outer.field("udf", "mean_deviation");
                 let inner = span("inner");
-                if cfg!(feature = "telemetry") {
-                    assert_ne!(inner.id(), outer.id());
-                }
+                assert_ne!(inner.id(), outer.id());
                 drop(inner);
                 drop(outer);
             }
             let events = rec.events();
-            if cfg!(feature = "telemetry") {
-                // Inner closes first.
-                match &events[0] {
-                    Event::Span {
-                        name,
-                        parent,
-                        depth,
-                        ..
-                    } => {
-                        assert_eq!(*name, "inner");
-                        assert!(parent.is_some());
-                        assert_eq!(*depth, 1);
-                    }
-                    other => panic!("{other:?}"),
+            // Inner closes first.
+            match &events[0] {
+                Event::Span {
+                    name,
+                    parent,
+                    depth,
+                    ..
+                } => {
+                    assert_eq!(*name, "inner");
+                    assert!(parent.is_some());
+                    assert_eq!(*depth, 1);
                 }
-                match &events[1] {
-                    Event::Span {
-                        name,
-                        parent,
-                        depth,
-                        fields,
-                        ..
-                    } => {
-                        assert_eq!(*name, "outer");
-                        assert_eq!(*parent, None);
-                        assert_eq!(*depth, 0);
-                        assert_eq!(fields[0], ("udf".to_string(), "mean_deviation".to_string()));
-                    }
-                    other => panic!("{other:?}"),
+                other => panic!("{other:?}"),
+            }
+            match &events[1] {
+                Event::Span {
+                    name,
+                    parent,
+                    depth,
+                    fields,
+                    ..
+                } => {
+                    assert_eq!(*name, "outer");
+                    assert_eq!(*parent, None);
+                    assert_eq!(*depth, 0);
+                    assert_eq!(fields[0], ("udf".to_string(), "mean_deviation".to_string()));
                 }
-            } else {
-                assert!(events.is_empty());
+                other => panic!("{other:?}"),
             }
         });
     }
@@ -793,22 +697,18 @@ mod tests {
         with_recorder(|rec| {
             crate::warn!("disk full", "path" => "/tmp/x", "free" => 0);
             let events = rec.events();
-            if cfg!(feature = "telemetry") {
-                match &events[0] {
-                    Event::Log {
-                        level,
-                        message,
-                        fields,
-                    } => {
-                        assert_eq!(*level, Level::Warn);
-                        assert_eq!(message, "disk full");
-                        assert_eq!(fields.len(), 2);
-                        assert_eq!(fields[1], ("free".to_string(), "0".to_string()));
-                    }
-                    other => panic!("{other:?}"),
+            match &events[0] {
+                Event::Log {
+                    level,
+                    message,
+                    fields,
+                } => {
+                    assert_eq!(*level, Level::Warn);
+                    assert_eq!(message, "disk full");
+                    assert_eq!(fields.len(), 2);
+                    assert_eq!(fields[1], ("free".to_string(), "0".to_string()));
                 }
-            } else {
-                assert!(events.is_empty());
+                other => panic!("{other:?}"),
             }
         });
     }
@@ -901,9 +801,7 @@ mod tests {
             let outer = span("ctx.outer");
             let outer_id = outer.id();
             let ctx = current_context();
-            if cfg!(feature = "telemetry") {
-                assert_eq!(ctx.parent, outer_id);
-            }
+            assert_eq!(ctx.parent, outer_id);
             std::thread::spawn(move || {
                 let _guard = enter_context(ctx);
                 let _child = span("ctx.child");
@@ -911,19 +809,15 @@ mod tests {
             .join()
             .unwrap();
             drop(outer);
-            if cfg!(feature = "telemetry") {
-                let child = rec.events().into_iter().find_map(|e| match e {
-                    Event::Span {
-                        name: "ctx.child",
-                        parent,
-                        ..
-                    } => Some(parent),
-                    _ => None,
-                });
-                assert_eq!(child, Some(Some(outer_id)));
-            } else {
-                assert!(rec.events().is_empty());
-            }
+            let child = rec.events().into_iter().find_map(|e| match e {
+                Event::Span {
+                    name: "ctx.child",
+                    parent,
+                    ..
+                } => Some(parent),
+                _ => None,
+            });
+            assert_eq!(child, Some(Some(outer_id)));
         });
     }
 
@@ -938,23 +832,17 @@ mod tests {
             drop(s);
             // A nested capture keeps its spans to itself.
             let ((), nested) = capture(|| drop(span("cap.nested")));
-            if cfg!(feature = "telemetry") {
-                assert_eq!(nested.len(), 1);
-            }
+            assert_eq!(nested.len(), 1);
             extend_capture([rec(99, 0, "cap.remote")]);
         });
         // A span outside the capture does not join it.
         drop(span("cap.unrelated"));
         extend_capture([rec(98, 0, "cap.orphan")]);
-        if cfg!(feature = "telemetry") {
-            let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
-            assert_eq!(names, ["cap.inner", "cap.remote"]);
-            assert_eq!(records[0].parent, 0);
-            assert_eq!(records[0].fields, vec![("rows".into(), "6".into())]);
-            assert!(!trace_active(), "the capture ended");
-        } else {
-            assert!(records.is_empty());
-        }
+        let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["cap.inner", "cap.remote"]);
+        assert_eq!(records[0].parent, 0);
+        assert_eq!(records[0].fields, vec![("rows".into(), "6".into())]);
+        assert!(!trace_active(), "the capture ended");
     }
 
     #[test]
@@ -966,17 +854,15 @@ mod tests {
         let s = span_active("quiet.op");
         assert_eq!(s.id(), 0);
         drop(s);
-        if cfg!(feature = "telemetry") {
-            let rec = Arc::new(RingBufferRecorder::new(8));
-            add_subscriber(rec.clone());
-            assert!(trace_active());
-            drop(span_active("loud.op"));
-            clear_subscribers();
-            assert!(rec
-                .events()
-                .iter()
-                .any(|e| matches!(e, Event::Span { name, .. } if *name == "loud.op")));
-        }
+        let rec = Arc::new(RingBufferRecorder::new(8));
+        add_subscriber(rec.clone());
+        assert!(trace_active());
+        drop(span_active("loud.op"));
+        clear_subscribers();
+        assert!(rec
+            .events()
+            .iter()
+            .any(|e| matches!(e, Event::Span { name, .. } if *name == "loud.op")));
     }
 
     fn rec(id: u64, parent: u64, name: &str) -> SpanRecord {

@@ -4,7 +4,8 @@
 //!
 //! A [`Client`] carries a [`RetryPolicy`]. With retries enabled,
 //! **idempotent** operations — [`Client::ping`], read-only
-//! [`Client::query`] (`SELECT …`), [`Client::list_functions`],
+//! [`Client::query`] (`SELECT …`, `EXPLAIN …`, by the server
+//! classifier's statement-shape rule), [`Client::list_functions`],
 //! [`Client::get_function`], [`Client::extract_inputs`] — transparently
 //! reconnect, re-authenticate and retry on transient errors (IO failures,
 //! frame-checksum mismatches). Non-idempotent statements are never
@@ -133,13 +134,13 @@ fn op_telemetry(op: &'static str) -> (&'static obs::metrics::Histogram, &'static
 /// top half of the id space, which its own ids (minted from 1) never reach.
 const SERVER_SPAN_BIT: u64 = 1 << 63;
 
-/// A read-only statement is safe to replay after a transient failure; a
-/// write may have executed server-side before the reply was lost.
+/// A statement is safe to replay after a transient failure when the
+/// server's classifier calls its shape read-only, or when it does not parse
+/// (it fails the same way every time). Anything else, `EXPLAIN ANALYZE` of
+/// a write included, may have executed before the reply was lost.
 fn sql_is_idempotent(sql: &str) -> bool {
-    let t = sql.trim_start();
-    ["select", "values", "explain"]
-        .iter()
-        .any(|kw| t.len() >= kw.len() && t[..kw.len()].eq_ignore_ascii_case(kw))
+    monetlite::sql::parse_statement(sql)
+        .map_or(true, |stmt| monetlite::classify::kind_is_read_only(&stmt))
 }
 
 impl Client {
@@ -220,7 +221,7 @@ impl Client {
         // Login is idempotent: under fault injection / flaky networks the
         // initial handshake retries like any read.
         let started = Instant::now();
-        let result = client.with_retry(true, false, |c| c.authenticate());
+        let result = client.with_retry(|| true, false, |c| c.authenticate());
         obs::histogram!("wire.client.latency.login").record_duration(started.elapsed());
         result?;
         Ok(client)
@@ -324,9 +325,10 @@ impl Client {
     /// last error surfaces wrapped in [`WireError::RetriesExhausted`].
     /// Non-idempotent ops are never replayed. With retries disabled the
     /// first error surfaces raw, preserving fail-fast semantics.
+    /// `idempotent` is asked only once a retry is possible.
     fn with_retry<T>(
         &mut self,
-        idempotent: bool,
+        idempotent: impl Fn() -> bool,
         reauth: bool,
         op: impl Fn(&mut Client) -> Result<T, WireError>,
     ) -> Result<T, WireError> {
@@ -344,7 +346,7 @@ impl Client {
             // `Busy` means the server's bounded queue refused the command
             // before execution started, so replaying can never double-run
             // it — the no-replay rule for non-idempotent ops exempts it.
-            if !idempotent && !matches!(err, WireError::Busy(_)) {
+            if !matches!(err, WireError::Busy(_)) && !idempotent() {
                 return Err(WireError::RetriesExhausted {
                     attempts: 1,
                     last: Box::new(err),
@@ -394,7 +396,7 @@ impl Client {
         &mut self,
         op: &'static str,
         msg: &Message,
-        idempotent: bool,
+        idempotent: impl Fn() -> bool,
     ) -> Result<Message, WireError> {
         if !obs::enabled() {
             return self.with_retry(idempotent, true, |c| c.round_trip(msg));
@@ -407,13 +409,13 @@ impl Client {
         result
     }
 
-    /// Execute one SQL statement. `SELECT`s retry under the client's
-    /// [`RetryPolicy`]; writes are never replayed.
+    /// Execute one SQL statement. Read-only statements retry under the
+    /// client's [`RetryPolicy`]; writes are never replayed.
     pub fn query(&mut self, sql: &str) -> Result<WireResult, WireError> {
         let msg = Message::Query {
             sql: sql.to_string(),
         };
-        match self.call("query", &msg, sql_is_idempotent(sql))? {
+        match self.call("query", &msg, || sql_is_idempotent(sql))? {
             Message::ResultSet { result, udf_stdout } => {
                 self.last_udf_stdout = udf_stdout;
                 Ok(result)
@@ -432,7 +434,7 @@ impl Client {
 
     /// Names of every stored function.
     pub fn list_functions(&mut self) -> Result<Vec<String>, WireError> {
-        match self.call("list_functions", &Message::ListFunctions, true)? {
+        match self.call("list_functions", &Message::ListFunctions, || true)? {
             Message::FunctionList { names } => Ok(names),
             other => Err(WireError::Protocol(format!(
                 "unexpected list reply: {other:?}"
@@ -445,7 +447,7 @@ impl Client {
         let msg = Message::GetFunction {
             name: name.to_string(),
         };
-        match self.call("get_function", &msg, true)? {
+        match self.call("get_function", &msg, || true)? {
             Message::FunctionInfo(info) => Ok(info),
             other => Err(WireError::Protocol(format!(
                 "unexpected function reply: {other:?}"
@@ -478,7 +480,7 @@ impl Client {
             options,
             transfer_id,
         };
-        match self.call("extract_inputs", &msg, true)? {
+        match self.call("extract_inputs", &msg, || true)? {
             Message::Extracted {
                 payload,
                 raw_len,
@@ -524,7 +526,7 @@ impl Client {
             epochs,
             digests,
         };
-        match self.call("extract_delta", &msg, true)? {
+        match self.call("extract_delta", &msg, || true)? {
             Message::DeltaNotModified { .. } => {
                 let cache = self.cache.as_mut().expect("delta path requires a cache");
                 let entry = cache.get(fp).ok_or_else(|| {
@@ -613,7 +615,7 @@ impl Client {
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<(), WireError> {
-        match self.call("ping", &Message::Ping, true)? {
+        match self.call("ping", &Message::Ping, || true)? {
             Message::Pong => Ok(()),
             other => Err(WireError::Protocol(format!(
                 "unexpected ping reply: {other:?}"

@@ -4,7 +4,7 @@
 //! zero reflection overhead and the transfer benchmarks measure real bytes.
 
 use codecs::varint::{write_bytes, write_u64, write_zigzag, ReadError, Reader};
-use monetlite::{DbError, Engine, FunctionReturn, QueryResult, Table};
+use monetlite::{DbError, Engine, FunctionReturn, QueryResult, SqlType, Table};
 use obs::trace::SpanRecord;
 
 use crate::transfer;
@@ -151,35 +151,9 @@ impl FunctionInfo {
     }
 }
 
-/// A scalar value on the wire.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireValue {
-    Null,
-    Int(i64),
-    Double(f64),
-    Str(String),
-    Bool(bool),
-    Blob(Vec<u8>),
-}
-
-impl WireValue {
-    pub fn render(&self) -> String {
-        match self {
-            WireValue::Null => "NULL".into(),
-            WireValue::Int(i) => i.to_string(),
-            WireValue::Double(d) => {
-                if d.fract() == 0.0 && d.is_finite() && d.abs() < 1e15 {
-                    format!("{d:.1}")
-                } else {
-                    format!("{d}")
-                }
-            }
-            WireValue::Str(s) => s.clone(),
-            WireValue::Bool(b) => if *b { "true" } else { "false" }.into(),
-            WireValue::Blob(b) => format!("<blob {} bytes>", b.len()),
-        }
-    }
-}
+/// A scalar value on the wire: the engine's own value type, encoded by
+/// `put_value` / `read_value`.
+pub use monetlite::SqlValue as WireValue;
 
 /// A result table on the wire (row-major).
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -198,27 +172,29 @@ impl WireTable {
             .iter()
             .map(|c| (c.name.clone(), c.sql_type().name().to_string()))
             .collect();
-        let mut rows = Vec::with_capacity(t.row_count());
-        for i in 0..t.row_count() {
-            rows.push(
-                t.row(i)
-                    .into_iter()
-                    .map(|v| match v {
-                        monetlite::SqlValue::Null => WireValue::Null,
-                        monetlite::SqlValue::Int(x) => WireValue::Int(x),
-                        monetlite::SqlValue::Double(x) => WireValue::Double(x),
-                        monetlite::SqlValue::Str(x) => WireValue::Str(x),
-                        monetlite::SqlValue::Bool(x) => WireValue::Bool(x),
-                        monetlite::SqlValue::Blob(x) => WireValue::Blob(x),
-                    })
-                    .collect(),
-            );
-        }
         WireTable {
             name: t.name.clone(),
             columns,
-            rows,
+            rows: t.rows(),
         }
+    }
+
+    /// Convert back into an engine table: each row's values go into
+    /// columns of the declared types.
+    fn into_table(self) -> Result<Table, WireError> {
+        let schema = self
+            .columns
+            .into_iter()
+            .map(|(name, ty)| match SqlType::parse(&ty) {
+                Some(t) => Ok((name, t)),
+                None => Err(proto(format!("unknown column type '{ty}'"))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut table = Table::new(self.name, &schema);
+        for row in &self.rows {
+            table.push_row(row).map_err(|e| WireError::from_db(&e))?;
+        }
+        Ok(table)
     }
 
     /// Render as an ASCII grid (client-side pretty printer).
@@ -292,6 +268,18 @@ impl WireResult {
                 "statement produced no result set ({message})"
             ))),
         }
+    }
+
+    /// The engine's result this reply carries (the inverse of
+    /// [`WireResult::from_query_result`]).
+    pub fn into_query_result(self) -> Result<QueryResult, WireError> {
+        Ok(match self {
+            WireResult::Table(t) => QueryResult::Table(t.into_table()?),
+            WireResult::Affected { rows, message } => QueryResult::Affected {
+                rows: rows as usize,
+                message,
+            },
+        })
     }
 }
 

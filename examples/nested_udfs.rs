@@ -128,6 +128,7 @@ fn main() {
         .into_table()
         .unwrap();
     print!("{}", t.render_ascii());
+    let server_best = t.rows[0][0].clone();
 
     println!("\n── devUDF: the same pipeline, locally");
     let report = dev.import_all().unwrap();
@@ -147,16 +148,13 @@ fn main() {
     }
 
     let outcome = dev.run_udf("find_best_classifier").unwrap();
-    match &outcome.result {
-        pylite::Value::Dict(d) => {
-            let best = d
-                .borrow()
-                .get(&pylite::Value::str("n_estimators"))
-                .unwrap()
-                .unwrap();
-            println!("\nlocal best n_estimators = {}", best.repr());
-        }
-        other => println!("\nlocal result = {}", other.repr()),
+    let local_best = match &outcome.result {
+        pylite::Value::Dict(d) => d.borrow().get(&pylite::Value::str("n_estimators")).unwrap(),
+        _ => None,
+    };
+    match &local_best {
+        Some(best) => println!("\nlocal best n_estimators = {}", best.repr()),
+        None => println!("\nlocal result = {}", outcome.result_repr),
     }
     println!(
         "transfers performed: {} (1 outer input extraction + 1 per nested train_rnforest call)",
@@ -165,4 +163,15 @@ fn main() {
 
     std::fs::remove_dir_all(&project).ok();
     server.shutdown();
+
+    // The local run must pick what the server picked: same seeds, same
+    // data, the same `_conn` answers.
+    let local_best = local_best.map(|v| monetlite::udf::py_to_scalar(&v));
+    if local_best != Some(Ok(server_best.clone())) {
+        eprintln!(
+            "local best n_estimators {local_best:?} differs from the server's {server_best:?}"
+        );
+        std::process::exit(1);
+    }
+    println!("the server chose {} too", server_best.render());
 }

@@ -27,14 +27,6 @@ cargo test --offline --workspace --doc -q
 echo "==> fault-injection suite under hard timeout"
 timeout --kill-after=10 120 cargo test --offline -q --test failures
 
-# Telemetry must compile to no-ops with the feature off: build and test
-# crates/obs on its --no-default-features path, then run its full suite
-# with the feature on.
-echo "==> obs telemetry suite (feature on + no-op path)"
-cargo test --offline -q -p obs
-cargo build --offline -p obs --no-default-features
-cargo test --offline -q -p obs --no-default-features
-
 # The chunked transfer container must put identical bytes on the wire no
 # matter how wide the codec pool is (DESIGN.md §11): run the digest
 # printer single-threaded and with the default pool and diff the output.
@@ -84,6 +76,12 @@ cargo run --offline --release -q -p devudf-bench --bin bench_guard
 echo "==> devbench build + 2-second smoke of every workload"
 cargo build --offline --release --manifest-path devbench/Cargo.toml
 cargo run --offline --release -q --manifest-path devbench/Cargo.toml -- --seconds 2
+
+# Paper §2.3 end to end: Listing 3's nested pipeline must choose the same
+# n_estimators when devUDF runs it locally as inside the server; the
+# example exits non-zero when they differ.
+echo "==> nested UDFs example (local run agrees with the server)"
+cargo run --offline --release -q --example nested_udfs > /dev/null
 
 # Embedded-mode smoke, no server anywhere: create a persistent data
 # directory, then drive the import -> run loop over the in-process

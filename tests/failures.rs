@@ -381,6 +381,53 @@ fn non_idempotent_statement_is_never_replayed() {
 }
 
 #[test]
+fn explain_analyze_of_a_write_is_never_replayed() {
+    let _serial = obs::metrics::test_lock();
+    let server = demo_server();
+    let mut clean = Client::connect_in_proc(&server, "monetdb", "monetdb", "demo").unwrap();
+    clean.query("CREATE TABLE t (i INTEGER)").unwrap();
+    clean.query("INSERT INTO t VALUES (0)").unwrap();
+    // Corruption hits the reply: the server has run the statement.
+    let fault = FaultPolicy {
+        corrupt_rate: 0.5,
+        ..FaultPolicy::none(3)
+    };
+    let mut flaky = Client::connect_in_proc_with(
+        &server,
+        "monetdb",
+        "monetdb",
+        "demo",
+        faulty_options(fault, RetryPolicy::standard()),
+    )
+    .unwrap();
+    // EXPLAIN ANALYZE executes its statement, so an UPDATE under it is a
+    // write: the first corrupted reply surfaces with attempts == 1.
+    let mut answered = 0;
+    let err = loop {
+        match flaky.query("EXPLAIN ANALYZE UPDATE t SET i = i + 1") {
+            Ok(_) => answered += 1,
+            Err(e) => break e,
+        }
+        assert!(
+            answered < 50,
+            "a 50% corrupt rate must hit within 50 updates"
+        );
+    };
+    match err {
+        WireError::RetriesExhausted { attempts, .. } => assert_eq!(attempts, 1),
+        other => panic!("{other:?}"),
+    }
+    // Every statement ran exactly once, the unanswered one included.
+    let t = clean
+        .query("SELECT i FROM t")
+        .unwrap()
+        .into_table()
+        .unwrap();
+    assert_eq!(t.rows[0][0], wireproto::WireValue::Int(answered + 1));
+    server.shutdown();
+}
+
+#[test]
 fn exhausted_retries_surface_as_typed_error() {
     let _serial = obs::metrics::test_lock();
     let server = demo_server();

@@ -246,3 +246,78 @@ fn embedded_session_state_survives_reconnect() {
     std::fs::remove_dir_all(&data).ok();
     std::fs::remove_dir_all(&project).ok();
 }
+
+/// The rows of `sql` on `db`.
+fn rows(db: &Engine, sql: &str) -> Vec<Vec<monetlite::SqlValue>> {
+    db.execute(sql).unwrap().table().unwrap().rows()
+}
+
+/// A `SELECT` whose UDF writes through `_conn` succeeds: the loopback
+/// `INSERT` answers its affected-row count. The write moved the catalog,
+/// so the `SELECT` is logged, and a reopen replays it to the live state.
+#[test]
+fn loopback_write_inside_a_select_survives_reopen() {
+    let dir = temp_dir("loopback-write", 0);
+    let live = Engine::open_with(&dir, no_sync(1024)).unwrap();
+    live.execute("CREATE TABLE t (i INTEGER)").unwrap();
+    live.execute("INSERT INTO t VALUES (1)").unwrap();
+    live.execute("CREATE TABLE log (v INTEGER)").unwrap();
+    live.execute(concat!(
+        "CREATE FUNCTION logs(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\n",
+        "return _conn.execute('INSERT INTO log VALUES (7)')\n",
+        "}"
+    ))
+    .unwrap();
+    let answer = live.execute("SELECT logs(i) FROM t").unwrap();
+    assert_eq!(
+        answer.table().unwrap().rows(),
+        [[monetlite::SqlValue::Int(1)]]
+    );
+    let logged = rows(&live, "SELECT v FROM log");
+    assert_eq!(logged, [[monetlite::SqlValue::Int(7)]]);
+    drop(live);
+    let reopened = Engine::open_with(&dir, no_sync(1024)).unwrap();
+    assert_eq!(rows(&reopened, "SELECT v FROM log"), logged);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Run `failing` against a persistent table holding one row: it must
+/// fail with `error`, leave the live table and catalog version as they
+/// were, and a reopen must equal live.
+fn assert_statement_is_all_or_nothing(tag: &str, failing: &str, error: &str) {
+    let dir = temp_dir(tag, 0);
+    let live = Engine::open_with(&dir, no_sync(1024)).unwrap();
+    live.execute("CREATE TABLE numbers (i INTEGER)").unwrap();
+    live.execute("INSERT INTO numbers VALUES (1)").unwrap();
+    live.fs().write("rows.csv", b"20\n21\nx\n22\n").unwrap();
+    let before = digest_of_numbers(&live);
+    let err = live.execute(failing).unwrap_err();
+    assert!(err.message.contains(error), "{err}");
+    assert_eq!(digest_of_numbers(&live), before, "{failing}");
+    drop(live);
+    let reopened = Engine::open_with(&dir, no_sync(1024)).unwrap();
+    assert_eq!(digest_of_numbers(&reopened), before, "{failing}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+fn digest_of_numbers(db: &Engine) -> (Vec<Vec<monetlite::SqlValue>>, u64) {
+    (rows(db, "SELECT i FROM numbers"), db.catalog_version())
+}
+
+#[test]
+fn failing_multi_row_insert_leaves_nothing_behind() {
+    assert_statement_is_all_or_nothing(
+        "atomic-insert",
+        "INSERT INTO numbers VALUES (10), (11), ('x'), (12)",
+        "cannot cast 'x' to INTEGER",
+    );
+}
+
+#[test]
+fn failing_copy_into_leaves_nothing_behind() {
+    assert_statement_is_all_or_nothing(
+        "atomic-copy",
+        "COPY INTO numbers FROM 'rows.csv'",
+        "cannot cast 'x' to INTEGER",
+    );
+}
