@@ -205,7 +205,7 @@ pub fn run_under_debugger(
     call: &pylite::ast::Module,
     arm: Option<SetBreakpoints>,
 ) -> Value {
-    interp.set_step_budget(devudf::debug::STEP_BUDGET);
+    interp.set_step_budget(monetlite::udf::STEP_BUDGET);
     if let Some(arm) = arm {
         let dbg = Debugger::scripted(vec![]);
         arm(&mut dbg.borrow_mut());

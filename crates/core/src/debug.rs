@@ -46,10 +46,6 @@ pub struct DebugOutcome {
     pub pauses: usize,
 }
 
-/// The statement budget of every local run, nested UDFs included: a
-/// runaway loop fails instead of hanging the IDE.
-pub const STEP_BUDGET: u64 = 200_000_000;
-
 /// Fetch the input data for `udf` via the extract function and store it as
 /// `input.bin` (paper §2.2).
 pub fn fetch_inputs(dev: &mut DevUdf, udf: &str) -> Result<TransferStats> {
@@ -92,7 +88,7 @@ pub fn run_local(
     let script = dev.project.read_udf(name)?;
 
     let mut interp = Interp::with_fs(dev.project.fs_provider());
-    interp.set_step_budget(STEP_BUDGET);
+    interp.set_step_budget(udf::STEP_BUDGET);
     interp.set_exec_mode(dev.settings.interp.pylite_mode());
     let conn = LocalConn::new(dev, debugger.clone());
     interp.set_global("_conn", LoopbackConn::value(Rc::new(conn)));
@@ -221,10 +217,11 @@ pub struct LocalConn {
     fs: Rc<dyn pylite::FsProvider>,
     /// Engine selection propagated into nested UDF interpreters.
     exec_mode: pylite::ExecMode,
-    /// Shared nesting depth across the whole local run (each nested UDF
-    /// spawns a fresh interpreter, so interpreter-level recursion guards
-    /// cannot see loopback cycles).
+    /// UDF runs active in the whole local run, the top-level one included,
+    /// held to the engine's limit ([`udf::check_depth`]).
     depth: Rc<Cell<usize>>,
+    /// What nested runs printed since `_conn` last took it.
+    stdout: Rc<RefCell<String>>,
 }
 
 /// What a local run knows of the server's functions.
@@ -237,9 +234,6 @@ struct ServerFunctions {
     defs: HashMap<String, FunctionDef>,
 }
 
-/// Maximum local nested-UDF depth (mirrors the engine-side guard).
-const MAX_LOCAL_UDF_DEPTH: usize = 12;
-
 impl LocalConn {
     fn new(dev: &DevUdf, debugger: Option<Rc<RefCell<Debugger>>>) -> LocalConn {
         LocalConn {
@@ -250,7 +244,8 @@ impl LocalConn {
             debugger,
             fs: dev.project.fs_provider(),
             exec_mode: dev.settings.interp.pylite_mode(),
-            depth: Rc::default(),
+            depth: Rc::new(Cell::new(1)),
+            stdout: Rc::default(),
         }
     }
 
@@ -298,11 +293,7 @@ impl LocalConn {
         sql: &str,
         def: &FunctionDef,
     ) -> std::result::Result<QueryResult, PyError> {
-        if self.depth.get() >= MAX_LOCAL_UDF_DEPTH {
-            return Err(loopback_error(DbError::exec(format!(
-                "maximum UDF nesting depth exceeded ({MAX_LOCAL_UDF_DEPTH}) — loopback recursion?"
-            ))));
-        }
+        udf::check_depth(self.depth.get()).map_err(loopback_error)?;
         let (inputs, stats) = self
             .client
             .borrow_mut()
@@ -316,7 +307,7 @@ impl LocalConn {
         // Same _conn (deeper nesting keeps working) and same debugger
         // (stepping descends into nested UDFs).
         let mut interp = Interp::with_fs(self.fs.clone());
-        interp.set_step_budget(STEP_BUDGET);
+        interp.set_step_budget(udf::STEP_BUDGET);
         interp.set_exec_mode(self.exec_mode);
         for (k, v) in d.borrow().entries() {
             interp.set_global(&k.py_str(), v.clone());
@@ -327,11 +318,12 @@ impl LocalConn {
         }
         let mut span = obs::trace::span("core.run.nested");
         span.field("udf", &def.name);
-        span.field("depth", self.depth.get() + 1);
+        span.field("depth", self.depth.get());
         self.depth.set(self.depth.get() + 1);
         let value = interp.eval_module(&def.body);
         self.depth.set(self.depth.get() - 1);
         drop(span);
+        self.stdout.borrow_mut().push_str(&interp.take_stdout());
         let value = value.map_err(|e| loopback_error(DbError::udf(&e)))?;
         udf::output_to_table(def, &value)
             .map(QueryResult::Table)
@@ -353,6 +345,10 @@ impl Loopback for LocalConn {
             .query(sql)
             .and_then(WireResult::into_query_result)
             .map_err(loopback_error)
+    }
+
+    fn take_stdout(&self) -> String {
+        std::mem::take(&mut self.stdout.borrow_mut())
     }
 }
 

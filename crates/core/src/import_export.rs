@@ -39,6 +39,8 @@ pub fn import_udfs(dev: &mut DevUdf, selection: UdfSelection) -> Result<ImportRe
     };
     let mut report = ImportReport::default();
     let mut imported_names: Vec<String> = Vec::new();
+    // Bodies still to scan for nested calls, each fetched once.
+    let mut pending: Vec<String> = Vec::new();
     for name in wanted {
         if !available.iter().any(|a| a.eq_ignore_ascii_case(&name)) {
             report.missing.push(name);
@@ -48,6 +50,7 @@ pub fn import_udfs(dev: &mut DevUdf, selection: UdfSelection) -> Result<ImportRe
         let script = transform::to_local_script(&info);
         let path = dev.project.write_udf(&info.name, &script)?;
         imported_names.push(info.name.clone());
+        pending.push(info.body);
         report
             .imported
             .push((info.name, path.to_string_lossy().to_string()));
@@ -55,10 +58,8 @@ pub fn import_udfs(dev: &mut DevUdf, selection: UdfSelection) -> Result<ImportRe
 
     // §2.3: also import the transitive closure of nested UDFs invoked via
     // loopback queries, so local debugging can step into them.
-    let mut queue = imported_names.clone();
-    while let Some(name) = queue.pop() {
-        let info = dev.function_info(&name)?;
-        for q in nested::find_loopback_queries(&info.body, &available) {
+    while let Some(body) = pending.pop() {
+        for q in nested::find_loopback_queries(&body, &available) {
             for nested_name in q.udfs {
                 if imported_names
                     .iter()
@@ -70,8 +71,8 @@ pub fn import_udfs(dev: &mut DevUdf, selection: UdfSelection) -> Result<ImportRe
                 let nscript = transform::to_local_script(&ninfo);
                 dev.project.write_udf(&ninfo.name, &nscript)?;
                 imported_names.push(ninfo.name.clone());
-                report.nested.push(ninfo.name.clone());
-                queue.push(nested_name);
+                report.nested.push(ninfo.name);
+                pending.push(ninfo.body);
             }
         }
     }
@@ -228,6 +229,49 @@ mod tests {
         assert_eq!(report.nested, vec!["inner_fn"]);
         assert!(dev.project.has_udf("inner_fn"));
         assert!(!dev.project.has_udf("unrelated"));
+        std::fs::remove_dir_all(dev.project.root()).ok();
+        server.shutdown();
+    }
+
+    /// Server with the given `(name, body)` UDFs, each `(i INTEGER)
+    /// RETURNS INTEGER`.
+    fn server_with(udfs: &'static [(&'static str, &'static str)]) -> Server {
+        Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), move |db| {
+            for (name, body) in udfs {
+                db.execute(&format!(
+                    "CREATE FUNCTION {name}(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {{\n{body}\n}}"
+                ))
+                .unwrap();
+            }
+        })
+    }
+
+    #[test]
+    fn nested_import_is_transitive() {
+        let server = server_with(&[
+            ("a", "res = _conn.execute('SELECT b(i) FROM t')\nreturn 1"),
+            ("b", "res = _conn.execute('SELECT c(i) FROM t')\nreturn 1"),
+            ("c", "return 1"),
+            ("d", "return 1"),
+        ]);
+        let mut dev = temp_dev(&server, "transitive");
+        let report = dev.import(&["a"]).unwrap();
+        assert_eq!(report.nested, vec!["b", "c"]);
+        assert!(!dev.project.has_udf("d"));
+        std::fs::remove_dir_all(dev.project.root()).ok();
+        server.shutdown();
+    }
+
+    #[test]
+    fn nested_import_tolerates_cycles() {
+        let server = server_with(&[
+            ("x", "res = _conn.execute('SELECT y(i) FROM t')\nreturn 1"),
+            ("y", "res = _conn.execute('SELECT x(i) FROM t')\nreturn 1"),
+        ]);
+        let mut dev = temp_dev(&server, "cycle");
+        let report = dev.import(&["x"]).unwrap();
+        assert_eq!(report.imported.len(), 1);
+        assert_eq!(report.nested, vec!["y"]);
         std::fs::remove_dir_all(dev.project.root()).ok();
         server.shutdown();
     }

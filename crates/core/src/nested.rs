@@ -126,35 +126,6 @@ pub fn udfs_in_sql(sql: &str, known: &[String]) -> Vec<String> {
     out
 }
 
-/// The full transitive closure of nested UDFs reachable from `root_body`.
-///
-/// `lookup` resolves a UDF name to its body (e.g. via the client); cycles
-/// are tolerated (each function is visited once).
-pub fn nested_closure(
-    root_body: &str,
-    known_functions: &[String],
-    mut lookup: impl FnMut(&str) -> Option<String>,
-) -> Vec<String> {
-    let mut discovered: Vec<String> = Vec::new();
-    let mut queue: Vec<String> = find_loopback_queries(root_body, known_functions)
-        .into_iter()
-        .flat_map(|q| q.udfs)
-        .collect();
-    while let Some(name) = queue.pop() {
-        if discovered.contains(&name) {
-            continue;
-        }
-        if let Some(body) = lookup(&name) {
-            for q in find_loopback_queries(&body, known_functions) {
-                queue.extend(q.udfs);
-            }
-        }
-        discovered.push(name);
-    }
-    discovered.sort();
-    discovered
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,39 +198,5 @@ return best_classifier
         let body = "q = 'SELECT 1'\nres = _conn.execute(q)\n";
         let queries = find_loopback_queries(body, &known());
         assert!(queries.is_empty());
-    }
-
-    #[test]
-    fn nested_closure_is_transitive() {
-        let known = vec!["a".to_string(), "b".to_string(), "c".to_string()];
-        let bodies = |name: &str| -> Option<String> {
-            match name {
-                "a" => Some("res = _conn.execute('SELECT b(i) FROM t')\n".to_string()),
-                "b" => Some("res = _conn.execute('SELECT c(i) FROM t')\n".to_string()),
-                "c" => Some("return 1\n".to_string()),
-                _ => None,
-            }
-        };
-        let root = "res = _conn.execute('SELECT a(i) FROM t')\n";
-        let closure = nested_closure(root, &known, bodies);
-        assert_eq!(closure, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn nested_closure_tolerates_cycles() {
-        let known = vec!["x".to_string(), "y".to_string()];
-        let bodies = |name: &str| -> Option<String> {
-            match name {
-                "x" => Some("res = _conn.execute('SELECT y(i) FROM t')\n".to_string()),
-                "y" => Some("res = _conn.execute('SELECT x(i) FROM t')\n".to_string()),
-                _ => None,
-            }
-        };
-        let closure = nested_closure(
-            "res = _conn.execute('SELECT x(i) FROM t')\n",
-            &known,
-            bodies,
-        );
-        assert_eq!(closure, vec!["x", "y"]);
     }
 }

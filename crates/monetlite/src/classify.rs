@@ -23,6 +23,7 @@
 
 use crate::catalog::Catalog;
 use crate::engine::collect_call_names;
+use crate::exec::eval::is_builtin;
 use crate::sql::{parse_statement, Statement};
 
 /// Where the scheduler must run a command.
@@ -89,11 +90,26 @@ fn classify_excluding(stmt: &Statement, catalog: &Catalog, exclude: Option<&str>
     }
 }
 
+/// Whether a client may resend `sql` after its reply was lost: the
+/// statement does not parse (it fails the same way every time), or its
+/// shape is read-only and it calls no stored function except `intercepted`
+/// (the UDF an extract intercepts, whose body does not run). The client
+/// cannot see UDF bodies, so any other stored function may write through
+/// `_conn`; a stored function is any call the evaluator does not answer
+/// itself (`exec::eval::is_builtin`).
+pub fn replay_is_safe(sql: &str, intercepted: Option<&str>) -> bool {
+    parse_statement(sql).map_or(true, |stmt| {
+        kind_is_read_only(&stmt)
+            && collect_call_names(&stmt).iter().all(|name| {
+                is_builtin(name) || intercepted.is_some_and(|udf| name.eq_ignore_ascii_case(udf))
+            })
+    })
+}
+
 /// Statement-shape check (ignoring UDF bodies). `EXPLAIN` only plans, so it
 /// is read-only whatever it wraps; `EXPLAIN ANALYZE` executes for real and
-/// inherits its inner statement's class. The wire client's retry rule
-/// uses it too.
-pub fn kind_is_read_only(stmt: &Statement) -> bool {
+/// inherits its inner statement's class.
+fn kind_is_read_only(stmt: &Statement) -> bool {
     match stmt {
         Statement::Select(_) => true,
         Statement::Explain(_) => true,
@@ -205,5 +221,28 @@ mod tests {
         // purity scan.
         let db = catalog_with("return i");
         assert_eq!(classify_on(&db, "SELECT sum(i) FROM t"), CommandClass::Read);
+    }
+
+    #[test]
+    fn only_reads_that_call_no_stored_function_replay() {
+        for sql in [
+            "SELECT sum(i), abs(i) FROM t WHERE i > 1",
+            "EXPLAIN UPDATE t SET i = 1",
+            "SELEC nonsense",
+        ] {
+            assert!(replay_is_safe(sql, None), "{sql}");
+        }
+        for sql in [
+            "SELECT f(i) FROM t",
+            "SELECT * FROM tf((SELECT i FROM t))",
+            "EXPLAIN ANALYZE SELECT f(i) FROM t",
+            "EXPLAIN ANALYZE UPDATE t SET i = 1",
+            "INSERT INTO t VALUES (1)",
+        ] {
+            assert!(!replay_is_safe(sql, None), "{sql}");
+        }
+        // An extract intercepts its UDF, whose body never runs.
+        assert!(replay_is_safe("SELECT F(i) FROM t", Some("f")));
+        assert!(!replay_is_safe("SELECT f(g(i)) FROM t", Some("f")));
     }
 }

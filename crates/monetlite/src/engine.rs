@@ -58,7 +58,7 @@ impl QueryResult {
 
 /// Marker error message used to abort execution once extraction captured
 /// the UDF inputs (never surfaces to callers).
-pub(crate) const EXTRACT_SIGNAL: &str = "__devudf_extract_complete__";
+const EXTRACT_SIGNAL: &str = "__devudf_extract_complete__";
 
 struct Inner {
     catalog: Catalog,
@@ -70,11 +70,9 @@ struct Inner {
     /// executing it.
     extract_request: Option<String>,
     extracted: Option<Vec<(String, UdfInput)>>,
-    /// `print` output of UDFs during the last statement.
+    /// `print` output of UDFs during the last top-level statement.
     udf_stdout: String,
-    /// Current UDF nesting depth (loopback queries re-enter the engine with
-    /// a fresh interpreter, so the interpreter's own recursion guard cannot
-    /// see engine-level cycles).
+    /// UDF runs active now (see [`crate::udf::MAX_DEPTH`]).
     udf_depth: usize,
     /// Froid-style UDF inlining toggle (`--interp=inline`, the default).
     /// When off, every UDF goes through the interpreter.
@@ -90,9 +88,6 @@ struct Inner {
 /// Operator rows kept per ANALYZE run — a loopback-recursive statement
 /// must not render unbounded plan rows.
 const ANALYZE_ROW_CAP: usize = 4096;
-
-/// Maximum engine-level UDF nesting (loopback-driven recursion guard).
-const MAX_UDF_DEPTH: usize = 12;
 
 /// The engine. Cheap to clone (shared state); single-threaded by design —
 /// the wire server owns one engine on a dedicated thread.
@@ -129,7 +124,7 @@ impl Engine {
                 model: ExecutionModel::OperatorAtATime,
                 exec_mode: pylite::ExecMode::default(),
                 fs,
-                udf_step_budget: 50_000_000,
+                udf_step_budget: crate::udf::STEP_BUDGET,
                 extract_request: None,
                 extracted: None,
                 udf_stdout: String::new(),
@@ -278,10 +273,14 @@ impl Engine {
         self.inner.borrow().inline
     }
 
-    /// The cached inlining decision for a stored function. Plans are
-    /// recomputed whenever the function catalog's epoch moves (CREATE OR
-    /// REPLACE, DROP).
+    /// The inlining decision for a stored function: with inlining off,
+    /// interpreted for that reason; otherwise the cached plan, recomputed
+    /// whenever the function catalog's epoch moves (CREATE OR REPLACE,
+    /// DROP).
     pub fn udf_plan(&self, def: &FunctionDef) -> Rc<UdfPlan> {
+        if !self.inline_enabled() {
+            return Rc::new(UdfPlan::Interpreted(inline::Bail::Disabled));
+        }
         let key = def.name.to_ascii_lowercase();
         let epoch = self.inner.borrow().catalog.functions_epoch();
         if let Some((cached_epoch, plan)) = self.inner.borrow().plan_cache.get(&key) {
@@ -317,8 +316,9 @@ impl Engine {
         self.inner.borrow().fs.clone()
     }
 
-    /// `print` output produced by UDFs during the last `execute` call — the
-    /// paper's "print debugging" channel (§2.5 step 3).
+    /// `print` output produced by UDFs during the last top-level `execute`
+    /// call, in the order they printed — the paper's "print debugging"
+    /// channel (§2.5 step 3).
     pub fn take_udf_stdout(&self) -> String {
         std::mem::take(&mut self.inner.borrow_mut().udf_stdout)
     }
@@ -330,11 +330,7 @@ impl Engine {
     /// Enter a UDF execution; errors when loopback nesting runs away.
     pub(crate) fn enter_udf(&self) -> Result<UdfDepthGuard, DbError> {
         let mut inner = self.inner.borrow_mut();
-        if inner.udf_depth >= MAX_UDF_DEPTH {
-            return Err(DbError::exec(format!(
-                "maximum UDF nesting depth exceeded ({MAX_UDF_DEPTH}) — loopback recursion?"
-            )));
-        }
+        crate::udf::check_depth(inner.udf_depth)?;
         inner.udf_depth += 1;
         Ok(UdfDepthGuard {
             engine: self.clone(),
@@ -365,17 +361,21 @@ impl Engine {
         self.inner.borrow().catalog.function_names()
     }
 
-    pub(crate) fn extract_matches(&self, fn_name: &str) -> bool {
-        self.inner
-            .borrow()
-            .extract_request
-            .as_deref()
-            .map(|r| r.eq_ignore_ascii_case(fn_name))
-            .unwrap_or(false)
-    }
-
-    pub(crate) fn store_extracted(&self, inputs: Vec<(String, UdfInput)>) {
-        self.inner.borrow_mut().extracted = Some(inputs);
+    /// Hand a call's `inputs` to a pending extract of `fn_name` (§2.2),
+    /// which stops the call with the extract signal; any other call gets
+    /// its inputs back.
+    pub(crate) fn intercept(
+        &self,
+        fn_name: &str,
+        inputs: Vec<(String, UdfInput)>,
+    ) -> Result<Vec<(String, UdfInput)>, DbError> {
+        let mut inner = self.inner.borrow_mut();
+        let requested = inner.extract_request.as_deref();
+        if !requested.is_some_and(|r| r.eq_ignore_ascii_case(fn_name)) {
+            return Ok(inputs);
+        }
+        inner.extracted = Some(inputs);
+        Err(DbError::exec(EXTRACT_SIGNAL))
     }
 
     // ------------------------------------------------------------------
@@ -390,9 +390,13 @@ impl Engine {
         // *top-level* statement that moved the catalog version. Loopback
         // statements (depth ≥ 1) are excluded — replaying the outer
         // statement re-runs the UDF and reproduces them; logging both
-        // would double-apply.
+        // would double-apply. A top-level statement also starts the UDF
+        // output afresh; a loopback statement's reaches its caller's.
         let (version_before, depth) = {
-            let inner = self.inner.borrow();
+            let mut inner = self.inner.borrow_mut();
+            if inner.udf_depth == 0 {
+                inner.udf_stdout.clear();
+            }
             (inner.catalog.version(), inner.udf_depth)
         };
         let result = self.run(&stmt);
@@ -464,10 +468,7 @@ impl Engine {
                 path,
                 delimiter,
             } => self.run_copy_into(table, path, *delimiter),
-            Statement::Select(sel) => {
-                self.inner.borrow_mut().udf_stdout.clear();
-                Ok(QueryResult::Table(exec::run_select(self, sel)?))
-            }
+            Statement::Select(sel) => Ok(QueryResult::Table(exec::run_select(self, sel)?)),
             Statement::Explain(inner_stmt) => self.run_explain(inner_stmt),
             Statement::ExplainAnalyze(inner_stmt) => self.run_explain_analyze(inner_stmt),
         }
@@ -511,7 +512,6 @@ impl Engine {
             SqlValue::Str("statement".to_string()),
             SqlValue::Str(statement_kind(stmt).to_string()),
         ])?;
-        let inline_on = self.inline_enabled();
         let mut seen = std::collections::BTreeSet::new();
         for name in collect_call_names(stmt) {
             let Some(def) = self.get_function(&name)? else {
@@ -520,14 +520,9 @@ impl Engine {
             if !seen.insert(def.name.to_ascii_lowercase()) {
                 continue;
             }
-            let decision = if inline_on {
-                self.udf_plan(&def).describe()
-            } else {
-                "interpreted (bail: disabled)".to_string()
-            };
             table.push_row(&[
                 SqlValue::Str(format!("udf {}", def.name)),
-                SqlValue::Str(decision),
+                SqlValue::Str(self.udf_plan(&def).describe()),
             ])?;
         }
         Ok(QueryResult::Table(table))
@@ -1665,6 +1660,9 @@ mod tests {
         assert_eq!(analyze_ints(&t, "rows_out")[fi], 4);
     }
 
+    /// Every stored-UDF call renders one `udf` row, in a SELECT list and in
+    /// FROM, with inlining on and off, and the rows agree with the
+    /// `monetlite.udf.{inlined,bailed}` counters.
     #[test]
     fn explain_analyze_udf_rows_agree_with_the_inline_counters() {
         let _serial = obs::metrics::test_lock();
@@ -1678,37 +1676,43 @@ mod tests {
             "CREATE FUNCTION loopy(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\ns = 0\nfor v in i:\n    s = s + v\nreturn s\n}",
         )
         .unwrap();
-        let inlined_before = obs::counter!("monetlite.udf.inlined").get();
-        let bailed_before = obs::counter!("monetlite.udf.bailed").get();
-        let t = db
-            .execute("EXPLAIN ANALYZE SELECT straight(i), loopy(i) FROM t")
-            .unwrap()
-            .into_table()
-            .unwrap();
-        let inlined_delta = obs::counter!("monetlite.udf.inlined").get() - inlined_before;
-        let bailed_delta = obs::counter!("monetlite.udf.bailed").get() - bailed_before;
-        let ops = analyze_strs(&t, "op");
-        let details = analyze_strs(&t, "detail");
-        let udf_rows: Vec<&String> = ops
-            .iter()
-            .zip(&details)
-            .filter(|(op, _)| op.as_str() == "udf")
-            .map(|(_, d)| d)
-            .collect();
-        let inlined_rows = udf_rows.iter().filter(|d| d.ends_with(" inlined")).count() as u64;
-        let fallback_rows = udf_rows
-            .iter()
-            .filter(|d| d.ends_with(" bailed") || d.ends_with(" interpreted"))
-            .count() as u64;
-        assert_eq!(inlined_rows, inlined_delta);
-        assert_eq!(fallback_rows, bailed_delta);
-        assert!(
-            udf_rows.iter().any(|d| d.as_str() == "straight inlined"),
-            "{udf_rows:?}"
+        db.execute(
+            "CREATE FUNCTION tf(i INTEGER) RETURNS TABLE(d DOUBLE) LANGUAGE PYTHON { return {'d': i} }",
+        )
+        .unwrap();
+        let udf_rows = |sql: &str| -> Vec<String> {
+            let inlined_before = obs::counter!("monetlite.udf.inlined").get();
+            let bailed_before = obs::counter!("monetlite.udf.bailed").get();
+            let t = db.execute(sql).unwrap().into_table().unwrap();
+            let inlined_delta = obs::counter!("monetlite.udf.inlined").get() - inlined_before;
+            let bailed_delta = obs::counter!("monetlite.udf.bailed").get() - bailed_before;
+            let rows: Vec<String> = analyze_strs(&t, "op")
+                .into_iter()
+                .zip(analyze_strs(&t, "detail"))
+                .filter(|(op, _)| op == "udf")
+                .map(|(_, detail)| detail)
+                .collect();
+            let inlined_rows = rows.iter().filter(|d| d.ends_with(" inlined")).count() as u64;
+            let fallback_rows = rows
+                .iter()
+                .filter(|d| d.ends_with(" bailed") || d.ends_with(" interpreted"))
+                .count() as u64;
+            assert_eq!(inlined_rows, inlined_delta, "{sql}");
+            assert_eq!(fallback_rows, bailed_delta, "{sql}");
+            rows
+        };
+        assert_eq!(
+            udf_rows("EXPLAIN ANALYZE SELECT straight(i), loopy(i) FROM t"),
+            ["straight inlined", "loopy interpreted"]
         );
-        assert!(
-            udf_rows.iter().any(|d| d.as_str() == "loopy interpreted"),
-            "{udf_rows:?}"
+        assert_eq!(
+            udf_rows("EXPLAIN ANALYZE SELECT * FROM tf((SELECT i FROM t))"),
+            ["tf interpreted"]
+        );
+        db.set_inline(false);
+        assert_eq!(
+            udf_rows("EXPLAIN ANALYZE SELECT straight(i) FROM t"),
+            ["straight interpreted"]
         );
     }
 

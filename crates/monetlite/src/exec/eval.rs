@@ -68,6 +68,17 @@ fn is_aggregate(name: &str) -> bool {
     )
 }
 
+/// Names of the scalar functions the evaluator answers itself.
+const SCALAR_BUILTINS: &[&str] = &[
+    "__seq", "abs", "length", "upper", "lower", "sqrt", "floor", "ceil", "ceiling", "round",
+];
+
+/// Whether the evaluator answers a call to `name` itself. Every other call
+/// name is a stored function, which runs through `udf::call`.
+pub(crate) fn is_builtin(name: &str) -> bool {
+    is_aggregate(name) || SCALAR_BUILTINS.contains(&name.to_ascii_lowercase().as_str())
+}
+
 /// Evaluate `expr` against `source` (None = no FROM clause).
 pub fn eval_expr<'t>(
     engine: &Engine,
@@ -972,127 +983,30 @@ fn eval_call<'t>(
     if is_aggregate(&lname) {
         return eval_aggregate(engine, source, &lname, args);
     }
-    if let Some(result) = eval_scalar_builtin(engine, source, &lname, args)? {
-        return Ok(result);
-    }
-    // Stored UDF.
-    let def = engine
-        .get_function(name)?
-        .ok_or_else(|| DbError::catalog(format!("no such function '{name}'")))?;
-    if args.len() != def.params.len() {
-        return Err(DbError::exec(format!(
-            "function '{}' takes {} arguments, got {}",
-            def.name,
-            def.params.len(),
-            args.len()
-        )));
+    if SCALAR_BUILTINS.contains(&lname.as_str()) {
+        return eval_scalar_builtin(engine, source, &lname, args);
     }
     let mut inputs = Vec::with_capacity(args.len());
-    for (arg, (pname, _)) in args.iter().zip(&def.params) {
-        let input = match eval_expr(engine, source, arg)? {
+    for arg in args {
+        inputs.push(match eval_expr(engine, source, arg)? {
             Evaluated::Column(c) => UdfInput::Column(c.into_owned()),
             Evaluated::Scalar(s) => UdfInput::Scalar(s),
-        };
-        inputs.push((pname.clone(), input));
+        });
     }
-
-    // Input extraction interception (paper §2.2).
-    if engine.extract_matches(&def.name) {
-        engine.store_extracted(inputs);
-        return Err(DbError::exec(crate::engine::EXTRACT_SIGNAL));
-    }
-
-    // Froid-style inlining: straight-line bodies run as relational
-    // expressions; anything else (or any runtime bail) falls through to
-    // the interpreter below. The disposition goes on a `monet.op.udf` span
-    // at the three sites that bump the `monetlite.udf.*` counters, so
-    // EXPLAIN ANALYZE's udf rows agree with them by construction; a
-    // fallback's span stays open across the interpreter run.
-    let mut fallback = None;
-    if engine.inline_enabled() {
-        let span = obs::trace::span_active("monet.op.udf");
-        let per_row = engine.model() == crate::engine::ExecutionModel::TupleAtATime;
-        let plan = engine.udf_plan(&def);
-        let disposition = match &*plan {
-            crate::inline::UdfPlan::Inlined(p) => {
-                match crate::inline::run_inlined(engine, p, &inputs, per_row) {
-                    crate::inline::InlineOutcome::Done(v) => {
-                        obs::counter!("monetlite.udf.inlined").inc();
-                        // Tuple-at-a-time calls the UDF once per source row;
-                        // a row-independent body still yields one value per
-                        // row, so broadcast scalar results.
-                        let v = match v {
-                            Evaluated::Scalar(s) if per_row => {
-                                let rows = source.map(|t| t.row_count()).unwrap_or(1);
-                                Evaluated::owned(Column::from_values(&def.name, &vec![s; rows])?)
-                            }
-                            other => other,
-                        };
-                        finish_udf(span, &def.name, "inlined", &inputs, &v);
-                        return Ok(v);
-                    }
-                    crate::inline::InlineOutcome::Bailed(_) => {
-                        obs::counter!("monetlite.udf.bailed").inc();
-                        "bailed"
-                    }
-                }
-            }
-            crate::inline::UdfPlan::Interpreted(_) => {
-                obs::counter!("monetlite.udf.bailed").inc();
-                "interpreted"
-            }
-        };
-        fallback = Some((span, disposition));
-    }
-
-    let result = match engine.model() {
-        crate::engine::ExecutionModel::OperatorAtATime => {
-            let out = udf::run_operator_at_a_time(engine, &def, &inputs)?;
-            engine.append_udf_stdout(&out.stdout);
-            match &out.value {
-                pylite::Value::Array(_) | pylite::Value::List(_) | pylite::Value::Tuple(_) => {
-                    Evaluated::owned(udf::py_to_column(&def.name, &out.value)?)
-                }
-                scalar => Evaluated::Scalar(udf::py_to_scalar(scalar)?),
-            }
-        }
-        crate::engine::ExecutionModel::TupleAtATime => {
-            let rows = source.map(|t| t.row_count()).unwrap_or(1);
-            let (values, stdout) = udf::run_tuple_at_a_time(engine, &def, &inputs, rows)?;
-            engine.append_udf_stdout(&stdout);
-            let scalars: Result<Vec<SqlValue>, DbError> =
-                values.iter().map(udf::py_to_scalar).collect();
-            Evaluated::owned(Column::from_values(&def.name, &scalars?)?)
-        }
+    let rows = source.map_or(1, Table::row_count);
+    let mut columns = udf::call(engine, name, inputs, rows)?.into_columns();
+    let (Some(column), true) = (columns.pop(), columns.is_empty()) else {
+        return Err(DbError::exec(format!(
+            "function '{name}' returns a table, not one value per row"
+        )));
     };
-    if let Some((span, disposition)) = fallback {
-        finish_udf(span, &def.name, disposition, &inputs, &result);
-    }
-    Ok(result)
-}
-
-/// Close a stored UDF call's `monet.op.udf` span: `detail` is the name and
-/// its disposition, rows in the longest input and rows out the result's.
-fn finish_udf(
-    span: obs::trace::SpanGuard,
-    name: &str,
-    disposition: &str,
-    inputs: &[(String, UdfInput)],
-    result: &Evaluated,
-) {
-    let rows_in = inputs
-        .iter()
-        .map(|(_, i)| match i {
-            UdfInput::Column(c) => c.len() as u64,
-            UdfInput::Scalar(_) => 1,
-        })
-        .max()
-        .unwrap_or(1);
-    let rows_out = match result {
-        Evaluated::Column(c) => c.len() as u64,
-        Evaluated::Scalar(_) => 1,
-    };
-    super::finish_op(span, || format!("{name} {disposition}"), rows_in, rows_out);
+    // A one-row result is one value, which the SELECT list broadcasts (a
+    // UDF that reduces its column, like paper Listing 4's).
+    Ok(if column.len() == 1 {
+        Evaluated::Scalar(column.get(0))
+    } else {
+        Evaluated::owned(column)
+    })
 }
 
 /// Aggregates reduce their argument column to a scalar.
@@ -1218,24 +1132,22 @@ fn eval_aggregate(
     }))
 }
 
-/// Scalar builtins evaluated rowwise. Returns Ok(None) when `name` is not a
-/// builtin (the caller then tries stored UDFs).
+/// Scalar builtins (one of [`SCALAR_BUILTINS`]) evaluated rowwise.
 fn eval_scalar_builtin<'t>(
     engine: &Engine,
     source: Option<&'t Table>,
     name: &str,
     args: &[SqlExpr],
-) -> Result<Option<Evaluated<'t>>, DbError> {
-    let unary =
-        |f: fn(&SqlValue) -> Result<SqlValue, DbError>| -> Result<Option<Evaluated<'t>>, DbError> {
-            if args.len() != 1 {
-                return Err(DbError::exec(format!(
-                    "{name}() takes exactly one argument"
-                )));
-            }
-            let v = eval_expr(engine, source, &args[0])?;
-            Ok(Some(map_evaluated(v, name, f)?))
-        };
+) -> Result<Evaluated<'t>, DbError> {
+    let unary = |f: fn(&SqlValue) -> Result<SqlValue, DbError>| -> Result<Evaluated<'t>, DbError> {
+        if args.len() != 1 {
+            return Err(DbError::exec(format!(
+                "{name}() takes exactly one argument"
+            )));
+        }
+        let v = eval_expr(engine, source, &args[0])?;
+        map_evaluated(v, name, f)
+    };
     match name {
         // Internal sequencing primitive used by UDF inlining: evaluate the
         // first argument only for its errors (division by zero, overflow),
@@ -1245,7 +1157,7 @@ fn eval_scalar_builtin<'t>(
                 return Err(DbError::exec("__seq() takes exactly two arguments"));
             }
             eval_expr(engine, source, &args[0])?;
-            Ok(Some(eval_expr(engine, source, &args[1])?))
+            eval_expr(engine, source, &args[1])
         }
         "abs" => {
             if args.len() != 1 {
@@ -1267,22 +1179,19 @@ fn eval_scalar_builtin<'t>(
                                     })?,
                                 );
                             }
-                            return Ok(Some(Evaluated::owned(Column::new(
-                                "abs",
-                                ColumnData::Int(out),
-                            ))));
+                            return Ok(Evaluated::owned(Column::new("abs", ColumnData::Int(out))));
                         }
                         ColumnData::Double(ds) => {
-                            return Ok(Some(Evaluated::owned(Column::new(
+                            return Ok(Evaluated::owned(Column::new(
                                 "abs",
                                 ColumnData::Double(ds.iter().map(|d| d.abs()).collect()),
-                            ))));
+                            )));
                         }
                         _ => {}
                     }
                 }
             }
-            Ok(Some(map_evaluated(v, name, |v| {
+            map_evaluated(v, name, |v| {
                 Ok(match v {
                     SqlValue::Null => SqlValue::Null,
                     SqlValue::Int(i) => SqlValue::Int(
@@ -1297,7 +1206,7 @@ fn eval_scalar_builtin<'t>(
                         )))
                     }
                 })
-            })?))
+            })
         }
         "length" => unary(|v| {
             Ok(match v {
@@ -1379,7 +1288,7 @@ fn eval_scalar_builtin<'t>(
                 ),
             })
         }),
-        _ => Ok(None),
+        _ => unreachable!("SCALAR_BUILTINS gate"),
     }
 }
 

@@ -375,57 +375,29 @@ fn order_rows(
     Ok(result.permute(&perm))
 }
 
-/// Execute a table-returning function in FROM (paper Listing 3 pattern).
+/// Execute a table-returning function in FROM (paper Listing 3 pattern):
+/// subqueries contribute their output columns in order, scalar expressions
+/// single values, and the call's rows are those of its longest input.
 pub fn run_table_function(
     engine: &Engine,
     name: &str,
     args: &[TableFuncArg],
 ) -> Result<Table, DbError> {
-    let def = engine
-        .get_function(name)?
-        .ok_or_else(|| DbError::catalog(format!("no such table function '{name}'")))?;
-
-    // Flatten arguments: subqueries contribute their output columns in
-    // order; scalar expressions contribute single values.
     let mut inputs: Vec<UdfInput> = Vec::new();
     for arg in args {
         match arg {
             TableFuncArg::Query(sub) => {
                 let t = run_select(engine, sub)?;
-                for c in t.into_columns() {
-                    inputs.push(UdfInput::Column(c));
-                }
+                inputs.extend(t.into_columns().into_iter().map(UdfInput::Column));
             }
-            TableFuncArg::Expr(e) => match eval::eval_expr(engine, None, e)? {
-                Evaluated::Scalar(s) => inputs.push(UdfInput::Scalar(s)),
-                Evaluated::Column(c) => inputs.push(UdfInput::Column(c.into_owned())),
-            },
+            TableFuncArg::Expr(e) => inputs.push(match eval::eval_expr(engine, None, e)? {
+                Evaluated::Scalar(s) => UdfInput::Scalar(s),
+                Evaluated::Column(c) => UdfInput::Column(c.into_owned()),
+            }),
         }
     }
-    if inputs.len() != def.params.len() {
-        return Err(DbError::exec(format!(
-            "table function '{}' takes {} arguments, got {}",
-            def.name,
-            def.params.len(),
-            inputs.len()
-        )));
-    }
-    let named: Vec<(String, UdfInput)> = def
-        .params
-        .iter()
-        .map(|(n, _)| n.clone())
-        .zip(inputs)
-        .collect();
-
-    // Input extraction interception (the paper's extract function, §2.2).
-    if engine.extract_matches(&def.name) {
-        engine.store_extracted(named);
-        return Err(DbError::exec(crate::engine::EXTRACT_SIGNAL));
-    }
-
-    let out = udf::run_operator_at_a_time(engine, &def, &named)?;
-    engine.append_udf_stdout(&out.stdout);
-    udf::output_to_table(&def, &out.value)
+    let rows = inputs.iter().map(UdfInput::rows).max().unwrap_or(1);
+    udf::call(engine, name, inputs, rows)
 }
 
 #[cfg(test)]

@@ -933,16 +933,9 @@ fn lower_builtin(
 // Invocation
 // ----------------------------------------------------------------------
 
-/// Outcome of attempting one inlined invocation.
-pub enum InlineOutcome {
-    /// Columnar result, same shape `eval_call` would build from the
-    /// interpreter's output.
-    Done(crate::exec::eval::Evaluated<'static>),
-    /// Fall back to the interpreter for this invocation.
-    Bailed(Bail),
-}
-
-/// Execute an inlined plan against the bound inputs.
+/// Execute an inlined plan against the bound inputs: the column, or the
+/// one value, the interpreter's value would convert to, or why this
+/// invocation falls back to the interpreter.
 ///
 /// `per_row` is true in tuple-at-a-time mode: conditions see one row at a
 /// time there (so column-dependent conditions are fine) but aggregates
@@ -952,26 +945,26 @@ pub fn run_inlined(
     plan: &InlinePlan,
     inputs: &[(String, UdfInput)],
     per_row: bool,
-) -> InlineOutcome {
+) -> Result<crate::exec::eval::Evaluated<'static>, Bail> {
     // Runtime bail checks, cheapest first.
     if per_row && plan.uses_aggregates {
-        return InlineOutcome::Bailed(Bail::ScalarAggregate);
+        return Err(Bail::ScalarAggregate);
     }
     let mut columns = Vec::new();
     for (name, input) in inputs {
         match input {
             UdfInput::Column(c) => {
                 if c.has_nulls() {
-                    return InlineOutcome::Bailed(Bail::NullInput);
+                    return Err(Bail::NullInput);
                 }
                 if c.is_empty() {
-                    return InlineOutcome::Bailed(Bail::EmptyInput);
+                    return Err(Bail::EmptyInput);
                 }
                 if !per_row && plan.cond_params.contains(name.as_str()) {
-                    return InlineOutcome::Bailed(Bail::ColumnCondition);
+                    return Err(Bail::ColumnCondition);
                 }
                 if !per_row && plan.cast_params.contains(name.as_str()) {
-                    return InlineOutcome::Bailed(Bail::ColumnCast);
+                    return Err(Bail::ColumnCast);
                 }
                 let mut col = c.clone();
                 col.name = name.clone();
@@ -989,7 +982,7 @@ pub fn run_inlined(
             .iter()
             .any(|p| !column_names.contains(p.as_str()))
         {
-            return InlineOutcome::Bailed(Bail::ScalarAggregate);
+            return Err(Bail::ScalarAggregate);
         }
     }
     // Substitute scalar-bound parameters as literals. All-column calls (the
@@ -1012,7 +1005,7 @@ pub fn run_inlined(
     } else {
         match Table::from_columns("inline_args", columns) {
             Ok(t) => Some(t),
-            Err(_) => return InlineOutcome::Bailed(Bail::RuntimeError),
+            Err(_) => return Err(Bail::RuntimeError),
         }
     };
     // Hoist aggregates: evaluate each distinct one once and bind its scalar
@@ -1025,17 +1018,16 @@ pub fn run_inlined(
                 hoisted = e;
                 &hoisted
             }
-            Err(_) => return InlineOutcome::Bailed(Bail::RuntimeError),
+            Err(_) => return Err(Bail::RuntimeError),
         },
         _ => expr,
     };
-    match crate::exec::eval::eval_expr(engine, table.as_ref(), expr) {
-        Ok(v) => InlineOutcome::Done(v.into_owned()),
-        // Any evaluation error (overflow, div-by-zero, cast failure, …)
-        // defers to the interpreter: pylite owns error text and traceback
-        // lines, and the subset is pure so re-running is safe.
-        Err(_) => InlineOutcome::Bailed(Bail::RuntimeError),
-    }
+    // Any evaluation error (overflow, div-by-zero, cast failure, …) defers
+    // to the interpreter: pylite owns error text and traceback lines, and
+    // the subset is pure so re-running is safe.
+    crate::exec::eval::eval_expr(engine, table.as_ref(), expr)
+        .map(|v| v.into_owned())
+        .map_err(|_| Bail::RuntimeError)
 }
 
 /// Collect parameters referenced *inside* aggregate-call arguments.

@@ -12,6 +12,10 @@
 //! The body is interpreted exactly as stored — no `def` wrapping — so error
 //! line numbers map 1:1 onto the source in `sys.functions`, which is what
 //! lets devUDF place breakpoints meaningfully.
+//!
+//! `call` is the one path of every stored-UDF invocation, and
+//! [`output_to_table`] the one conversion of its value; devUDF's local runs
+//! use that conversion, [`STEP_BUDGET`] and [`check_depth`] too.
 
 use std::rc::Rc;
 
@@ -21,8 +25,10 @@ use pylite::value::NativeObject;
 use pylite::{Array, Interp, PyError, Value};
 
 use crate::catalog::{FunctionDef, FunctionReturn};
-use crate::engine::{Engine, QueryResult};
+use crate::engine::{Engine, ExecutionModel, QueryResult};
 use crate::error::DbError;
+use crate::exec::Evaluated;
+use crate::inline::{self, UdfPlan};
 use crate::table::Table;
 use crate::types::{Column, ColumnData, SqlType, SqlValue};
 
@@ -48,6 +54,14 @@ impl UdfInput {
         match self {
             UdfInput::Scalar(v) => scalar_to_py(v),
             UdfInput::Column(c) => scalar_to_py(&c.get(i)),
+        }
+    }
+
+    /// Rows the input holds (a scalar is one).
+    pub(crate) fn rows(&self) -> usize {
+        match self {
+            UdfInput::Scalar(_) => 1,
+            UdfInput::Column(c) => c.len(),
         }
     }
 }
@@ -134,14 +148,6 @@ pub fn py_to_column(name: &str, v: &Value) -> Result<Column, DbError> {
     }
 }
 
-/// The result of running a UDF body once.
-pub struct UdfOutput {
-    pub value: Value,
-    /// Captured `print` output (surfaced to the client for the paper's
-    /// "print debugging" comparison scenario).
-    pub stdout: String,
-}
-
 /// What answers a UDF's `_conn.execute(sql)` (§2.3): the engine itself on
 /// the server and in embedded mode, or, during a devUDF local run, the
 /// router in `devudf::debug` that forwards plain queries to the server and
@@ -150,11 +156,20 @@ pub struct UdfOutput {
 pub trait Loopback {
     /// Run one statement; the error is the exception `_conn.execute` raises.
     fn execute(&self, sql: &str) -> Result<QueryResult, PyError>;
+
+    /// What the UDFs that the statements since the last call ran printed.
+    /// `_conn` moves it into the calling UDF's output, so a nested UDF's
+    /// prints appear where it ran.
+    fn take_stdout(&self) -> String;
 }
 
 impl Loopback for Engine {
     fn execute(&self, sql: &str) -> Result<QueryResult, PyError> {
         Engine::execute(self, sql).map_err(loopback_error)
+    }
+
+    fn take_stdout(&self) -> String {
+        self.take_udf_stdout()
     }
 }
 
@@ -188,7 +203,7 @@ impl NativeObject for LoopbackConn {
     fn call_method(
         &self,
         name: &str,
-        _interp: &mut Interp,
+        interp: &mut Interp,
         args: &[Value],
         _kwargs: &[(String, Value)],
     ) -> Result<Value, PyError> {
@@ -200,7 +215,9 @@ impl NativeObject for LoopbackConn {
                         "_conn.execute() takes a SQL string",
                     ));
                 };
-                Ok(loopback_value(self.source.execute(sql)?))
+                let result = self.source.execute(sql);
+                interp.write_stdout(&self.source.take_stdout());
+                Ok(loopback_value(result?))
             }
             other => Err(PyError::new(
                 pylite::ErrorKind::Attribute,
@@ -332,126 +349,224 @@ impl<'a> UdfTimer<'a> {
     }
 }
 
-/// Build the interpreter for one UDF invocation.
-fn build_interp(engine: &Engine) -> Interp {
+/// Statements one UDF run may execute before it fails (the infinite-loop
+/// guard): the engine's default budget, and every devUDF local run's.
+pub const STEP_BUDGET: u64 = 50_000_000;
+
+/// UDF runs that may be active at once through `_conn`, in the engine and
+/// in a devUDF local run. Each nested run starts a fresh interpreter, so
+/// the interpreter's own recursion guard cannot see a loopback cycle.
+pub const MAX_DEPTH: usize = 12;
+
+/// Admit one more UDF run while `depth` runs are active.
+pub fn check_depth(depth: usize) -> Result<(), DbError> {
+    if depth >= MAX_DEPTH {
+        return Err(DbError::exec(format!(
+            "maximum UDF nesting depth exceeded ({MAX_DEPTH}) — loopback recursion?"
+        )));
+    }
+    Ok(())
+}
+
+/// Call the stored UDF `name` on `inputs`, one per parameter in order.
+///
+/// Every stored-UDF invocation takes this path, in a SELECT list and in
+/// FROM alike. It checks the arity and hands the inputs to a pending
+/// extract (§2.2) instead of running the body. Otherwise it runs the
+/// inlined plan if there is one, else the body, and converts the value to
+/// the declared return type as [`output_to_table`] does. Tuple-at-a-time
+/// runs a scalar UDF's body once for each of the call's `rows` (the source
+/// rows in an expression, the longest input's in FROM); a table function
+/// runs once, on whole columns.
+///
+/// The call is one `monet.op.udf` span, which `EXPLAIN ANALYZE` renders as
+/// a `udf` row: its detail is the name and the disposition, counted in
+/// `monetlite.udf.inlined` (`inlined`) or `monetlite.udf.bailed` (`bailed`:
+/// the plan failed on these inputs; `interpreted`: no plan, or inlining
+/// off).
+pub(crate) fn call(
+    engine: &Engine,
+    name: &str,
+    inputs: Vec<UdfInput>,
+    rows: usize,
+) -> Result<Table, DbError> {
+    let def = engine
+        .get_function(name)?
+        .ok_or_else(|| DbError::catalog(format!("no such function '{name}'")))?;
+    if inputs.len() != def.params.len() {
+        return Err(DbError::exec(format!(
+            "function '{}' takes {} arguments, got {}",
+            def.name,
+            def.params.len(),
+            inputs.len()
+        )));
+    }
+    let inputs: Vec<(String, UdfInput)> = def
+        .params
+        .iter()
+        .map(|(param, _)| param.clone())
+        .zip(inputs)
+        .collect();
+    let inputs = engine.intercept(&def.name, inputs)?;
+
+    let span = obs::trace::span_active("monet.op.udf");
+    let rows_in = inputs.iter().map(|(_, i)| i.rows()).max().unwrap_or(1);
+    let per_row = (engine.model() == ExecutionModel::TupleAtATime
+        && matches!(def.returns, FunctionReturn::Scalar(_)))
+    .then_some(rows);
+    let plan = engine.udf_plan(&def);
+    let inlined = match &*plan {
+        UdfPlan::Inlined(p) => inline::run_inlined(engine, p, &inputs, per_row.is_some()).ok(),
+        UdfPlan::Interpreted(_) => None,
+    };
+    let (disposition, table) = match inlined {
+        Some(v) => {
+            obs::counter!("monetlite.udf.inlined").inc();
+            // A row-independent body yields one value; tuple-at-a-time
+            // calls the UDF once per row, so that value fills every row.
+            let column = match v {
+                Evaluated::Column(c) => c.into_owned(),
+                Evaluated::Scalar(s) => {
+                    Column::from_values(&def.name, &vec![s; per_row.unwrap_or(1)])?
+                }
+            };
+            ("inlined", typed_table(&def, column))
+        }
+        None => {
+            obs::counter!("monetlite.udf.bailed").inc();
+            let disposition = match &*plan {
+                UdfPlan::Inlined(_) => "bailed",
+                UdfPlan::Interpreted(_) => "interpreted",
+            };
+            let value = interpret(engine, &def, inputs, per_row);
+            (disposition, value.and_then(|v| output_to_table(&def, &v)))
+        }
+    };
+    let table = table?;
+    crate::exec::finish_op(
+        span,
+        || format!("{} {disposition}", def.name),
+        rows_in as u64,
+        table.row_count() as u64,
+    );
+    Ok(table)
+}
+
+/// Run `def`'s body in a fresh interpreter whose `_conn` answers through
+/// the engine: once with each parameter bound to its whole input or, with
+/// `per_row`, once per row with scalar parameters and the values collected
+/// in a list.
+///
+/// What the body prints joins the engine's UDF output after what the
+/// statement's earlier UDFs printed. While it runs, the engine's buffer
+/// holds only what the UDFs of its own loopback statements print, which
+/// `_conn` moves into the body's output as each statement returns.
+fn interpret(
+    engine: &Engine,
+    def: &FunctionDef,
+    inputs: Vec<(String, UdfInput)>,
+    per_row: Option<usize>,
+) -> Result<Value, DbError> {
+    let _depth = engine.enter_udf()?;
+    let timer = UdfTimer::start(&def.name);
     let mut interp = Interp::with_fs(engine.fs());
     interp.rng_seed = engine.rng_seed();
     interp.set_step_budget(engine.udf_step_budget());
     interp.set_exec_mode(engine.exec_mode());
-    interp
-}
-
-/// Run a UDF operator-at-a-time: one execution, columns bound as globals.
-pub fn run_operator_at_a_time(
-    engine: &Engine,
-    def: &FunctionDef,
-    inputs: &[(String, UdfInput)],
-) -> Result<UdfOutput, DbError> {
-    let _depth = engine.enter_udf()?;
-    let mut span = obs::trace::span_active("monet.udf.run");
-    span.field("udf", &def.name);
-    let timer = UdfTimer::start(&def.name);
-    let mut interp = build_interp(engine);
-    for (name, input) in inputs {
-        interp.set_global(name, input.clone().into_py()?);
-    }
-    interp.set_global("_conn", LoopbackConn::value(Rc::new(engine.clone())));
-    let value = interp
-        .eval_module(&def.body)
-        .map_err(|e| DbError::udf(&e))?;
+    let conn = LoopbackConn::value(Rc::new(engine.clone()));
+    let mut printed = engine.take_udf_stdout();
+    let value = run_body(&mut interp, def, inputs, per_row, conn, &mut printed);
+    printed.push_str(&interp.take_stdout());
+    engine.append_udf_stdout(&printed);
+    let value = value?;
     timer.finish();
-    Ok(UdfOutput {
-        value,
-        stdout: interp.take_stdout(),
-    })
+    Ok(value)
 }
 
-/// Run a UDF tuple-at-a-time: once per row with scalar globals.
-///
-/// Returns one output value per row.
-pub fn run_tuple_at_a_time(
-    engine: &Engine,
+/// [`interpret`]'s run of the body; `printed` collects the output of every
+/// row but the last, which stays in `interp`, after what it held.
+fn run_body(
+    interp: &mut Interp,
     def: &FunctionDef,
-    inputs: &[(String, UdfInput)],
-    rows: usize,
-) -> Result<(Vec<Value>, String), DbError> {
-    let _depth = engine.enter_udf()?;
-    let mut span = obs::trace::span_active("monet.udf.run");
-    span.field("udf", &def.name);
-    let timer = UdfTimer::start(&def.name);
+    inputs: Vec<(String, UdfInput)>,
+    per_row: Option<usize>,
+    conn: Value,
+    printed: &mut String,
+) -> Result<Value, DbError> {
+    let Some(rows) = per_row else {
+        for (name, input) in inputs {
+            interp.set_global(&name, input.into_py()?);
+        }
+        interp.set_global("_conn", conn);
+        return interp.eval_module(&def.body).map_err(|e| DbError::udf(&e));
+    };
     let module = pylite::parse_module(&def.body).map_err(|e| DbError::udf(&e))?;
-    let mut interp = build_interp(engine);
-    // Tuple-at-a-time reruns the same body once per row: compile it once up
-    // front so the per-row cost is pure bytecode execution.
+    // The same body reruns once per row: compile it once up front so the
+    // per-row cost is pure bytecode execution.
     let code = match interp.exec_mode() {
         pylite::ExecMode::Bytecode => Some(pylite::compile_module(&module)),
         pylite::ExecMode::Ast => None,
     };
-    let conn = LoopbackConn::value(Rc::new(engine.clone()));
-    let mut outputs = Vec::with_capacity(rows);
-    let mut stdout = String::new();
+    let mut values = Vec::with_capacity(rows);
     for row in 0..rows {
+        printed.push_str(&interp.take_stdout());
         interp.reset();
-        for (name, input) in inputs {
+        for (name, input) in &inputs {
             interp.set_global(name, input.row_py(row));
         }
         interp.set_global("_conn", conn.clone());
-        let v = match &code {
+        let value = match &code {
             Some(code) => interp.run_code(code),
             None => interp.run_module(&module),
-        }
-        .map_err(|e| DbError::udf(&e))?;
-        stdout.push_str(&interp.take_stdout());
-        outputs.push(v);
+        };
+        values.push(value.map_err(|e| DbError::udf(&e))?);
     }
-    timer.finish();
-    Ok((outputs, stdout))
+    Ok(Value::list(values))
 }
 
-/// Convert a UDF's output value into a result table according to its
-/// declared return shape.
+/// Convert a UDF's value into a result table of its declared return type:
+/// the one conversion of a stored-UDF call's value, on the server and in a
+/// devUDF local run. A table function's dict gives one column per declared
+/// column; any other value is the UDF's single column.
 pub fn output_to_table(def: &FunctionDef, value: &Value) -> Result<Table, DbError> {
-    match &def.returns {
-        FunctionReturn::Table(cols) => match value {
-            Value::Dict(d) => {
-                let d = d.borrow();
-                let mut columns = Vec::with_capacity(cols.len());
-                for (cname, ctype) in cols {
-                    let v = d
-                        .get(&Value::str(cname.clone()))
-                        .map_err(|e| DbError::udf(&e))?
-                        .ok_or_else(|| {
-                            DbError::type_err(format!(
-                                "UDF '{}' result dict is missing column '{cname}'",
-                                def.name
-                            ))
-                        })?;
-                    columns.push(coerce_column(py_to_column(cname, &v)?, *ctype)?);
-                }
-                broadcast_columns(&def.name, columns)
-            }
-            other => {
-                // A table function may return a bare list/array when it
-                // declares a single column.
-                if cols.len() == 1 {
-                    let col = py_to_column(&cols[0].0, other)?;
-                    let col = coerce_column(col, cols[0].1)?;
-                    Table::from_columns(def.name.clone(), vec![col])
-                } else {
-                    Err(DbError::type_err(format!(
-                        "UDF '{}' must return a dict with columns {:?}",
-                        def.name,
-                        cols.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>()
-                    )))
-                }
-            }
-        },
-        FunctionReturn::Scalar(t) => {
-            let col = py_to_column(&def.name, value)?;
-            let col = coerce_column(col, *t)?;
-            Table::from_columns(def.name.clone(), vec![col])
-        }
+    let (FunctionReturn::Table(cols), Value::Dict(d)) = (&def.returns, value) else {
+        return typed_table(def, py_to_column(&def.name, value)?);
+    };
+    let d = d.borrow();
+    let mut columns = Vec::with_capacity(cols.len());
+    for (cname, ctype) in cols {
+        let v = d
+            .get(&Value::str(cname.clone()))
+            .map_err(|e| DbError::udf(&e))?
+            .ok_or_else(|| {
+                DbError::type_err(format!(
+                    "UDF '{}' result dict is missing column '{cname}'",
+                    def.name
+                ))
+            })?;
+        columns.push(coerce_column(py_to_column(cname, &v)?, *ctype)?);
     }
+    broadcast_columns(&def.name, columns)
+}
+
+/// A UDF's single result column as a table of its declared type: a scalar
+/// UDF's column, named after it, or the only column of a table function
+/// that declares one.
+fn typed_table(def: &FunctionDef, column: Column) -> Result<Table, DbError> {
+    let (name, target) = match &def.returns {
+        FunctionReturn::Scalar(t) => (def.name.clone(), *t),
+        FunctionReturn::Table(cols) if cols.len() == 1 => cols[0].clone(),
+        FunctionReturn::Table(cols) => {
+            return Err(DbError::type_err(format!(
+                "UDF '{}' must return a dict with columns {:?}",
+                def.name,
+                cols.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>()
+            )))
+        }
+    };
+    let mut column = coerce_column(column, target)?;
+    column.name = name;
+    Table::from_columns(def.name.clone(), vec![column])
 }
 
 /// Broadcast 1-row columns to the longest column's length so dicts mixing

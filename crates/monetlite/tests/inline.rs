@@ -141,26 +141,26 @@ fn bail_matrix_unsupported_constructs_fall_back() {
     let bailed_c = obs::counter!("monetlite.udf.bailed");
 
     // (body, expected bail label, expected first-row value in OaaT).
-    // Scalar returns are not coerced to the declared type, so the
-    // interpreter's ints render as ints.
+    // Every call converts its value to the declared type, so the
+    // interpreter's ints come back as DOUBLEs.
     let matrix: [(&str, &str, &str); 5] = [
         (
             "s = 0\nfor x in range(0, 3):\n    s = s + i\nreturn s",
             "loop",
-            "3",
+            "3.0",
         ),
         (
             "r = _conn.execute('SELECT sum(i) FROM t')\nreturn r['sum'] + 41",
             "loopback",
-            "42",
+            "42.0",
         ),
-        ("l = [1, 2]\nl.append(3)\nreturn len(l)", "mutation", "3"),
+        ("l = [1, 2]\nl.append(3)\nreturn len(l)", "mutation", "3.0"),
         (
             "def g(x):\n    return x + 1\nreturn g(i)",
             "nested-def",
-            "2",
+            "2.0",
         ),
-        ("print('probe')\nreturn 7", "print", "7"),
+        ("print('probe')\nreturn 7", "print", "7.0"),
     ];
 
     for (body, label, first) in matrix {

@@ -171,11 +171,6 @@ impl Debugger {
         }
     }
 
-    /// Current breakpoints, sorted.
-    pub fn breakpoints(&self) -> Vec<u32> {
-        self.breakpoints.iter().copied().collect()
-    }
-
     /// Request a pause at the next statement boundary (the paper's
     /// "pausing code execution"). Safe to call from a controller callback
     /// or between runs; consumed once.

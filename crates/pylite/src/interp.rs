@@ -274,7 +274,9 @@ impl Interp {
         std::mem::take(&mut self.stdout)
     }
 
-    pub(crate) fn write_stdout(&mut self, text: &str) {
+    /// Append `text` to the captured output (and echo it when
+    /// [`Interp::echo_stdout`] is set), as `print` does.
+    pub fn write_stdout(&mut self, text: &str) {
         if self.echo_stdout {
             print!("{text}");
         }

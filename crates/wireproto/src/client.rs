@@ -3,19 +3,22 @@
 //! # Robustness
 //!
 //! A [`Client`] carries a [`RetryPolicy`]. With retries enabled,
-//! **idempotent** operations — [`Client::ping`], read-only
-//! [`Client::query`] (`SELECT …`, `EXPLAIN …`, by the server
-//! classifier's statement-shape rule), [`Client::list_functions`],
-//! [`Client::get_function`], [`Client::extract_inputs`] — transparently
-//! reconnect, re-authenticate and retry on transient errors (IO failures,
-//! frame-checksum mismatches). Non-idempotent statements are never
-//! replayed: a transient failure surfaces immediately as
-//! [`WireError::RetriesExhausted`] with `attempts == 1`, telling the
-//! caller the statement may or may not have executed server-side.
+//! **idempotent** operations — [`Client::ping`], [`Client::query`] of a
+//! read-only statement that calls no stored function,
+//! [`Client::list_functions`], [`Client::get_function`],
+//! [`Client::extract_inputs`] whose query calls no stored function but the
+//! UDF it intercepts (`monetlite::classify::replay_is_safe`) —
+//! transparently reconnect, re-authenticate and retry on transient errors
+//! (IO failures, frame-checksum mismatches). Anything else is never
+//! replayed, since a UDF may write through `_conn`: a transient failure
+//! surfaces immediately as [`WireError::RetriesExhausted`] with
+//! `attempts == 1`, telling the caller the statement may or may not have
+//! executed server-side.
 
 use std::time::{Duration, Instant};
 
 use devharness::Rng;
+use monetlite::classify::replay_is_safe;
 use pylite::Value;
 
 use crate::delta::{self, BlockCache, CacheEntry};
@@ -133,15 +136,6 @@ fn op_telemetry(op: &'static str) -> (&'static obs::metrics::Histogram, &'static
 /// Top bit of a span id: the client shifts the server's span ids into the
 /// top half of the id space, which its own ids (minted from 1) never reach.
 const SERVER_SPAN_BIT: u64 = 1 << 63;
-
-/// A statement is safe to replay after a transient failure when the
-/// server's classifier calls its shape read-only, or when it does not parse
-/// (it fails the same way every time). Anything else, `EXPLAIN ANALYZE` of
-/// a write included, may have executed before the reply was lost.
-fn sql_is_idempotent(sql: &str) -> bool {
-    monetlite::sql::parse_statement(sql)
-        .map_or(true, |stmt| monetlite::classify::kind_is_read_only(&stmt))
-}
 
 impl Client {
     /// Connect over the in-process transport (tests / benchmarks / embedded).
@@ -409,13 +403,14 @@ impl Client {
         result
     }
 
-    /// Execute one SQL statement. Read-only statements retry under the
-    /// client's [`RetryPolicy`]; writes are never replayed.
+    /// Execute one SQL statement. A read-only statement that calls no
+    /// stored function retries under the client's [`RetryPolicy`]; anything
+    /// else, a write or a UDF that may write, is never replayed.
     pub fn query(&mut self, sql: &str) -> Result<WireResult, WireError> {
         let msg = Message::Query {
             sql: sql.to_string(),
         };
-        match self.call("query", &msg, || sql_is_idempotent(sql))? {
+        match self.call("query", &msg, || replay_is_safe(sql, None))? {
             Message::ResultSet { result, udf_stdout } => {
                 self.last_udf_stdout = udf_stdout;
                 Ok(result)
@@ -480,7 +475,7 @@ impl Client {
             options,
             transfer_id,
         };
-        match self.call("extract_inputs", &msg, || true)? {
+        match self.call("extract_inputs", &msg, || replay_is_safe(query, Some(udf)))? {
             Message::Extracted {
                 payload,
                 raw_len,
@@ -526,7 +521,7 @@ impl Client {
             epochs,
             digests,
         };
-        match self.call("extract_delta", &msg, || true)? {
+        match self.call("extract_delta", &msg, || replay_is_safe(query, Some(udf)))? {
             Message::DeltaNotModified { .. } => {
                 let cache = self.cache.as_mut().expect("delta path requires a cache");
                 let entry = cache.get(fp).ok_or_else(|| {

@@ -91,9 +91,12 @@ cargo run --offline --release -q --example nested_udfs > /dev/null
 # conditional breakpoint on the Listing-4 accumulation line and quit the
 # debug session, checkpoint it, and verify the WAL folded.
 echo "==> embedded mode smoke (WAL replay + checkpoint, no server)"
+# Piped output is matched with `grep > /dev/null`, not `grep -q`: -q exits
+# at the first match, and the devudf line printed after it then fails on
+# the closed pipe, which pipefail turns into a failed step.
 EMB_DIR=$(mktemp -d /tmp/devudf-ci-embedded.XXXXXX)
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" --demo \
-  | grep -q "seeded demo data"
+  | grep "seeded demo data" > /dev/null
 mkdir -p "$EMB_DIR/proj/.devudf"
 cat > "$EMB_DIR/proj/.devudf/settings.json" <<EOF
 {"host": "localhost", "port": 50000, "database": "demo",
@@ -103,9 +106,9 @@ cat > "$EMB_DIR/proj/.devudf/settings.json" <<EOF
  "storage": {"data_dir": "$EMB_DIR/data", "fsync": "never"}}
 EOF
 cargo run --offline --release -q -p devudf-ide --bin devudf import "$EMB_DIR/proj" --embedded \
-  | grep -q "imported mean_deviation"
+  | grep "imported mean_deviation" > /dev/null
 cargo run --offline --release -q -p devudf-ide --bin devudf run "$EMB_DIR/proj" mean_deviation --embedded \
-  | grep -q "result ="
+  | grep "result =" > /dev/null
 cargo run --offline --release -q -p devudf-ide --bin devudf trace "$EMB_DIR/proj" --embedded \
   > "$EMB_DIR/trace.txt"
 grep -q "embedded.query" "$EMB_DIR/trace.txt"
@@ -116,6 +119,10 @@ cargo run --offline --release -q -p devudf-ide --bin devudf trace "$EMB_DIR/proj
   "EXPLAIN ANALYZE UPDATE numbers SET i = i WHERE i = 3" > "$EMB_DIR/analyze.txt"
 grep -q "monet.op.filter" "$EMB_DIR/analyze.txt"
 grep -q "monet.storage.append" "$EMB_DIR/analyze.txt"
+# Every stored-UDF call is one udf span, with inlining off too.
+cargo run --offline --release -q -p devudf-ide --bin devudf trace "$EMB_DIR/proj" --embedded \
+  --interp=bytecode "EXPLAIN ANALYZE SELECT mean_deviation(i) FROM numbers" > "$EMB_DIR/udf.txt"
+grep -q "monet.op.udf" "$EMB_DIR/udf.txt"
 # Line 10 is `distance += column[i] - mean` (body line 7 + the 3-line
 # header): continue past the first stop, quit at the second.
 printf 'c\nq\n' | cargo run --offline --release -q -p devudf-ide --bin devudf debug "$EMB_DIR/proj" \
@@ -123,9 +130,9 @@ printf 'c\nq\n' | cargo run --offline --release -q -p devudf-ide --bin devudf de
 grep -q "paused at line 10" "$EMB_DIR/debug.txt"
 grep -q "debug session terminated" "$EMB_DIR/debug.txt"
 cargo run --offline --release -q -p devudf-ide --bin devudf checkpoint "$EMB_DIR/data" \
-  | grep -q "checkpointed"
+  | grep "checkpointed" > /dev/null
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" \
-  | grep -q "wal: empty"
+  | grep "wal: empty" > /dev/null
 rm -rf "$EMB_DIR"
 echo "embedded smoke OK"
 

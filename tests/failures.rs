@@ -427,6 +427,54 @@ fn explain_analyze_of_a_write_is_never_replayed() {
     server.shutdown();
 }
 
+/// A read-only SELECT that calls a stored UDF may write through `_conn`,
+/// and the client cannot see the body: a lost reply is not replayed, so
+/// every call logs its row once.
+#[test]
+fn a_udf_call_that_writes_is_never_replayed() {
+    let _serial = obs::metrics::test_lock();
+    let server = demo_server();
+    let mut clean = Client::connect_in_proc(&server, "monetdb", "monetdb", "demo").unwrap();
+    clean.query("CREATE TABLE log (v INTEGER)").unwrap();
+    clean
+        .query(
+            "CREATE FUNCTION logs(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\n_conn.execute('INSERT INTO log VALUES (1)')\nreturn 1\n}",
+        )
+        .unwrap();
+    // Corruption hits the reply: the server has run the statement.
+    let fault = FaultPolicy {
+        corrupt_rate: 0.5,
+        ..FaultPolicy::none(3)
+    };
+    let mut flaky = Client::connect_in_proc_with(
+        &server,
+        "monetdb",
+        "monetdb",
+        "demo",
+        faulty_options(fault, RetryPolicy::standard()),
+    )
+    .unwrap();
+    let mut lost = 0;
+    for _ in 0..10 {
+        match flaky.query("SELECT logs(i) FROM numbers WHERE i = 1") {
+            Ok(_) => {}
+            Err(WireError::RetriesExhausted { attempts, .. }) => {
+                assert_eq!(attempts, 1);
+                lost += 1;
+            }
+            Err(other) => panic!("{other:?}"),
+        }
+    }
+    assert!(lost > 0, "a 50% corrupt rate must lose a reply in 10 calls");
+    let t = clean
+        .query("SELECT count(*) FROM log")
+        .unwrap()
+        .into_table()
+        .unwrap();
+    assert_eq!(t.rows[0][0], wireproto::WireValue::Int(10));
+    server.shutdown();
+}
+
 #[test]
 fn exhausted_retries_surface_as_typed_error() {
     let _serial = obs::metrics::test_lock();

@@ -2,7 +2,9 @@
 //! `_conn.execute` must answer the same whether the UDF runs inside the
 //! server, in a devUDF local run over the wire, or in a local run over the
 //! embedded engine — the same value, or the same Python exception kind and
-//! message.
+//! message. The same holds for what nested UDFs print and where loopback
+//! recursion stops. Every test here holds `obs::metrics::test_lock`, so the
+//! round-trip counts read from the client latency histograms are exact.
 
 use devudf::{DevUdf, Settings};
 use pylite::Value;
@@ -20,6 +22,8 @@ fn seed(db: &monetlite::Engine) {
         "CREATE FUNCTION tf(column INTEGER) RETURNS TABLE(d DOUBLE) LANGUAGE PYTHON { return 3 }",
     )
     .unwrap();
+    db.execute("CREATE FUNCTION three(i INTEGER) RETURNS DOUBLE LANGUAGE PYTHON { return 3 }")
+        .unwrap();
     for (name, expr) in CASES {
         db.execute(&probe(name, expr)).unwrap();
     }
@@ -53,6 +57,10 @@ const CASES: &[(&str, &str)] = &[
     (
         "str_of_result",
         "str(_conn.execute('SELECT i FROM numbers'))",
+    ),
+    (
+        "declared_type",
+        "repr(_conn.execute('SELECT three(i) FROM numbers')['three'])",
     ),
 ];
 
@@ -151,6 +159,7 @@ fn conn_answers_alike_on_the_server_and_in_both_local_runs() {
         "3.0",
         "'tf'",
         "<result_set 1 column(s) x 3 row(s)>",
+        "3.0",
     ];
     assert_eq!(on_server, expected);
 }
@@ -190,6 +199,133 @@ fn local_run_without_conn_makes_no_round_trip() {
     let outcome = dev.run_udf("mean_of").unwrap();
     assert_eq!(outcome.result, Value::Float(2.0));
     assert_eq!(client_calls(), before);
+    std::fs::remove_dir_all(&dir).ok();
+    server.shutdown();
+}
+
+/// Import fetches each UDF once: one `get_function` round trip for the
+/// requested UDF and one for the UDF it calls through `_conn`.
+#[test]
+fn import_fetches_each_udf_once() {
+    let _serial = obs::metrics::test_lock();
+    obs::set_enabled(true);
+    let server = Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), |db| {
+        seed(db);
+        db.execute(
+            "CREATE FUNCTION outer_fn(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\nres = _conn.execute('SELECT three(i) FROM numbers')\nreturn 1\n}",
+        )
+        .unwrap();
+    });
+    let dir = temp_dir("fetch-once");
+    let mut dev = DevUdf::connect_in_proc(&server, Settings::default(), &dir).unwrap();
+    let fetches = || -> i64 {
+        obs::metrics::rows()
+            .iter()
+            .filter(|r| r.name == "wire.client.latency.get_function")
+            .map(|r| r.value)
+            .sum()
+    };
+    let before = fetches();
+    let report = dev.import(&["outer_fn"]).unwrap();
+    assert_eq!(report.nested, vec!["three"]);
+    assert_eq!(fetches() - before, 2);
+    std::fs::remove_dir_all(&dir).ok();
+    server.shutdown();
+}
+
+/// A UDF that prints, runs a printing UDF through `_conn`, then prints
+/// again: the nested UDF's line comes between its caller's, inside the
+/// server and in both local runs.
+#[test]
+fn nested_prints_reach_the_caller_in_execution_order() {
+    let _serial = obs::metrics::test_lock();
+    let seed_printers = |db: &monetlite::Engine| {
+        seed(db);
+        db.execute(
+            "CREATE FUNCTION inner_p(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\nprint('inner')\nreturn 1\n}",
+        )
+        .unwrap();
+        db.execute(
+            "CREATE FUNCTION outer_p(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\nprint('before')\n_conn.execute('SELECT inner_p(i) FROM numbers')\nprint('after')\nreturn 1\n}",
+        )
+        .unwrap();
+    };
+    let expected = "before\ninner\nafter\n";
+    let server = Server::start(
+        ServerConfig::new("demo", "monetdb", "monetdb"),
+        seed_printers,
+    );
+    let mut client =
+        wireproto::Client::connect_in_proc(&server, "monetdb", "monetdb", "demo").unwrap();
+    client.query(&debug_query("outer_p")).unwrap();
+    assert_eq!(client.last_udf_stdout(), expected, "server");
+
+    let mut settings = Settings::default();
+    settings.debug_query = debug_query("outer_p");
+    let dir = temp_dir("prints-wire");
+    let mut dev = DevUdf::connect_in_proc(&server, settings.clone(), &dir).unwrap();
+    dev.import(&["outer_p"]).unwrap();
+    assert_eq!(
+        dev.run_udf("outer_p").unwrap().stdout,
+        expected,
+        "local over the wire"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+    server.shutdown();
+
+    let dir = temp_dir("prints-embedded");
+    let mut dev = DevUdf::connect_embedded(settings, &dir, seed_printers).unwrap();
+    dev.import(&["outer_p"]).unwrap();
+    assert_eq!(
+        dev.run_udf("outer_p").unwrap().stdout,
+        expected,
+        "local over the embedded engine"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A UDF that logs a row and then calls itself through `_conn` stops at
+/// the same nesting depth inside the server and in a local run: the row
+/// count is the number of runs that started.
+#[test]
+fn loopback_recursion_stops_at_the_same_depth_on_the_server_and_locally() {
+    let _serial = obs::metrics::test_lock();
+    let seed_recursive = |db: &monetlite::Engine| {
+        seed(db);
+        db.execute(
+            "CREATE FUNCTION deeper(i INTEGER) RETURNS INTEGER LANGUAGE PYTHON {\n_conn.execute('INSERT INTO log VALUES (1)')\n_conn.execute('SELECT deeper(i) FROM numbers')\nreturn 1\n}",
+        )
+        .unwrap();
+    };
+    let server = Server::start(
+        ServerConfig::new("demo", "monetdb", "monetdb"),
+        seed_recursive,
+    );
+    let mut client =
+        wireproto::Client::connect_in_proc(&server, "monetdb", "monetdb", "demo").unwrap();
+    let logged = |client: &mut wireproto::Client| {
+        let t = client
+            .query("SELECT count(*) FROM log")
+            .unwrap()
+            .into_table()
+            .unwrap();
+        let n = t.rows[0][0].clone();
+        client.query("DELETE FROM log").unwrap();
+        n
+    };
+    let err = client.query(&debug_query("deeper")).unwrap_err();
+    assert!(err.to_string().contains("nesting depth"), "{err}");
+    let on_server = logged(&mut client);
+    assert_eq!(on_server, WireValue::Int(monetlite::udf::MAX_DEPTH as i64));
+
+    let mut settings = Settings::default();
+    settings.debug_query = debug_query("deeper");
+    let dir = temp_dir("recursion");
+    let mut dev = DevUdf::connect_in_proc(&server, settings, &dir).unwrap();
+    dev.import(&["deeper"]).unwrap();
+    let err = dev.run_udf("deeper").unwrap_err();
+    assert!(err.to_string().contains("nesting depth"), "{err}");
+    assert_eq!(logged(&mut client), on_server);
     std::fs::remove_dir_all(&dir).ok();
     server.shutdown();
 }
