@@ -6,7 +6,7 @@
 //! * `warm-unchanged` — nothing changed since the last fetch: the server
 //!   answers `NotModified` from the epoch check alone, zero payload bytes,
 //! * `warm-1-block-dirty` — one row changed: only the block(s) covering
-//!   its bytes are reshipped, the rest reassembles from the client cache.
+//!   its bytes are reshipped, the rest comes from the client cache.
 //!
 //! Each benchmark's `throughput.per_iter` records the measured payload
 //! bytes-on-wire for its scenario, so the committed

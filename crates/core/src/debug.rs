@@ -17,7 +17,7 @@ use monetlite::engine::{collect_call_names, function_def};
 use monetlite::sql::{parse_statement, Statement};
 use monetlite::udf::{self, loopback_error, Loopback, LoopbackConn};
 use monetlite::{DbError, FunctionDef, QueryResult};
-use pylite::{pickle, Debugger, Interp, PyError, Value};
+use pylite::{Debugger, Interp, PyError, Value};
 use wireproto::message::WireResult;
 use wireproto::{EngineTransport, TransferOptions, TransferStats};
 
@@ -47,7 +47,8 @@ pub struct DebugOutcome {
 }
 
 /// Fetch the input data for `udf` via the extract function and store it as
-/// `input.bin` (paper §2.2).
+/// `input.bin` (paper §2.2): a wire extract's pickle goes in as it arrived,
+/// an embedded extract's value is pickled here.
 pub fn fetch_inputs(dev: &mut DevUdf, udf: &str) -> Result<TransferStats> {
     let mut span = obs::trace::span("core.extract");
     span.field("udf", udf);
@@ -62,8 +63,7 @@ pub fn fetch_inputs(dev: &mut DevUdf, udf: &str) -> Result<TransferStats> {
         .client()
         .borrow_mut()
         .extract_inputs(&query, udf, options)?;
-    let blob = pickle::dumps(&inputs).map_err(DevUdfError::Python)?;
-    dev.project.write_input_bin(&blob)?;
+    dev.project.write_input_bin(&inputs.into_pickle()?)?;
     dev.transfers.borrow_mut().push(stats);
     Ok(stats)
 }
@@ -300,7 +300,7 @@ impl LocalConn {
             .extract_inputs(sql, &def.name, self.options)
             .map_err(loopback_error)?;
         self.transfers.borrow_mut().push(stats);
-        let Value::Dict(d) = &inputs else {
+        let Value::Dict(d) = &inputs.into_value()? else {
             return Err(loopback_error("extracted inputs were not a dict"));
         };
 
@@ -422,7 +422,7 @@ mod tests {
         let stats = dev.fetch_inputs("mean_deviation").unwrap();
         assert!(stats.raw_len > 0);
         let blob = std::fs::read(dev.project.root().join("input.bin")).unwrap();
-        let inputs = pickle::loads(&blob).unwrap();
+        let inputs = pylite::pickle::loads(&blob).unwrap();
         let Value::Dict(d) = inputs else { panic!() };
         let col = d.borrow().get(&Value::str("column")).unwrap().unwrap();
         match col {

@@ -28,31 +28,29 @@ pub struct TransferSettings {
     pub cache: CacheSettings,
 }
 
+/// Extract payloads a session's delta cache keeps (MRU eviction): a debug
+/// session iterates on one or two queries, not hundreds.
+pub const CACHE_ENTRIES: usize = 8;
+
 /// Settings of the client-side extract cache: on by default — the
-/// iterative edit→extract→debug loop is the paper's whole premise.
+/// iterative edit→extract→debug loop is the paper's whole premise. The
+/// cache keeps [`CACHE_ENTRIES`] extracts; files written while that count
+/// was a setting carry `transfer.cache.entries`, which is ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSettings {
     /// Use the `ExtractDelta` protocol with a local block cache.
     pub enabled: bool,
-    /// Extract payloads kept client-side (MRU eviction).
-    pub entries: usize,
 }
 
 impl Default for CacheSettings {
     fn default() -> CacheSettings {
-        CacheSettings {
-            enabled: true,
-            entries: 8,
-        }
+        CacheSettings { enabled: true }
     }
 }
 
 impl CacheSettings {
     fn to_json(self) -> Value {
-        Value::Object(vec![
-            ("enabled".to_string(), Value::Bool(self.enabled)),
-            ("entries".to_string(), Value::from(self.entries as u64)),
-        ])
+        Value::Object(vec![("enabled".to_string(), Value::Bool(self.enabled))])
     }
 
     fn from_json(v: &Value) -> std::io::Result<CacheSettings> {
@@ -61,13 +59,6 @@ impl CacheSettings {
                 .get("enabled")
                 .and_then(Value::as_bool)
                 .ok_or_else(|| invalid("transfer.cache.enabled missing"))?,
-            entries: optional(
-                v,
-                "transfer.cache.entries",
-                "a positive count",
-                CacheSettings::default().entries,
-                positive_count,
-            )?,
         })
     }
 }
@@ -499,11 +490,7 @@ impl Settings {
             retry: self.retry.policy(),
             read_timeout: io_timeout,
             write_timeout: io_timeout,
-            cache: self
-                .transfer
-                .cache
-                .enabled
-                .then_some(self.transfer.cache.entries),
+            cache: self.transfer.cache.enabled.then_some(CACHE_ENTRIES),
             ..ClientOptions::default()
         }
     }
@@ -584,7 +571,7 @@ impl Settings {
 
     fn describe_cache(&self) -> String {
         if self.transfer.cache.enabled {
-            format!("delta, {} extracts kept", self.transfer.cache.entries)
+            format!("delta, {CACHE_ENTRIES} extracts kept")
         } else {
             "disabled (full extract)".to_string()
         }
@@ -671,10 +658,12 @@ mod tests {
         // Files written before the chunked pipeline, the retry layer, the
         // delta cache, the bytecode VM or embedded mode lack their keys;
         // files written while the client-local codec pool existed carry
-        // `transfer.parallelism`, which is ignored.
+        // `transfer.parallelism`, and files written while the cache size
+        // was a setting `transfer.cache.entries`: both are ignored.
         for transfer in [
             PLAIN,
             r#"{"compress": false, "encrypt": false, "parallelism": 4}"#,
+            r#"{"compress": false, "encrypt": false, "cache": {"enabled": true, "entries": 3}}"#,
         ] {
             let s = parse(transfer, "").unwrap();
             assert_eq!(s.transfer, TransferSettings::default());
@@ -692,11 +681,6 @@ mod tests {
                 r#"{"compress": true, "encrypt": false, "block_size": 0}"#,
                 "",
                 "transfer.block_size must be a positive count",
-            ),
-            (
-                r#"{"compress": false, "encrypt": false, "cache": {"enabled": true, "entries": 0}}"#,
-                "",
-                "transfer.cache.entries must be a positive count",
             ),
             (PLAIN, r#", "retry": 5"#, "retry must be an object"),
             (
@@ -769,8 +753,6 @@ mod tests {
         let mut s = Settings::default();
         assert_eq!(s.transfer.cache, CacheSettings::default());
         assert_eq!(s.client_options().cache, Some(8));
-        s.transfer.cache.entries = 2;
-        assert_eq!(s.client_options().cache, Some(2));
         s.transfer.cache.enabled = false;
         assert_eq!(s.client_options().cache, None);
     }
@@ -779,10 +761,7 @@ mod tests {
     fn cache_settings_round_trip() {
         let dir = temp_dir("cache-rt");
         let mut s = Settings::default();
-        s.transfer.cache = CacheSettings {
-            enabled: false,
-            entries: 3,
-        };
+        s.transfer.cache = CacheSettings { enabled: false };
         s.save(&dir).unwrap();
         assert_eq!(Settings::load(&dir).unwrap(), s);
         std::fs::remove_dir_all(dir).ok();

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! devudf demo                      scripted end-to-end demo (paper §2.5)
-//! devudf serve [PORT]              start a demo database server over TCP
+//! devudf serve                     start a demo database server over TCP
 //! devudf menu                      print the IDE main menu (Figure 1)
 //! devudf settings [DIR]            print the settings dialog (Figure 2)
 //! devudf import  DIR NAME…         import UDFs into a project (Figure 3a)
@@ -53,7 +53,7 @@
 //! without one each invocation gets a fresh in-memory engine seeded with
 //! the demo data.
 
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind, Write};
 use std::path::Path;
 
 use codecs::json::Value as Json;
@@ -62,6 +62,30 @@ use devudf_ide::{HeadlessIde, ReplController};
 use pylite::DebugCommand;
 use wireproto::message::{WireResult, WireTable, WireValue};
 use wireproto::{Server, ServerConfig};
+
+/// Write to stdout. A closed pipe means the reader has all it wanted
+/// (`devudf menu | head -1`), so the process ends there with exit 0; any
+/// other write failure exits 1.
+fn write_stdout(args: std::fmt::Arguments) {
+    let Err(e) = std::io::stdout().lock().write_fmt(args) else {
+        return;
+    };
+    if e.kind() != ErrorKind::BrokenPipe {
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+    std::process::exit(0);
+}
+
+// This binary's `print!` and `println!` shadow std's and go through
+// `write_stdout`, which std's would panic in on a closed pipe.
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+macro_rules! println {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -103,7 +127,7 @@ fn main() {
     });
     let code = match args.first().map(|s| s.as_str()) {
         Some("demo") => cmd_demo(),
-        Some("serve") => cmd_serve(args.get(1).map(|s| s.as_str()), interp),
+        Some("serve") => cmd_serve(interp),
         Some("menu") => {
             println!("{}", devudf_ide::main_menu().render());
             0
@@ -254,7 +278,7 @@ fn main() {
             if cache.enabled {
                 println!(
                     "extract cache: delta transfer, {} extracts kept",
-                    cache.entries
+                    devudf::settings::CACHE_ENTRIES
                 );
             } else {
                 println!("extract cache: disabled (classic full extract)");
@@ -314,7 +338,7 @@ fn seed_demo(db: &monetlite::Engine) {
     .unwrap();
 }
 
-fn cmd_serve(port: Option<&str>, interp: Option<InterpMode>) -> i32 {
+fn cmd_serve(interp: Option<InterpMode>) -> i32 {
     let mode = interp.unwrap_or_default();
     let server = Server::start(
         ServerConfig::new("demo", "monetdb", "monetdb"),
@@ -331,7 +355,6 @@ fn cmd_serve(port: Option<&str>, interp: Option<InterpMode>) -> i32 {
             return 1;
         }
     };
-    let _ = port; // the OS assigns an ephemeral port; print it
     println!("devudf demo server listening on {addr}");
     println!("database=demo user=monetdb password=monetdb");
     println!("press Ctrl-C to stop");

@@ -1,6 +1,6 @@
 //! CLI-level tests for the `devudf` binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 /// An unknown `--interp` value must fail loudly at parse time, naming the
 /// allowed set — not silently fall back to a default engine.
@@ -62,4 +62,24 @@ fn json_listings_parse_as_arrays_of_row_objects() {
             assert!(!rows.is_empty(), "the embedded demo records metrics");
         }
     }
+}
+
+/// A reader that goes away early (`devudf menu | true`) ends the command
+/// quietly with exit 0, not with a panic on the closed pipe.
+#[test]
+fn closed_stdout_pipe_exits_zero() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_devudf"))
+        .arg("menu")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("devudf binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("devudf exits");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 
 use devharness::Rng;
 use monetlite::classify::replay_is_safe;
-use pylite::Value;
 
 use crate::delta::{self, BlockCache, CacheEntry};
 use crate::fault::{FaultInjectingTransport, FaultPolicy, FaultStats, FaultStatsHandle};
@@ -452,7 +451,8 @@ impl Client {
 
     /// Run the paper's extract function: evaluate `query` server-side with
     /// the call to `udf` intercepted, and transfer its input data using
-    /// `options`. Returns the inputs dict and the transfer statistics.
+    /// `options`. Returns the inputs' pickle exactly as the server produced
+    /// it, and the transfer statistics.
     ///
     /// With a delta cache configured ([`ClientOptions::cache`]) and no
     /// sampling requested, the call goes through the `ExtractDelta`
@@ -463,82 +463,62 @@ impl Client {
         query: &str,
         udf: &str,
         options: TransferOptions,
-    ) -> Result<(Value, TransferStats), WireError> {
-        if self.cache.is_some() && options.sample.is_none() {
-            return self.extract_delta(query, udf, options);
-        }
+    ) -> Result<(Vec<u8>, TransferStats), WireError> {
         let transfer_id = self.next_transfer_id;
         self.next_transfer_id += 1;
-        let msg = Message::ExtractInputs {
-            query: query.to_string(),
-            udf: udf.to_string(),
-            options,
-            transfer_id,
+        let fp = delta::fingerprint(query, udf, &options);
+        let delta = options.sample.is_none() && self.cache.is_some();
+        let (op, msg) = if delta {
+            // Claim what the cache holds; a sampled extract bypasses it.
+            let entry = self.cache.as_mut().and_then(|c| c.get(fp));
+            let msg = Message::ExtractDelta {
+                query: query.to_string(),
+                udf: udf.to_string(),
+                options,
+                transfer_id,
+                epochs: entry.map(|e| e.epochs.clone()).unwrap_or_default(),
+                digests: entry.map(|e| e.digests.clone()).unwrap_or_default(),
+            };
+            ("extract_delta", msg)
+        } else {
+            let msg = Message::ExtractInputs {
+                query: query.to_string(),
+                udf: udf.to_string(),
+                options,
+                transfer_id,
+            };
+            ("extract_inputs", msg)
         };
-        match self.call("extract_inputs", &msg, || replay_is_safe(query, Some(udf)))? {
+        let protocol = |e: transfer::TransferError| WireError::Protocol(e.to_string());
+        match self.call(op, &msg, || replay_is_safe(query, Some(udf)))? {
             Message::Extracted {
                 payload,
                 raw_len,
                 options,
                 transfer_id,
-            } => {
+            } if !delta => {
                 let stats = TransferStats {
                     raw_len: raw_len as usize,
                     wire_len: payload.len(),
                 };
-                let value =
-                    transfer::decode_payload(&payload, &options, &self.password, transfer_id)
-                        .map_err(|e| WireError::Protocol(e.to_string()))?;
-                Ok((value, stats))
+                let raw = transfer::decode_payload(payload, &options, &self.password, transfer_id)
+                    .map_err(protocol)?;
+                Ok((raw, stats))
             }
-            other => Err(WireError::Protocol(format!(
-                "unexpected extract reply: {other:?}"
-            ))),
-        }
-    }
-
-    /// One `ExtractDelta` round trip: claim what the cache holds, then
-    /// rebuild the payload from the reply (`NotModified` → pure cache,
-    /// `DeltaBlocks` → shipped blocks + cached blocks by digest).
-    fn extract_delta(
-        &mut self,
-        query: &str,
-        udf: &str,
-        options: TransferOptions,
-    ) -> Result<(Value, TransferStats), WireError> {
-        let transfer_id = self.next_transfer_id;
-        self.next_transfer_id += 1;
-        let fp = delta::fingerprint(query, udf, &options);
-        let (epochs, digests) = match self.cache.as_mut().and_then(|c| c.get(fp)) {
-            Some(entry) => (entry.epochs.clone(), entry.digests.clone()),
-            None => (Vec::new(), Vec::new()),
-        };
-        let msg = Message::ExtractDelta {
-            query: query.to_string(),
-            udf: udf.to_string(),
-            options,
-            transfer_id,
-            epochs,
-            digests,
-        };
-        match self.call("extract_delta", &msg, || replay_is_safe(query, Some(udf)))? {
-            Message::DeltaNotModified { .. } => {
-                let cache = self.cache.as_mut().expect("delta path requires a cache");
-                let entry = cache.get(fp).ok_or_else(|| {
+            Message::DeltaNotModified { .. } if delta => {
+                let entry = self.cache.as_mut().and_then(|c| c.get(fp)).ok_or_else(|| {
                     WireError::Protocol(
                         "server answered NotModified for an extract not in the cache".into(),
                     )
                 })?;
+                let raw_len = entry.payload.len();
                 obs::counter!("transfer.delta.not_modified").inc();
-                obs::counter!("transfer.delta.bytes_saved").add(entry.raw_len as u64);
-                let raw = entry.reassemble();
+                obs::counter!("transfer.delta.bytes_saved").add(raw_len as u64);
                 let stats = TransferStats {
-                    raw_len: entry.raw_len,
+                    raw_len,
                     wire_len: 0,
                 };
-                let value = transfer::unpickle_inputs(&raw)
-                    .map_err(|e| WireError::Protocol(e.to_string()))?;
-                Ok((value, stats))
+                Ok((entry.payload.clone(), stats))
             }
             Message::DeltaBlocks {
                 options: reply_options,
@@ -547,7 +527,7 @@ impl Client {
                 epochs,
                 digests,
                 blocks,
-            } => {
+            } if delta => {
                 // The block grid is client-chosen: a reply under different
                 // options (or the wrong transfer id) is not ours.
                 if reply_options != options || reply_id != transfer_id {
@@ -558,26 +538,23 @@ impl Client {
                 let raw_len = usize::try_from(raw_len)
                     .map_err(|_| WireError::Protocol("delta raw length out of range".into()))?;
                 let block_size = options.effective_block_size();
-                let nblocks = digests.len();
                 let wire_len =
                     blocks.iter().map(|b| b.body.len()).sum::<usize>() + 32 * digests.len();
-                let raw = {
-                    let cached_map = match self.cache.as_mut().and_then(|c| c.get(fp)) {
-                        Some(entry) => entry.digest_map(),
-                        None => std::collections::HashMap::new(),
-                    };
-                    transfer::reconstruct_delta(
-                        devharness::pool::global(),
-                        raw_len,
-                        &options,
-                        &self.password,
-                        transfer_id,
-                        &digests,
-                        &blocks,
-                        &cached_map,
-                    )
-                    .map_err(|e| WireError::Protocol(e.to_string()))?
-                };
+                let cache = self.cache.as_mut().expect("delta path requires a cache");
+                let raw = transfer::reconstruct_delta(
+                    devharness::pool::global(),
+                    raw_len,
+                    &options,
+                    &self.password,
+                    transfer_id,
+                    &digests,
+                    &blocks,
+                    &cache
+                        .get(fp)
+                        .map(CacheEntry::digest_map)
+                        .unwrap_or_default(),
+                )
+                .map_err(protocol)?;
                 // Raw bytes that did NOT cross the wire thanks to block
                 // reuse (grid arithmetic is safe: reconstruct validated
                 // the digest table against raw_len and every index).
@@ -585,25 +562,28 @@ impl Client {
                     .iter()
                     .map(|b| transfer::block_raw_len(raw_len, block_size, b.index as usize))
                     .sum();
-                if blocks.len() < nblocks {
+                if blocks.len() < digests.len() {
                     obs::counter!("transfer.delta.hits").inc();
                 } else {
                     obs::counter!("transfer.delta.misses").inc();
                 }
                 obs::counter!("transfer.delta.bytes_saved")
                     .add(raw_len.saturating_sub(shipped_raw) as u64);
-                let entry = CacheEntry::from_raw(&raw, block_size, epochs);
-                self.cache
-                    .as_mut()
-                    .expect("delta path requires a cache")
-                    .insert(fp, entry);
-                let stats = TransferStats { raw_len, wire_len };
-                let value = transfer::unpickle_inputs(&raw)
-                    .map_err(|e| WireError::Protocol(e.to_string()))?;
-                Ok((value, stats))
+                // `reconstruct_delta` checked every block of `raw` against
+                // `digests`, so the entry files the reply's table as is.
+                cache.insert(
+                    fp,
+                    CacheEntry {
+                        epochs,
+                        digests,
+                        payload: raw.clone(),
+                        block_size,
+                    },
+                );
+                Ok((raw, TransferStats { raw_len, wire_len }))
             }
             other => Err(WireError::Protocol(format!(
-                "unexpected delta reply: {other:?}"
+                "unexpected extract reply: {other:?}"
             ))),
         }
     }
@@ -624,6 +604,7 @@ mod tests {
     use super::*;
     use crate::message::WireValue;
     use crate::server::ServerConfig;
+    use pylite::{pickle, Value};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::{Arc, Mutex};
 
@@ -747,14 +728,16 @@ mod tests {
                 encrypt,
                 ..Default::default()
             };
-            let (value, stats) = client
+            let (raw, stats) = client
                 .extract_inputs(
                     "SELECT mean_deviation(i) FROM numbers",
                     "mean_deviation",
                     options,
                 )
                 .unwrap();
-            let Value::Dict(d) = &value else { panic!() };
+            let Value::Dict(d) = pickle::loads(&raw).unwrap() else {
+                panic!()
+            };
             let col = d.borrow().get(&Value::str("column")).unwrap().unwrap();
             match col {
                 Value::Array(a) => assert_eq!(a.len(), 6),
@@ -784,8 +767,10 @@ mod tests {
         let (sampled, sampled_stats) = client
             .extract_inputs("SELECT f(i) FROM big", "f", TransferOptions::sampled(50))
             .unwrap();
-        let arr_len = |v: &Value| {
-            let Value::Dict(d) = v else { panic!() };
+        let arr_len = |raw: &[u8]| {
+            let Value::Dict(d) = pickle::loads(raw).unwrap() else {
+                panic!()
+            };
             let col = d.borrow().get(&Value::str("column")).unwrap().unwrap();
             let Value::Array(a) = col else { panic!() };
             a.len()
@@ -793,6 +778,48 @@ mod tests {
         assert_eq!(arr_len(&full), 2000);
         assert_eq!(arr_len(&sampled), 50);
         assert!(sampled_stats.wire_len < full_stats.wire_len / 10);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_mixed_delta_reply_caches_what_from_raw_would() {
+        let server = Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), |db| {
+            db.execute("CREATE TABLE sensor (i INTEGER)").unwrap();
+            let values: Vec<String> = (0..2000).map(|i| format!("({})", 1000 + i)).collect();
+            db.execute(&format!("INSERT INTO sensor VALUES {}", values.join(", ")))
+                .unwrap();
+            db.execute(
+                "CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON { return 0.0 }",
+            )
+            .unwrap();
+        });
+        let options = ClientOptions {
+            cache: Some(4),
+            ..ClientOptions::default()
+        };
+        let mut client =
+            Client::connect_in_proc_with(&server, "monetdb", "monetdb", "demo", options).unwrap();
+        let (query, options) = (
+            "SELECT f(i) FROM sensor",
+            TransferOptions::compressed().with_block_size(1024),
+        );
+        let (_, cold) = client.extract_inputs(query, "f", options).unwrap();
+        client
+            .query("UPDATE sensor SET i = 1001 WHERE i = 1500")
+            .unwrap();
+        let (payload, mixed) = client.extract_inputs(query, "f", options).unwrap();
+        assert!(
+            0 < mixed.wire_len && mixed.wire_len < cold.wire_len,
+            "some blocks shipped, some reused: {mixed:?} vs {cold:?}"
+        );
+        let fp = delta::fingerprint(query, "f", &options);
+        let cache = client.cache.as_mut().unwrap();
+        let entry = cache.get(fp).unwrap();
+        let hashed = CacheEntry::from_raw(&payload, 1024, entry.epochs.clone());
+        assert_eq!(entry.digests, hashed.digests);
+        assert_eq!(entry.digest_map(), hashed.digest_map());
+        assert_eq!(entry.payload, hashed.payload);
+        assert_eq!(*entry, hashed);
         server.shutdown();
     }
 

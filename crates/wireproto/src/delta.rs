@@ -5,9 +5,9 @@
 //! The client keeps a small MRU store keyed by the **extract
 //! fingerprint** — a hash of `(query, udf, options)` — holding, per
 //! entry, the dependency epochs the payload was built against, the
-//! SHA-256 digest of every plaintext pickle block, and the raw blocks
-//! themselves. On the next extract the client sends those epochs and
-//! digests in an `ExtractDelta` request; the server answers
+//! SHA-256 digest of every plaintext pickle block, and the plaintext
+//! pickle itself, once. On the next extract the client sends those
+//! epochs and digests in an `ExtractDelta` request; the server answers
 //! `NotModified` (epochs still match — zero payload bytes), or ships
 //! only the blocks whose digest the client does not hold.
 //!
@@ -24,15 +24,15 @@
 //! let opts = TransferOptions::compressed();
 //! let fp = fingerprint("SELECT f(i) FROM t", "f", &opts);
 //!
-//! // A fresh payload becomes a cache entry: blocks + their digests.
+//! // A fresh payload becomes a cache entry: the bytes + a digest per block.
 //! let payload = vec![7u8; 10_000];
 //! let entry = CacheEntry::from_raw(&payload, 4096, vec![("t".into(), 3)]);
 //! assert_eq!(entry.digests.len(), 3); // ceil(10_000 / 4096)
 //! cache.insert(fp, entry);
 //!
-//! // The entry round-trips and reassembles to the original bytes.
+//! // The entry round-trips and holds the original bytes.
 //! let entry = cache.get(fp).unwrap();
-//! assert_eq!(entry.reassemble(), payload);
+//! assert_eq!(entry.payload, payload);
 //!
 //! // A different query fingerprints to a different slot.
 //! assert_ne!(fp, fingerprint("SELECT f(j) FROM u", "f", &opts));
@@ -44,24 +44,22 @@ use crate::transfer::TransferOptions;
 
 /// One cached extract: everything needed to claim blocks in an
 /// `ExtractDelta` request and to rebuild the payload afterwards.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheEntry {
     /// `(table name, epoch)` pairs the payload was built from. Empty when
     /// a dependency was volatile — the server then never answers
     /// `NotModified`, but block-level reuse still applies.
     pub epochs: Vec<(String, u64)>,
-    /// SHA-256 digest of each raw block, in payload order.
+    /// SHA-256 digest of each `block_size` block of `payload`, in order.
     pub digests: Vec<[u8; 32]>,
-    /// The raw plaintext pickle blocks; `blocks[i]` hashes to
-    /// `digests[i]`.
-    pub blocks: Vec<Vec<u8>>,
-    /// Total payload length (the sum of the block lengths).
-    pub raw_len: usize,
+    /// The plaintext pickle.
+    pub payload: Vec<u8>,
+    /// The block grid `digests` was taken on (non-zero).
+    pub block_size: usize,
 }
 
 impl CacheEntry {
-    /// Build an entry by chunking a raw payload at `block_size` and
-    /// hashing each block.
+    /// Build an entry from a payload by hashing each `block_size` block.
     ///
     /// # Panics
     ///
@@ -71,8 +69,8 @@ impl CacheEntry {
         CacheEntry {
             epochs,
             digests: codecs::sha256::block_digests(raw, block_size),
-            blocks: raw.chunks(block_size).map(<[u8]>::to_vec).collect(),
-            raw_len: raw.len(),
+            payload: raw.to_vec(),
+            block_size,
         }
     }
 
@@ -81,17 +79,8 @@ impl CacheEntry {
         self.digests
             .iter()
             .copied()
-            .zip(self.blocks.iter().map(Vec::as_slice))
+            .zip(self.payload.chunks(self.block_size))
             .collect()
-    }
-
-    /// Concatenate the blocks back into the full raw payload.
-    pub fn reassemble(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.raw_len);
-        for block in &self.blocks {
-            out.extend_from_slice(block);
-        }
-        out
     }
 }
 
@@ -129,21 +118,6 @@ impl BlockCache {
         self.entries.insert(0, (fingerprint, entry));
         self.entries.truncate(self.cap);
     }
-
-    /// Number of cached extracts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Drop every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 /// Fingerprint of an extract request: FNV-1a over the query, the UDF
@@ -166,22 +140,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn entry_from_raw_chunks_hashes_and_reassembles() {
+    fn entry_from_raw_hashes_each_block_of_the_payload() {
         // Non-periodic content so all three blocks are distinct.
         let raw: Vec<u8> = (0..10_000u32)
             .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
             .collect();
         let entry = CacheEntry::from_raw(&raw, 4096, vec![("t".into(), 1)]);
-        assert_eq!(entry.blocks.len(), 3);
         assert_eq!(entry.digests.len(), 3);
-        assert_eq!(entry.raw_len, raw.len());
-        assert_eq!(entry.blocks[2].len(), 10_000 - 2 * 4096);
-        for (block, digest) in entry.blocks.iter().zip(&entry.digests) {
+        assert_eq!(entry.payload, raw);
+        for (block, digest) in raw.chunks(4096).zip(&entry.digests) {
             assert_eq!(codecs::sha256(block), *digest);
         }
-        assert_eq!(entry.reassemble(), raw);
-        assert_eq!(entry.digest_map().len(), 3);
-        assert_eq!(entry.digest_map()[&entry.digests[1]], &raw[4096..8192]);
+        let map = entry.digest_map();
+        assert_eq!(map.len(), 3);
+        assert_eq!(map[&entry.digests[1]], &raw[4096..8192]);
+        assert_eq!(map[&entry.digests[2]].len(), 10_000 - 2 * 4096);
     }
 
     #[test]
@@ -193,16 +166,14 @@ mod tests {
         // Touch 1 so 2 becomes the eviction victim.
         assert!(cache.get(1).is_some());
         cache.insert(3, entry(3));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert!(cache.get(2).is_none(), "LRU entry should have been evicted");
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
         // Reinsert under an existing key replaces, not duplicates.
         cache.insert(1, entry(9));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(1).unwrap().blocks[0][0], 9);
-        cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.entries.len(), 2);
+        assert_eq!(cache.get(1).unwrap().payload[0], 9);
     }
 
     #[test]

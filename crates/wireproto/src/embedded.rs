@@ -7,6 +7,7 @@
 //! surface; [`Client`] implements it over the TCP/in-proc wire, and
 //! [`Embedded`] implements it by calling [`monetlite::Engine`] directly
 //! in the same process — no frames, no pickling, no socket.
+
 //!
 //! An embedded engine has exactly one owner, reached through `&mut self`,
 //! so there is no concurrent writer to isolate reads from: every call runs
@@ -26,7 +27,7 @@
 //! # Embedded extract
 //!
 //! ```
-//! use wireproto::embedded::{Embedded, EngineTransport};
+//! use wireproto::embedded::{Embedded, EngineTransport, Inputs};
 //! use wireproto::TransferOptions;
 //!
 //! let mut db = Embedded::in_memory();
@@ -40,13 +41,13 @@
 //!     .extract_inputs("SELECT double(i) FROM t", "double", TransferOptions::plain())
 //!     .unwrap();
 //! // The UDF's input column came back as a live pylite value …
-//! assert!(matches!(inputs, pylite::Value::Dict(_)));
+//! assert!(matches!(inputs, Inputs::Value(pylite::Value::Dict(_))));
 //! // … and no bytes crossed any wire.
 //! assert_eq!(stats.wire_len, 0);
 //! ```
 
 use monetlite::Engine;
-use pylite::Value;
+use pylite::{pickle, PyError, Value};
 
 use crate::client::{Client, FunctionInfo};
 use crate::message::{WireError, WireResult};
@@ -73,10 +74,41 @@ pub trait EngineTransport {
         query: &str,
         udf: &str,
         options: TransferOptions,
-    ) -> Result<(Value, TransferStats), WireError>;
+    ) -> Result<(Inputs, TransferStats), WireError>;
 
     /// `print` output of server-side UDFs during the last query.
     fn last_udf_stdout(&self) -> &str;
+}
+
+/// An extract's inputs, in the form the transport holds them; a consumer
+/// that needs the other form converts once.
+#[derive(Debug)]
+pub enum Inputs {
+    /// The payload's pickle, exactly as the server produced it (wire).
+    Pickle(Vec<u8>),
+    /// The engine's live inputs dict (embedded, zero-serialization).
+    Value(Value),
+}
+
+impl Inputs {
+    /// The pickle `input.bin` holds: a wire payload as it arrived, an
+    /// embedded value pickled here.
+    pub fn into_pickle(self) -> Result<Vec<u8>, PyError> {
+        match self {
+            Inputs::Pickle(bytes) => Ok(bytes),
+            Inputs::Value(value) => pickle::dumps(&value),
+        }
+    }
+
+    /// The live value a nested local run binds: an embedded value as it
+    /// is, a wire pickle loaded here — where a pickle that passed every
+    /// integrity check yet is malformed fails.
+    pub fn into_value(self) -> Result<Value, PyError> {
+        match self {
+            Inputs::Pickle(bytes) => pickle::loads(&bytes),
+            Inputs::Value(value) => Ok(value),
+        }
+    }
 }
 
 impl EngineTransport for Client {
@@ -97,8 +129,9 @@ impl EngineTransport for Client {
         query: &str,
         udf: &str,
         options: TransferOptions,
-    ) -> Result<(Value, TransferStats), WireError> {
-        Client::extract_inputs(self, query, udf, options)
+    ) -> Result<(Inputs, TransferStats), WireError> {
+        let (pickle, stats) = Client::extract_inputs(self, query, udf, options)?;
+        Ok((Inputs::Pickle(pickle), stats))
     }
 
     fn last_udf_stdout(&self) -> &str {
@@ -172,7 +205,7 @@ impl EngineTransport for Embedded {
         query: &str,
         udf: &str,
         _options: TransferOptions,
-    ) -> Result<(Value, TransferStats), WireError> {
+    ) -> Result<(Inputs, TransferStats), WireError> {
         obs::counter!("wire.embedded.extracts").inc();
         let value = self
             .engine
@@ -182,7 +215,7 @@ impl EngineTransport for Embedded {
         // byte counters are honestly zero (ratio 1.0). Transfer options
         // are wire concerns and do not apply (module docs).
         Ok((
-            value,
+            Inputs::Value(value),
             TransferStats {
                 raw_len: 0,
                 wire_len: 0,
@@ -282,7 +315,7 @@ mod tests {
                 TransferOptions::plain(),
             )
             .unwrap();
-        let Value::Dict(d) = &inputs else {
+        let Inputs::Value(Value::Dict(d)) = &inputs else {
             panic!("{inputs:?}")
         };
         assert_eq!(d.borrow().entries().len(), 1);

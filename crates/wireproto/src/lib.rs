@@ -57,7 +57,7 @@ pub mod transfer;
 pub mod transport;
 
 pub use client::{Client, ClientOptions};
-pub use embedded::{Embedded, EngineTransport};
+pub use embedded::{Embedded, EngineTransport, Inputs};
 pub use fault::{FaultInjectingTransport, FaultPolicy, FaultStats};
 pub use message::{Message, WireError, WireTable, WireValue};
 pub use retry::RetryPolicy;

@@ -1,7 +1,9 @@
 //! Transfer options and the extract-payload pipeline (paper §2.1).
 //!
 //! Order of operations on the server: **sample → pickle → compress →
-//! encrypt**; the client reverses encryption and compression and unpickles.
+//! encrypt**; the client reverses encryption and compression and keeps the
+//! pickle as it arrived — it is loaded only where it is used (the local
+//! script's `pickle.load` of `input.bin`, or a nested local run).
 //! Sampling happens *before* serialization (fewer bytes ever exist);
 //! compression runs before encryption (ciphertext does not compress).
 //!
@@ -173,7 +175,7 @@ impl TransferStats {
 pub enum TransferError {
     /// The inputs value was not usable (not a dict, misaligned arrays…).
     Input(String),
-    /// Pickle serialization or deserialization failed.
+    /// Pickle serialization failed.
     Pickle(String),
     /// The chunked container's framing was malformed or inconsistent.
     Container(String),
@@ -750,8 +752,9 @@ pub fn encode_delta_blocks(
 /// range, and each shipped block passes the container's per-block check.
 /// Decoded shipped blocks are re-hashed and checked against the digest
 /// table, so a block that decodes to the wrong content fails loudly.
-/// Cached blocks are trusted to match their digest —
-/// [`crate::delta::CacheEntry`] constructs them from hashed data.
+/// Cached blocks are trusted to match their digest — a
+/// [`crate::delta::CacheEntry`] holds only payloads whose every block was
+/// hashed ([`crate::delta::CacheEntry::from_raw`]) or checked here.
 #[allow(clippy::too_many_arguments)]
 pub fn reconstruct_delta(
     pool: &Pool,
@@ -839,11 +842,6 @@ pub fn pickle_inputs(inputs: &Value) -> Result<Vec<u8>, TransferError> {
     pickle::dumps(inputs).map_err(|e| TransferError::Pickle(format!("pickle: {e}")))
 }
 
-/// Unpickle a raw (reconstructed) payload — the delta path's final step.
-pub fn unpickle_inputs(data: &[u8]) -> Result<Value, TransferError> {
-    pickle::loads(data).map_err(|e| TransferError::Pickle(format!("unpickle: {e}")))
-}
-
 /// Server side: pickle the (possibly sampled) inputs and apply the selected
 /// codecs on the process-global pool. Returns (wire payload, raw pickle
 /// length).
@@ -870,25 +868,24 @@ pub fn encode_payload(
     ))
 }
 
-/// Client side: reverse the codecs on the process-global pool and
-/// unpickle. The client derives the same key from the password it already
-/// holds — the key never crosses the wire. A compressed or encrypted
-/// payload must be a v1 container; a plain payload is the pickle.
+/// Client side: reverse the codecs on the process-global pool and return
+/// the pickle. The client derives the same key from the password it
+/// already holds — the key never crosses the wire. A compressed or
+/// encrypted payload must be a v1 container whose every block passes its
+/// integrity tag; a plain payload is the pickle and comes back as it
+/// arrived (the frame checksum covered it in flight). The pickle is not
+/// parsed here: one that is malformed yet intact fails where it is loaded.
 pub fn decode_payload(
-    payload: &[u8],
+    payload: Vec<u8>,
     options: &TransferOptions,
     password: &str,
     transfer_id: u64,
-) -> Result<Value, TransferError> {
-    let decoded;
-    let data = if options.compress || options.encrypt {
-        decoded = decode_blocks(pool::global(), payload, options, password, transfer_id)?;
-        &decoded[..]
+) -> Result<Vec<u8>, TransferError> {
+    if options.compress || options.encrypt {
+        decode_blocks(pool::global(), &payload, options, password, transfer_id)
     } else {
-        payload
-    };
-    pickle::loads(data)
-        .map_err(|e| TransferError::Pickle(format!("unpickle (wrong password?): {e}")))
+        Ok(payload)
+    }
 }
 
 #[cfg(test)]
@@ -965,8 +962,8 @@ mod tests {
         // Plain is the raw pickle, zero framing overhead.
         assert_eq!(payload.len(), raw);
         assert!(!is_container(&payload));
-        let back = decode_payload(&payload, &TransferOptions::plain(), "pw", 1).unwrap();
-        assert!(back.py_eq(&inputs));
+        let back = decode_payload(payload.clone(), &TransferOptions::plain(), "pw", 1).unwrap();
+        assert_eq!(back, payload, "a plain payload comes back as it arrived");
     }
 
     #[test]
@@ -982,8 +979,8 @@ mod tests {
         let (payload, raw) = encode_payload(&inputs, &opts, "pw", 2, 7).unwrap();
         assert!(is_container(&payload));
         assert!(payload.len() < raw / 10, "{} vs {raw}", payload.len());
-        let back = decode_payload(&payload, &opts, "pw", 2).unwrap();
-        assert!(back.py_eq(&inputs));
+        let back = decode_payload(payload, &opts, "pw", 2).unwrap();
+        assert_eq!(back, pickle_inputs(&inputs).unwrap());
     }
 
     #[test]
@@ -1000,8 +997,8 @@ mod tests {
             !payload.windows(4).any(|w| w == b"PKL1"),
             "ciphertext leaked pickle magic"
         );
-        let back = decode_payload(&payload, &opts, "secret", 3).unwrap();
-        assert!(back.py_eq(&inputs));
+        let back = decode_payload(payload, &opts, "secret", 3).unwrap();
+        assert_eq!(back, pickle_inputs(&inputs).unwrap());
     }
 
     #[test]
@@ -1037,8 +1034,12 @@ mod tests {
                 let (payload, raw) = encode_payload(&inputs, &opts, "pw", 5, 7).unwrap();
                 assert!(is_container(&payload));
                 assert!(raw > 64 * 1024, "test payload too small: {raw}");
-                let back = decode_payload(&payload, &opts, "pw", 5).unwrap();
-                assert!(back.py_eq(&inputs), "combo c={compress} e={encrypt}");
+                let back = decode_payload(payload, &opts, "pw", 5).unwrap();
+                assert_eq!(
+                    back,
+                    pickle_inputs(&inputs).unwrap(),
+                    "combo c={compress} e={encrypt}"
+                );
             }
         }
     }
@@ -1119,7 +1120,7 @@ mod tests {
                 ..Default::default()
             };
             for payload in [&pickle[..], &lz_blob[..], &b"DUC"[..]] {
-                match decode_payload(payload, &opts, "pw", 6) {
+                match decode_payload(payload.to_vec(), &opts, "pw", 6) {
                     Err(TransferError::Container(_)) => {}
                     other => panic!("c={compress} e={encrypt} len={}: {other:?}", payload.len()),
                 }
@@ -1136,18 +1137,18 @@ mod tests {
             ..Default::default()
         };
         let (payload, _) = encode_payload(&inputs, &opts, "right", 4, 7).unwrap();
-        assert!(decode_payload(&payload, &opts, "wrong", 4).is_err());
+        assert!(decode_payload(payload, &opts, "wrong", 4).is_err());
     }
 
     #[test]
     fn wrong_password_on_uncompressed_payload_is_a_clear_error() {
-        // Every wrong key is caught by the per-block checksum before
-        // unpickling is even attempted, and the error says so.
+        // Every wrong key is caught by the per-block checksum before the
+        // payload is accepted, and the error says so.
         let inputs = sample_dict(50);
         let opts = TransferOptions::encrypted();
         let (payload, _) = encode_payload(&inputs, &opts, "right", 9, 7).unwrap();
         for wrong in ["wrong", "Right", "right ", ""] {
-            match decode_payload(&payload, &opts, wrong, 9) {
+            match decode_payload(payload.clone(), &opts, wrong, 9) {
                 Err(
                     e @ TransferError::BlockIntegrity {
                         encrypted: true, ..
@@ -1168,7 +1169,7 @@ mod tests {
         // Flip a byte in the (single) block body at the tail.
         let at = payload.len() - 5;
         payload[at] ^= 0x40;
-        assert!(decode_payload(&payload, &opts, "pw", 11).is_err());
+        assert!(decode_payload(payload, &opts, "pw", 11).is_err());
     }
 
     #[test]
@@ -1258,7 +1259,7 @@ mod tests {
         let (payload, _) = encode_payload(&inputs, &opts, "pw", 12, 7).unwrap();
         for cut in [2, 6, payload.len() - 3] {
             assert!(
-                decode_payload(&payload[..cut], &opts, "pw", 12).is_err(),
+                decode_payload(payload[..cut].to_vec(), &opts, "pw", 12).is_err(),
                 "accepted payload truncated to {cut} bytes"
             );
         }

@@ -91,12 +91,11 @@ cargo run --offline --release -q --example nested_udfs > /dev/null
 # conditional breakpoint on the Listing-4 accumulation line and quit the
 # debug session, checkpoint it, and verify the WAL folded.
 echo "==> embedded mode smoke (WAL replay + checkpoint, no server)"
-# Piped output is matched with `grep > /dev/null`, not `grep -q`: -q exits
-# at the first match, and the devudf line printed after it then fails on
-# the closed pipe, which pipefail turns into a failed step.
+# `grep -q` exits at the first match while devudf still prints: the lines
+# after it must meet a closed pipe quietly (exit 0), or pipefail fails here.
 EMB_DIR=$(mktemp -d /tmp/devudf-ci-embedded.XXXXXX)
 cargo run --offline --release -q -p devudf-ide --bin devudf open "$EMB_DIR/data" --demo \
-  | grep "seeded demo data" > /dev/null
+  | grep -q "seeded demo data"
 mkdir -p "$EMB_DIR/proj/.devudf"
 cat > "$EMB_DIR/proj/.devudf/settings.json" <<EOF
 {"host": "localhost", "port": 50000, "database": "demo",

@@ -392,7 +392,7 @@ fn mid_extract_disconnect_frees_the_scheduler_slot() {
     let (again, _) = client
         .extract_inputs("SELECT slow(i) FROM t", "slow", TransferOptions::plain())
         .unwrap();
-    assert!(inputs.py_eq(&again), "healthy extracts stay deterministic");
+    assert_eq!(inputs, again, "healthy extracts stay deterministic");
 
     // The dead session eventually deregisters from the registry.
     let deadline = Instant::now() + Duration::from_secs(5);

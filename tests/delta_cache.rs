@@ -1,31 +1,36 @@
 //! End-to-end coverage of the content-addressed extract cache (DESIGN
 //! §12): warm unchanged extracts answer `NotModified` with zero payload
 //! bytes and zero server-side codec work, DML invalidates via per-table
-//! epochs and reships only the dirty blocks, and sampled extracts bypass
-//! the cache entirely.
+//! epochs and reships only the dirty blocks, sampled extracts bypass
+//! the cache entirely, and on every path `input.bin` is the server's
+//! pickle byte for byte.
 //!
 //! Counter assertions compare before/after deltas under
 //! `obs::metrics::test_lock()` — the registry is process-global and this
 //! file is the only binary whose tests touch the `transfer.delta.*`
 //! family.
 
+use devudf::{DevUdf, Settings};
+use monetlite::Engine;
 use pylite::Value;
 use wireproto::{Client, ClientOptions, Server, ServerConfig, TransferOptions};
 
 /// A table big enough that a 1 KiB block grid has plenty of blocks, plus
 /// the paper's intercepted UDF. Values are four digits wide so a
 /// same-width UPDATE dirties one localized byte range of the pickle.
-fn sensor_server() -> Server {
-    Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), |db| {
-        db.execute("CREATE TABLE sensor (i INTEGER)").unwrap();
-        let values: Vec<String> = (0..2000).map(|i| format!("({})", 1000 + i)).collect();
-        db.execute(&format!("INSERT INTO sensor VALUES {}", values.join(", ")))
-            .unwrap();
-        db.execute(
-            "CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON { return sum(column) / len(column) }",
-        )
+fn seed_sensor(db: &Engine) {
+    db.execute("CREATE TABLE sensor (i INTEGER)").unwrap();
+    let values: Vec<String> = (0..2000).map(|i| format!("({})", 1000 + i)).collect();
+    db.execute(&format!("INSERT INTO sensor VALUES {}", values.join(", ")))
         .unwrap();
-    })
+    db.execute(
+        "CREATE FUNCTION f(column INTEGER) RETURNS DOUBLE LANGUAGE PYTHON { return sum(column) / len(column) }",
+    )
+    .unwrap();
+}
+
+fn sensor_server() -> Server {
+    Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), seed_sensor)
 }
 
 fn cached_client(server: &Server) -> Client {
@@ -67,7 +72,7 @@ fn warm_unchanged_extract_is_not_modified_with_zero_codec_work() {
     let bs0 = bytes_saved.get();
 
     let (warm, warm_stats) = client.extract_inputs(QUERY, "f", options).unwrap();
-    assert!(warm.py_eq(&cold));
+    assert_eq!(warm, cold);
     assert_eq!(warm_stats.raw_len, cold_stats.raw_len);
     assert_eq!(warm_stats.wire_len, 0, "NotModified carries no payload");
     assert_eq!(not_modified.get() - nm0, 1);
@@ -139,7 +144,7 @@ fn dml_invalidates_the_epoch_and_reships_only_dirty_blocks() {
     // fresh over the classic protocol.
     let mut plain = Client::connect_in_proc(&server, "monetdb", "monetdb", "demo").unwrap();
     let (fresh, _) = plain.extract_inputs(QUERY, "f", options).unwrap();
-    assert!(warm.py_eq(&fresh));
+    assert_eq!(warm, fresh);
     server.shutdown();
 }
 
@@ -162,14 +167,8 @@ fn delta_and_classic_clients_agree_across_option_combinations() {
         let (cold, _) = cached.extract_inputs(QUERY, "f", options).unwrap();
         let (warm, warm_stats) = cached.extract_inputs(QUERY, "f", options).unwrap();
         let (classic, _) = plain.extract_inputs(QUERY, "f", options).unwrap();
-        assert!(
-            cold.py_eq(&classic),
-            "compress={compress} encrypt={encrypt}"
-        );
-        assert!(
-            warm.py_eq(&classic),
-            "compress={compress} encrypt={encrypt}"
-        );
+        assert_eq!(cold, classic, "compress={compress} encrypt={encrypt}");
+        assert_eq!(warm, classic, "compress={compress} encrypt={encrypt}");
         assert_eq!(
             warm_stats.wire_len, 0,
             "compress={compress} encrypt={encrypt}"
@@ -190,10 +189,12 @@ fn sampled_extracts_bypass_the_cache() {
     let server = sensor_server();
     let mut client = cached_client(&server);
     for _ in 0..2 {
-        let (value, _) = client
+        let (raw, _) = client
             .extract_inputs(QUERY, "f", TransferOptions::sampled(50))
             .unwrap();
-        let Value::Dict(d) = &value else { panic!() };
+        let Value::Dict(d) = pylite::pickle::loads(&raw).unwrap() else {
+            panic!()
+        };
         let col = d.borrow().get(&Value::str("column")).unwrap().unwrap();
         let Value::Array(a) = col else { panic!() };
         assert_eq!(a.len(), 50);
@@ -202,5 +203,66 @@ fn sampled_extracts_bypass_the_cache() {
     // never engaged.
     assert_eq!(not_modified.get() - nm0, 0);
     assert_eq!(shipped.get() - sh0, 0);
+    server.shutdown();
+}
+
+/// `input.bin` holds the server's pickle byte for byte, however the
+/// payload travelled: a classic plain or compressed + encrypted extract, a
+/// cold delta, a `NotModified` answer served from the cache, a delta that
+/// ships one dirty block — and an embedded extract, pickled on the client.
+#[test]
+fn input_bin_is_the_servers_pickle_byte_for_byte() {
+    let _serial = obs::metrics::test_lock();
+    obs::set_enabled(true);
+    let shipped = obs::counter!("transfer.delta.server.blocks_shipped");
+    let server = sensor_server();
+    let engine = Engine::new();
+    seed_sensor(&engine);
+    let pickle = |engine: &Engine| {
+        wireproto::transfer::pickle_inputs(&engine.extract_inputs(QUERY, "f").unwrap()).unwrap()
+    };
+    let settings = |coded: bool, cache: bool| {
+        let mut settings = Settings::default();
+        settings.debug_query = QUERY.to_string();
+        settings.transfer.compress = coded;
+        settings.transfer.encrypt = coded;
+        settings.transfer.block_size = Some(1024);
+        settings.transfer.cache.enabled = cache;
+        settings
+    };
+    let dir = std::env::temp_dir().join(format!("devudf-delta-input-bin-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let input_bin = || std::fs::read(dir.join("input.bin")).unwrap();
+
+    for coded in [false, true] {
+        let mut dev = DevUdf::connect_in_proc(&server, settings(coded, false), &dir).unwrap();
+        dev.fetch_inputs("f").unwrap();
+        assert_eq!(input_bin(), pickle(&engine), "classic, coded={coded}");
+    }
+
+    let mut dev = DevUdf::connect_in_proc(&server, settings(true, true), &dir).unwrap();
+    let cold = dev.fetch_inputs("f").unwrap();
+    assert!(cold.wire_len > 0);
+    assert_eq!(input_bin(), pickle(&engine), "cold delta");
+    let warm = dev.fetch_inputs("f").unwrap();
+    assert_eq!(warm.wire_len, 0, "the server answered NotModified");
+    assert_eq!(input_bin(), pickle(&engine), "NotModified");
+    let update = "UPDATE sensor SET i = 1001 WHERE i = 1500";
+    dev.server_query(update).unwrap();
+    engine.execute(update).unwrap();
+    let before = shipped.get();
+    dev.fetch_inputs("f").unwrap();
+    assert_eq!(
+        shipped.get() - before,
+        1,
+        "one dirty block crossed the wire"
+    );
+    assert_eq!(input_bin(), pickle(&engine), "one dirty block");
+
+    let mut embedded = DevUdf::connect_embedded(settings(true, true), &dir, seed_sensor).unwrap();
+    embedded.server_query(update).unwrap();
+    embedded.fetch_inputs("f").unwrap();
+    assert_eq!(input_bin(), pickle(&engine), "embedded");
+    std::fs::remove_dir_all(&dir).ok();
     server.shutdown();
 }

@@ -259,7 +259,7 @@ fn extract_options_also_work_directly_on_the_client() {
             TransferOptions::compressed(),
         )
         .unwrap();
-    assert!(plain.py_eq(&compressed), "payload content identical");
+    assert_eq!(plain, compressed, "payload content identical");
     assert!(compressed_stats.wire_len < plain_stats.wire_len);
     server.shutdown();
 }

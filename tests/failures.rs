@@ -9,7 +9,10 @@ use std::time::{Duration, Instant};
 
 use devudf::{DevUdf, DevUdfError, Settings};
 use wireproto::transport::{read_frame, write_frame};
-use wireproto::{Client, ClientOptions, FaultPolicy, RetryPolicy, Server, ServerConfig, WireError};
+use wireproto::{
+    transfer, Client, ClientOptions, FaultPolicy, Message, RetryPolicy, Server, ServerConfig,
+    WireError,
+};
 
 fn temp_project(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -324,8 +327,8 @@ fn dropped_delta_frames_retry_to_a_correct_payload() {
             .extract_inputs(query, "f", options)
             .unwrap_or_else(|e| panic!("delta extract failed in round {round}: {e}"));
         let (truth_value, _) = truth.extract_inputs(query, "f", options).unwrap();
-        assert!(
-            flaky_value.py_eq(&truth_value),
+        assert_eq!(
+            flaky_value, truth_value,
             "retried delta extract diverged in round {round}"
         );
         if round % 2 == 0 {
@@ -584,6 +587,134 @@ fn corrupted_reply_frame_is_a_checksum_protocol_error() {
         other => panic!("{other:?}"),
     }
     corrupt.join().unwrap();
+}
+
+/// How [`stub_extract_peer`] damages its extract reply.
+#[derive(Clone, Copy, Debug)]
+enum Damage {
+    /// One payload byte flips in flight: the frame checksum no longer
+    /// matches.
+    InFlight,
+    /// One byte of a shipped delta block flips before framing: the frame
+    /// is intact, the block is not.
+    InBlock,
+}
+
+/// A one-connection stub server: it accepts the login, answers the extract
+/// request with the real encoding of a 5 000-row inputs dict damaged as
+/// `damage` says, and hangs up.
+fn stub_extract_peer(damage: Damage) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        read_frame(&mut conn).unwrap();
+        write_frame(&mut conn, &Message::LoginOk { session: 1 }.encode()).unwrap();
+        let request = Message::decode(&read_frame(&mut conn).unwrap()).unwrap();
+        let mut column = pylite::value::Dict::new();
+        column
+            .insert(
+                pylite::Value::str("column"),
+                pylite::Value::array(pylite::Array::Int((0..5_000).collect())),
+            )
+            .unwrap();
+        let inputs = pylite::Value::dict(column);
+        let reply = match (damage, request) {
+            (
+                Damage::InFlight,
+                Message::ExtractInputs {
+                    options,
+                    transfer_id,
+                    ..
+                },
+            ) => {
+                let (payload, raw_len) =
+                    transfer::encode_payload(&inputs, &options, "monetdb", transfer_id, 0).unwrap();
+                Message::Extracted {
+                    payload,
+                    raw_len: raw_len as u64,
+                    options,
+                    transfer_id,
+                }
+            }
+            (
+                Damage::InBlock,
+                Message::ExtractDelta {
+                    options,
+                    transfer_id,
+                    ..
+                },
+            ) => {
+                let pool = devharness::pool::global();
+                let raw = transfer::pickle_inputs(&inputs).unwrap();
+                let digests =
+                    transfer::block_digests_pooled(pool, &raw, options.effective_block_size());
+                let mut blocks = transfer::encode_delta_blocks(
+                    pool,
+                    &raw,
+                    &options,
+                    "monetdb",
+                    transfer_id,
+                    &[],
+                );
+                blocks[0].body[0] ^= 0x01;
+                Message::DeltaBlocks {
+                    options,
+                    transfer_id,
+                    raw_len: raw.len() as u64,
+                    epochs: Vec::new(),
+                    digests,
+                    blocks,
+                }
+            }
+            (damage, other) => panic!("{damage:?}: unexpected request {other:?}"),
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &reply.encode()).unwrap();
+        if let Damage::InFlight = damage {
+            let middle = frame.len() / 2;
+            frame[middle] ^= 0x01;
+        }
+        conn.write_all(&frame).unwrap();
+    });
+    (addr, peer)
+}
+
+// A plain payload carries no integrity tag of its own and the client no
+// longer parses it before writing `input.bin`: the frame checksum, and for
+// delta blocks the block tag and digest, must still stop a damaged reply
+// at fetch time with a typed error, before anything reaches the project.
+#[test]
+fn damaged_extract_replies_fail_at_fetch_and_leave_input_bin_untouched() {
+    for (damage, cache, want) in [
+        (Damage::InFlight, false, "checksum"),
+        (Damage::InBlock, true, "block 0 integrity check failed"),
+    ] {
+        let (addr, peer) = stub_extract_peer(damage);
+        let dir = temp_project(&format!("damaged-{damage:?}"));
+        let mut settings = Settings::default();
+        settings.host = addr.ip().to_string();
+        settings.port = addr.port();
+        settings.debug_query = "SELECT f(i) FROM numbers".to_string();
+        settings.transfer.cache.enabled = cache;
+        settings.retry.max_attempts = 1;
+        let mut dev = DevUdf::connect_tcp(settings, &dir).unwrap();
+        std::fs::write(dir.join("input.bin"), b"the previous inputs").unwrap();
+        match dev.fetch_inputs("f") {
+            Err(DevUdfError::Wire(WireError::Protocol(msg))) => {
+                assert!(msg.contains(want), "{damage:?}: {msg}")
+            }
+            other => panic!("{damage:?}: {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read(dir.join("input.bin")).unwrap(),
+            b"the previous inputs",
+            "{damage:?}: a failed fetch must not touch input.bin"
+        );
+        drop(dev);
+        peer.join().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
