@@ -304,7 +304,31 @@ or a poisoned snapshot cache)",
     },
 ];
 
-/// Per-sample minimum ns of `group`/`name` in a harness artifact.
+/// The host a harness artifact was measured on: its schema-2 `host`
+/// record, which a schema-1 artifact lacks.
+fn host(doc: &Json) -> String {
+    let Some(host) = doc.get("host") else {
+        return "host not recorded".to_string();
+    };
+    let field = |key| {
+        host.get(key)
+            .map(|v| {
+                v.as_str()
+                    .map_or_else(|| v.to_string_compact(), str::to_string)
+            })
+            .unwrap_or_else(|| "?".to_string())
+    };
+    let commit = field("commit");
+    format!(
+        "{} cores, {}, commit {}",
+        field("available_parallelism"),
+        field("profile"),
+        &commit[..commit.len().min(7)]
+    )
+}
+
+/// Per-sample minimum ns of `group`/`name` in a harness artifact. Both
+/// artifact schemas (1, and 2 with its `host` record) carry `benchmarks`.
 fn min_ns(doc: &Json, file: &str, group: &str, name: &str) -> f64 {
     doc.get("benchmarks")
         .and_then(|b| b.as_array())
@@ -342,6 +366,12 @@ fn check(suite: &Suite) -> bool {
         let doc =
             codecs::json::parse(&text).unwrap_or_else(|e| panic!("parse {}: {e}", guard.file));
         let (committed, _, _) = guard.measure(&doc, guard.file, guard.baseline);
+        println!(
+            "{} guard: committed {} ({})",
+            guard.name,
+            guard.file,
+            host(&doc)
+        );
         if let Some(claim) = guard.claim.filter(|c| !guard.ratio.holds(committed, *c)) {
             eprintln!(
                 "FAIL: committed {} documents a {} ratio of {committed:.3}x against a claimed \
@@ -363,6 +393,7 @@ fn check(suite: &Suite) -> bool {
             break;
         }
         let doc = (suite.measure)();
+        println!("{} live run ({})", suite.bench, host(&doc));
         open.retain_mut(|(guard, committed, bound, best)| {
             let (ratio, reference, guarded) = guard.measure(&doc, "live run", guard.live);
             *best = guard.ratio.better(*best, ratio);

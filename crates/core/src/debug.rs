@@ -121,6 +121,10 @@ pub struct ProfileReport {
     pub rows: Vec<obs::profile::ProfileRow>,
     /// The script source annotated with hits and time per line.
     pub annotated: String,
+    /// Lines of the script's loops that compile to typed loop kernels.
+    /// The armed profiler turns kernels off, so the profiled run executed
+    /// them statement by statement; unprofiled, they run as kernels.
+    pub kernel_loops: Vec<u32>,
 }
 
 /// Run an imported UDF locally with the line profiler armed: activates
@@ -139,10 +143,17 @@ pub fn profile_local(dev: &mut DevUdf, name: &str) -> Result<ProfileReport> {
     obs::profile::reset();
     let outcome = run?;
     let script = dev.project.read_udf(name)?;
+    let body = pylite::parse_module(&script).map(|m| m.body);
+    let kernel_loops = pylite::kernel::loops(body.as_deref().unwrap_or_default())
+        .into_iter()
+        .filter(|l| l.kernel.is_ok())
+        .map(|l| l.line)
+        .collect();
     Ok(ProfileReport {
         outcome,
         annotated: annotate_profile(&script, &rows),
         rows,
+        kernel_loops,
     })
 }
 
@@ -696,6 +707,10 @@ mod tests {
                 .starts_with(|c: char| c.is_ascii_digit()),
             "{annotated_line}"
         );
+        // Both Listing-4 loops (body lines 2 and 6) run as kernels when
+        // unprofiled; the armed profiler turned them off for this run.
+        let offset = transform::BODY_LINE_OFFSET;
+        assert_eq!(report.kernel_loops, [2 + offset, 6 + offset]);
         std::fs::remove_dir_all(dev.project.root()).ok();
         server.shutdown();
     }

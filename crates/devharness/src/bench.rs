@@ -208,7 +208,8 @@ impl Harness {
             .collect();
         let doc = Value::Object(vec![
             ("suite".to_string(), Value::from(self.suite.as_str())),
-            ("schema".to_string(), Value::Int(1)),
+            ("schema".to_string(), Value::Int(2)),
+            ("host".to_string(), host()),
             ("benchmarks".to_string(), Value::Array(benchmarks)),
         ]);
 
@@ -237,13 +238,56 @@ impl Harness {
     }
 }
 
-/// Where `BENCH_*.json` lands: `DEVHARNESS_BENCH_OUT` if set, else the
-/// workspace root (grandparent of the running package's manifest dir),
-/// else the current directory.
-fn out_dir() -> std::path::PathBuf {
-    if let Ok(dir) = std::env::var("DEVHARNESS_BENCH_OUT") {
-        return dir.into();
+/// What the numbers of an artifact were measured on: the host's
+/// `available_parallelism`, the build profile and the commit.
+fn host() -> Value {
+    let parallelism = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    Value::Object(vec![
+        (
+            "available_parallelism".to_string(),
+            Value::from(parallelism),
+        ),
+        ("profile".to_string(), Value::from(profile)),
+        (
+            "commit".to_string(),
+            Value::from(git_commit(&workspace_root()).as_str()),
+        ),
+    ])
+}
+
+/// The commit checked out in `dir`, read from `.git` without running git,
+/// or `unknown`.
+fn git_commit(dir: &std::path::Path) -> String {
+    let git = dir.join(".git");
+    let Ok(head) = std::fs::read_to_string(git.join("HEAD")) else {
+        return "unknown".to_string();
+    };
+    let head = head.trim();
+    let Some(reference) = head.strip_prefix("ref: ") else {
+        return head.to_string();
+    };
+    if let Ok(id) = std::fs::read_to_string(git.join(reference)) {
+        return id.trim().to_string();
     }
+    std::fs::read_to_string(git.join("packed-refs"))
+        .ok()
+        .and_then(|packed| {
+            packed
+                .lines()
+                .find_map(|l| l.strip_suffix(reference).map(|id| id.trim().to_string()))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The workspace root (the nearest ancestor of the running package's
+/// manifest dir holding `Cargo.toml` and `crates/`), else the current
+/// directory.
+fn workspace_root() -> std::path::PathBuf {
     if let Ok(manifest) = std::env::var("CARGO_MANIFEST_DIR") {
         let p = std::path::Path::new(&manifest);
         if let Some(root) = p
@@ -254,6 +298,15 @@ fn out_dir() -> std::path::PathBuf {
         }
     }
     ".".into()
+}
+
+/// Where `BENCH_*.json` lands: `DEVHARNESS_BENCH_OUT` if set, else the
+/// workspace root.
+fn out_dir() -> std::path::PathBuf {
+    match std::env::var("DEVHARNESS_BENCH_OUT") {
+        Ok(dir) => dir.into(),
+        Err(_) => workspace_root(),
+    }
 }
 
 /// A named group of benchmarks sharing sample-size and throughput
@@ -466,7 +519,18 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = codecs::json::parse(&text).unwrap();
         assert_eq!(doc.get("suite").and_then(Value::as_str), Some("selftest"));
-        assert_eq!(doc.get("schema").and_then(Value::as_i64), Some(1));
+        assert_eq!(doc.get("schema").and_then(Value::as_i64), Some(2));
+        let host = doc.get("host").unwrap();
+        assert!(host.get("available_parallelism").and_then(Value::as_i64) >= Some(1));
+        assert_eq!(
+            host.get("profile").and_then(Value::as_str),
+            Some(if cfg!(debug_assertions) {
+                "debug"
+            } else {
+                "release"
+            })
+        );
+        assert!(host.get("commit").and_then(Value::as_str).is_some());
         let benches = doc.get("benchmarks").unwrap().as_array().unwrap();
         assert_eq!(benches.len(), 2);
         let stats = benches[0].get("ns_per_iter").unwrap();

@@ -267,6 +267,14 @@ fn main() {
                 print!("{}", report.outcome.stdout);
             }
             print!("{}", report.annotated);
+            if !report.kernel_loops.is_empty() {
+                let lines: Vec<String> = report.kernel_loops.iter().map(u32::to_string).collect();
+                println!(
+                    "note: the profiler ran every loop statement by statement; unprofiled, \
+the loops on lines {} run as typed kernels",
+                    lines.join(", ")
+                );
+            }
             println!("result = {}", report.outcome.result_repr);
             Ok(())
         }),

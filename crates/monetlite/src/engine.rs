@@ -478,10 +478,11 @@ impl Engine {
     /// [`obs::trace::capture`] and render its `monet.op.*` spans — one row
     /// per executed operator with wall time and row counts, plus a `udf`
     /// row per stored-UDF call carrying its inlined/bailed/interpreted
-    /// disposition — as the result table. The leading `query` row carries
-    /// the end-to-end total, so every operator time is ≤ it. The spans are
-    /// passed on to any enclosing capture; with telemetry off there are
-    /// none and the `query` row stands alone.
+    /// disposition and, when its body entered a kernel-candidate loop, the
+    /// loop entries lifted and bailed — as the result table. The leading
+    /// `query` row carries the end-to-end total, so every operator time is
+    /// ≤ it. The spans are passed on to any enclosing capture; with
+    /// telemetry off there are none and the `query` row stands alone.
     fn run_explain_analyze(&self, stmt: &Statement) -> Result<QueryResult, DbError> {
         if matches!(stmt, Statement::Explain(_) | Statement::ExplainAnalyze(_)) {
             return Err(DbError::parse("EXPLAIN ANALYZE cannot wrap EXPLAIN"));
@@ -499,7 +500,9 @@ impl Engine {
     }
 
     /// `EXPLAIN <stmt>`: one row per stored UDF the statement references,
-    /// annotated with the Inlined/Interpreted plan decision.
+    /// annotated with the Inlined/Interpreted plan decision, each followed
+    /// by one `loop <udf>:<line>` row per loop of its body: `kernel` when
+    /// the VM runs it as a typed loop kernel, else the static reason.
     fn run_explain(&self, stmt: &Statement) -> Result<QueryResult, DbError> {
         let mut table = Table::new(
             "explain".to_string(),
@@ -524,6 +527,17 @@ impl Engine {
                 SqlValue::Str(format!("udf {}", def.name)),
                 SqlValue::Str(self.udf_plan(&def).describe()),
             ])?;
+            let body = pylite::parse_module(&def.body).map(|m| m.body);
+            for lp in pylite::kernel::loops(body.as_deref().unwrap_or_default()) {
+                let plan = match lp.kernel {
+                    Ok(()) => "kernel".to_string(),
+                    Err(bail) => format!("interpreted (bail: {})", bail.label()),
+                };
+                table.push_row(&[
+                    SqlValue::Str(format!("loop {}:{}", def.name, lp.line)),
+                    SqlValue::Str(plan),
+                ])?;
+            }
         }
         Ok(QueryResult::Table(table))
     }

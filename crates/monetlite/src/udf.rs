@@ -383,7 +383,9 @@ pub fn check_depth(depth: usize) -> Result<(), DbError> {
 /// a `udf` row: its detail is the name and the disposition, counted in
 /// `monetlite.udf.inlined` (`inlined`) or `monetlite.udf.bailed` (`bailed`:
 /// the plan failed on these inputs; `interpreted`: no plan, or inlining
-/// off).
+/// off). A run that entered kernel-candidate loops appends how many of
+/// those entries ran as typed kernels and how many took the fallback loop:
+/// `mean_deviation interpreted (loops: 2 lifted, 0 bailed)`.
 pub(crate) fn call(
     engine: &Engine,
     name: &str,
@@ -419,6 +421,7 @@ pub(crate) fn call(
         UdfPlan::Inlined(p) => inline::run_inlined(engine, p, &inputs, per_row.is_some()).ok(),
         UdfPlan::Interpreted(_) => None,
     };
+    let mut loops = pylite::kernel::LoopCounts::default();
     let (disposition, table) = match inlined {
         Some(v) => {
             obs::counter!("monetlite.udf.inlined").inc();
@@ -438,14 +441,20 @@ pub(crate) fn call(
                 UdfPlan::Inlined(_) => "bailed",
                 UdfPlan::Interpreted(_) => "interpreted",
             };
-            let value = interpret(engine, &def, inputs, per_row);
+            let value = interpret(engine, &def, inputs, per_row, &mut loops);
             (disposition, value.and_then(|v| output_to_table(&def, &v)))
         }
     };
     let table = table?;
     crate::exec::finish_op(
         span,
-        || format!("{} {disposition}", def.name),
+        || match (loops.lifted, loops.bailed) {
+            (0, 0) => format!("{} {disposition}", def.name),
+            (lifted, bailed) => format!(
+                "{} {disposition} (loops: {lifted} lifted, {bailed} bailed)",
+                def.name
+            ),
+        },
         rows_in as u64,
         table.row_count() as u64,
     );
@@ -455,7 +464,7 @@ pub(crate) fn call(
 /// Run `def`'s body in a fresh interpreter whose `_conn` answers through
 /// the engine: once with each parameter bound to its whole input or, with
 /// `per_row`, once per row with scalar parameters and the values collected
-/// in a list.
+/// in a list. `loops` gets the run's loop-kernel entries.
 ///
 /// What the body prints joins the engine's UDF output after what the
 /// statement's earlier UDFs printed. While it runs, the engine's buffer
@@ -466,6 +475,7 @@ fn interpret(
     def: &FunctionDef,
     inputs: Vec<(String, UdfInput)>,
     per_row: Option<usize>,
+    loops: &mut pylite::kernel::LoopCounts,
 ) -> Result<Value, DbError> {
     let _depth = engine.enter_udf()?;
     let timer = UdfTimer::start(&def.name);
@@ -478,6 +488,7 @@ fn interpret(
     let value = run_body(&mut interp, def, inputs, per_row, conn, &mut printed);
     printed.push_str(&interp.take_stdout());
     engine.append_udf_stdout(&printed);
+    *loops = interp.loop_counts();
     let value = value?;
     timer.finish();
     Ok(value)

@@ -19,6 +19,8 @@
 //! * `funcs` — nested [`FunctionDef`]s referenced by
 //!   [`Instr::MakeFunction`] (function bodies compile lazily, on first
 //!   call, and are cached per definition);
+//! * `kernels` — the typed loop kernels of [`Instr::Kernel`] (see
+//!   [`crate::kernel`]);
 //! * `lines` — the line-number table, one source line per instruction.
 //!   [`Instr::Trace`] marks statement boundaries: the VM runs the
 //!   walker's statement gate there, which is how breakpoints and
@@ -48,6 +50,7 @@ use std::time::Instant;
 
 use crate::ast::*;
 use crate::error::ErrorKind;
+use crate::kernel::{self, Kernel};
 use crate::value::Value;
 
 /// A compiled block of statements: flat instructions plus the constant
@@ -69,6 +72,8 @@ pub struct CodeObject {
     /// Keyword-name lists for calls (indices into `names`); entry 0 is
     /// always the shared empty list.
     pub kwlists: Vec<Vec<u16>>,
+    /// Loop kernels for [`Instr::Kernel`].
+    pub kernels: Vec<Kernel>,
 }
 
 impl CodeObject {
@@ -229,6 +234,14 @@ pub enum Instr {
     },
     /// Discard the top iterator (`break` out of a `for`).
     PopIter,
+    /// Run `kernels[id]` on the iterable on top of the stack, in front of
+    /// the loop code that stays its fallback (see [`crate::kernel`]): when
+    /// the entry checks pass, pop the iterable, bind the results and jump
+    /// to `exit`; otherwise fall through into the loop.
+    Kernel {
+        id: u16,
+        exit: u32,
+    },
     /// Pop a sequence, length-check, push its items in reverse.
     UnpackSeq(u16),
     /// `[list, item] → [list]` (list-comprehension accumulator).
@@ -345,6 +358,7 @@ impl Compiler {
                 names: Vec::new(),
                 funcs: Vec::new(),
                 kwlists: vec![Vec::new()],
+                kernels: Vec::new(),
             },
             ctx: Vec::new(),
             cur_line: body.first().map(|s| s.line).unwrap_or(0),
@@ -380,6 +394,7 @@ impl Compiler {
             | Instr::CmpChain(_, t)
             | Instr::ForIter(t)
             | Instr::ForIterStore { exit: t, .. }
+            | Instr::Kernel { exit: t, .. }
             | Instr::SetupTry(t) => *t = target,
             other => unreachable!("patching non-jump {other:?}"),
         }
@@ -509,6 +524,12 @@ impl Compiler {
             StmtKind::For { target, iter, body } => {
                 self.expr(iter);
                 self.cur_line = stmt.line;
+                let kernel = kernel::plan(target, body, |name| self.name_idx(name));
+                let kernel_at = kernel.ok().map(|k| {
+                    self.code.kernels.push(k);
+                    let id = (self.code.kernels.len() - 1) as u16;
+                    self.emit(Instr::Kernel { id, exit: 0 })
+                });
                 self.emit(Instr::GetIter);
                 let loop_at = self.here();
                 let for_at = self.emit_for_head(target);
@@ -524,7 +545,7 @@ impl Compiler {
                 let Some(Ctx::Loop { breaks, .. }) = self.ctx.pop() else {
                     unreachable!("loop ctx mismatch");
                 };
-                for b in breaks {
+                for b in breaks.into_iter().chain(kernel_at) {
                     self.patch_here(b);
                 }
             }

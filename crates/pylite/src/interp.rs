@@ -29,6 +29,7 @@ use crate::compile;
 use crate::debugger::Debugger;
 use crate::error::{ErrorKind, PyError};
 use crate::fs::{FsProvider, MemFs};
+use crate::kernel::{self, LoopCounts};
 use crate::methods;
 use crate::native;
 use crate::parser::parse_module;
@@ -165,6 +166,8 @@ pub struct Interp {
     /// `bind_name` or `delete_name`, which count it here, so the VM keeps
     /// its slot cache across a debugger call that leaves this unchanged.
     pub(crate) binds: u64,
+    /// Loop-kernel entries over this interpreter's lifetime.
+    pub(crate) loops: LoopCounts,
     /// Extra modules injected by the embedder (e.g. a loopback `_conn`).
     pub extra_modules: HashMap<String, Value>,
     /// Which engine executes statements (bytecode VM by default).
@@ -197,6 +200,7 @@ impl Interp {
             rng_seed: 0x5eed_cafe,
             stmts_executed: 0,
             binds: 0,
+            loops: LoopCounts::default(),
             extra_modules: HashMap::new(),
             exec_mode: ExecMode::default(),
             code_cache: vm::CodeCache::default(),
@@ -231,6 +235,18 @@ impl Interp {
     /// The currently selected execution engine.
     pub fn exec_mode(&self) -> ExecMode {
         self.exec_mode
+    }
+
+    /// Loop entries so far that ran as a typed kernel or took the
+    /// fallback loop (see [`crate::kernel`]).
+    pub fn loop_counts(&self) -> LoopCounts {
+        self.loops
+    }
+
+    /// Statements executed over this interpreter's lifetime, those a loop
+    /// kernel charged included.
+    pub fn statements_executed(&self) -> u64 {
+        self.stmts_executed
     }
 
     /// Source line of the builtin call currently executing. Builtins pass
@@ -450,12 +466,40 @@ impl Interp {
     }
 
     /// Hand the statement on `line`, which the gate found the debugger can
-    /// stop at, to the debugger.
+    /// stop at, to the debugger (counted in `pylite.debug.calls`).
     #[cold]
     pub(crate) fn debug_statement(&mut self, line: u32) -> Result<(), PyError> {
+        obs::counter!("pylite.debug.calls").inc();
         let debugger = self.debugger.clone().expect("the gate saw a debugger");
         let mut debugger = debugger.borrow_mut();
         debugger.on_statement(self, line)
+    }
+
+    /// Whether a loop kernel whose body statements sit on `lines` may run:
+    /// not while the profiler is armed (it times every statement), nor
+    /// while the debugger can stop on one of those lines.
+    pub(crate) fn kernel_may_run(&self, lines: &[u32]) -> Result<(), kernel::Bail> {
+        if self.prof.is_some() {
+            return Err(kernel::Bail::Profiler);
+        }
+        if self.debugger.is_some() && lines.iter().any(|&l| self.debugger_can_stop(l)) {
+            return Err(kernel::Bail::Debugger);
+        }
+        Ok(())
+    }
+
+    /// Statements the budget still allows.
+    pub(crate) fn budget_left(&self) -> u64 {
+        self.stmt_limit.saturating_sub(self.stmts_executed)
+    }
+
+    /// Charge the `stmts` statements a kernel ran, as the statement gate
+    /// would have, the last of them on `line`.
+    pub(crate) fn charge_kernel(&mut self, stmts: u64, line: u32) {
+        self.stmts_executed += stmts;
+        if let Some(frame) = self.frames.last_mut() {
+            frame.line = line;
+        }
     }
 
     /// Tell a debugger that is not busy evaluating its own expressions
@@ -708,7 +752,11 @@ impl Interp {
                             Flow::Return(v) => return Ok(Flow::Return(v)),
                             Flow::Normal | Flow::Continue => {}
                         }
-                        i += step;
+                        // A step past the i64 range ends the range.
+                        let Some(next) = i.checked_add(step) else {
+                            break;
+                        };
+                        i = next;
                     }
                     return Ok(Flow::Normal);
                 }
@@ -891,13 +939,23 @@ impl Interp {
     // Names, assignment, deletion
     // ------------------------------------------------------------------
 
+    /// Bind `name` in the frame's scope, or in the module scope for a
+    /// name the function declares `global`. An existing binding is written
+    /// in place; only a new one allocates its key.
     pub(crate) fn bind_name(&mut self, name: &str, value: Value) -> Result<(), PyError> {
         self.binds += 1;
         let frame = self.frames.last().expect("bind outside any frame");
-        if !frame.is_module && frame.globals_decl.iter().any(|g| g == name) {
-            self.globals.borrow_mut().insert(name.to_string(), value);
+        let scope = if !frame.is_module && frame.globals_decl.iter().any(|g| g == name) {
+            &self.globals
         } else {
-            frame.locals.borrow_mut().insert(name.to_string(), value);
+            &frame.locals
+        };
+        let mut scope = scope.borrow_mut();
+        match scope.get_mut(name) {
+            Some(slot) => *slot = value,
+            None => {
+                scope.insert(name.to_string(), value);
+            }
         }
         Ok(())
     }
@@ -1500,7 +1558,10 @@ impl Interp {
                 let mut i = *start;
                 while (*step > 0 && i < *stop) || (*step < 0 && i > *stop) {
                     out.push(Value::Int(i));
-                    i += step;
+                    let Some(next) = i.checked_add(*step) else {
+                        break;
+                    };
+                    i = next;
                 }
                 Ok(out)
             }
@@ -2012,14 +2073,18 @@ fn as_f64_opt(v: &Value) -> Option<f64> {
     }
 }
 
-fn range_len(start: i64, stop: i64, step: i64) -> usize {
-    if step > 0 && stop > start {
-        ((stop - start + step - 1) / step) as usize
-    } else if step < 0 && stop < start {
-        ((start - stop - step - 1) / -step) as usize
+/// Elements of `range(start, stop, step)`, computed wide so no range
+/// overflows.
+pub(crate) fn range_len(start: i64, stop: i64, step: i64) -> usize {
+    let (start, stop, step) = (start as i128, stop as i128, step as i128);
+    let n = if step > 0 {
+        (stop - start + step - 1) / step
+    } else if step < 0 {
+        (start - stop - step - 1) / -step
     } else {
         0
-    }
+    };
+    n.max(0) as usize
 }
 
 /// Compute the element indices selected by a Python slice, following
@@ -2036,7 +2101,11 @@ fn slice_indices(lower: Option<i64>, upper: Option<i64>, step: i64, len: usize) 
         let mut i = start;
         while i < stop {
             out.push(i as usize);
-            i += step;
+            // A step past the i64 range ends the slice.
+            let Some(next) = i.checked_add(step) else {
+                break;
+            };
+            i = next;
         }
     } else {
         let start = lower.map(adjust).unwrap_or(n - 1).clamp(-1, n - 1);
@@ -2044,7 +2113,10 @@ fn slice_indices(lower: Option<i64>, upper: Option<i64>, step: i64, len: usize) 
         let mut i = start;
         while i > stop {
             out.push(i as usize);
-            i += step;
+            let Some(next) = i.checked_add(step) else {
+                break;
+            };
+            i = next;
         }
     }
     out
@@ -2233,6 +2305,32 @@ mod tests {
                 Value::Int(1)
             ])
         );
+    }
+
+    /// A range or slice whose next step would pass the i64 limit ends
+    /// there instead of wrapping around, on both engines and in the VM's
+    /// loop kernel, and a range wider than the i64 span has its exact
+    /// length.
+    #[test]
+    fn ranges_at_the_i64_limit_end_instead_of_wrapping() {
+        let src = "n = 0\nfor i in range(9223372036854775800, 9223372036854775807, 3):\n    n += 1\nm = []\nfor i in range(-9223372036854775803, -9223372036854775807 - 1, -2):\n    m.append(i)\nk = len(range(-9223372036854775807, 9223372036854775807, 4))\nv = list(range(9223372036854775806, 9223372036854775807, 5))\ns = [1, 2, 3][1::9223372036854775807]\nt = [1, 2, 3][::-9223372036854775807]\n";
+        for mode in [ExecMode::Ast, ExecMode::Bytecode] {
+            let mut i = Interp::new();
+            i.set_exec_mode(mode);
+            i.set_step_budget(1_000);
+            i.eval_module(src).unwrap();
+            assert_eq!(global(&i, "n"), Value::Int(3), "{mode}");
+            assert_eq!(global(&i, "i"), Value::Int(-9223372036854775807), "{mode}");
+            assert_eq!(
+                global(&i, "m").repr(),
+                "[-9223372036854775803, -9223372036854775805, -9223372036854775807]",
+                "{mode}"
+            );
+            assert_eq!(global(&i, "k"), Value::Int(4611686018427387904), "{mode}");
+            assert_eq!(global(&i, "v").repr(), "[9223372036854775806]", "{mode}");
+            assert_eq!(global(&i, "s").repr(), "[2]", "{mode}");
+            assert_eq!(global(&i, "t").repr(), "[3]", "{mode}");
+        }
     }
 
     #[test]

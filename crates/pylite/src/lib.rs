@@ -43,6 +43,7 @@ pub mod debugger;
 pub mod error;
 pub mod fs;
 pub mod interp;
+pub mod kernel;
 pub mod lexer;
 pub mod methods;
 pub mod native;

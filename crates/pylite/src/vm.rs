@@ -52,6 +52,14 @@
 //! Breakpoints and stepping therefore behave identically in both
 //! [`crate::ExecMode`]s.
 //!
+//! # Loop kernels
+//!
+//! [`Instr::Kernel`] runs an accumulator loop as one typed Rust loop
+//! ([`crate::kernel`]) when its entry checks pass — among them that the
+//! debugger cannot stop on any of the loop's lines — and otherwise falls
+//! through into the loop's ordinary code, so a debug session steps through
+//! a loop exactly as before.
+//!
 //! # Example: a breakpoint pauses the VM on a line-table line
 //!
 //! ```
@@ -131,7 +139,7 @@ enum SlotState {
     Dirty,
 }
 
-struct Slots {
+pub(crate) struct Slots {
     vals: Vec<Value>,
     state: Vec<SlotState>,
 }
@@ -147,7 +155,7 @@ impl Slots {
     /// Make slot `i` non-stale (resolving through the walker's name
     /// lookup on a miss) without cloning the value out.
     #[inline(always)]
-    fn fill(
+    pub(crate) fn fill(
         &mut self,
         interp: &mut Interp,
         code: &CodeObject,
@@ -166,7 +174,7 @@ impl Slots {
     /// Fused instructions read operands through this to avoid a
     /// clone/drop pair per operand.
     #[inline(always)]
-    fn get(&self, i: u16) -> &Value {
+    pub(crate) fn get(&self, i: u16) -> &Value {
         &self.vals[i as usize]
     }
 
@@ -183,7 +191,7 @@ impl Slots {
     }
 
     #[inline(always)]
-    fn store(&mut self, i: u16, v: Value) {
+    pub(crate) fn store(&mut self, i: u16, v: Value) {
         let i = i as usize;
         self.vals[i] = v;
         self.state[i] = SlotState::Dirty;
@@ -686,6 +694,14 @@ fn exec(interp: &mut Interp, code: &CodeObject, st: &mut State, pc: usize) -> Re
         Instr::PopIter => {
             st.iters.pop();
         }
+        Instr::Kernel { id, exit } => {
+            let iterable = st.stack.last().expect("vm: kernel without iterable");
+            let kernel = &code.kernels[*id as usize];
+            if crate::kernel::enter(interp, code, kernel, &mut st.slots, iterable) {
+                st.pop();
+                return Ok(Ctl::Jump(*exit));
+            }
+        }
         Instr::UnpackSeq(n) => {
             let v = st.pop();
             let values = interp.iter_values(&v, line)?;
@@ -904,7 +920,8 @@ fn iter_next(iters: &mut [Iter]) -> Option<Value> {
         Iter::Range { i, stop, step } => {
             if (*step > 0 && *i < *stop) || (*step < 0 && *i > *stop) {
                 let v = *i;
-                *i += *step;
+                // A step past the i64 range ends the range.
+                *i = i.checked_add(*step).unwrap_or(*stop);
                 Some(Value::Int(v))
             } else {
                 None

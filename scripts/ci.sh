@@ -43,7 +43,10 @@ echo "digests identical"
 #    BENCH_transfer.json baseline, normalized by plain/1000;
 #  - the pylite bytecode VM must keep its Scenario-A speedup over the
 #    AST walker (committed BENCH_pylite_vm.json documents >=5x; the
-#    live re-measurement passes at a noise-tolerant 3x floor);
+#    live re-measurement passes at a noise-tolerant 3x floor). The VM
+#    side runs Scenario A's two accumulator loops as typed loop kernels,
+#    so this row times the walker against the kernels; tests/kernels.rs
+#    pins the work it cannot see (both loops lifted, fused fallback code);
 #  - the Froid-style inlined UDF plan must keep its Scenario-A speedup
 #    over the bytecode VM, end-to-end through the SQL engine (committed
 #    BENCH_udf_inline.json documents >=3x; live floor 2x);
@@ -63,8 +66,10 @@ echo "digests identical"
 #  - attaching the debugger must stay cheap on the bytecode VM: a
 #    breakpoint on a line never reached costs within 1.3x of no debugger
 #    under the run_local statement budget (committed BENCH_interp.json;
-#    live floor 1.6x — a statement gate that calls the debugger on every
-#    statement again lands near 5x).
+#    live floor 1.6x). Both sides run Scenario A's loops as kernels, so
+#    the row times the statements outside the loops; tests/kernels.rs
+#    pins the debugger calls per run (0 for the never-hit breakpoint) that
+#    a gate calling the debugger on every statement again would raise.
 echo "==> bench guards (transfer codec + bytecode VM + UDF inlining + observability + concurrency + embedded + debugger)"
 cargo run --offline --release -q -p devudf-bench --bin bench_guard
 
@@ -122,8 +127,11 @@ grep -q "monet.storage.append" "$EMB_DIR/analyze.txt"
 cargo run --offline --release -q -p devudf-ide --bin devudf trace "$EMB_DIR/proj" --embedded \
   --interp=bytecode "EXPLAIN ANALYZE SELECT mean_deviation(i) FROM numbers" > "$EMB_DIR/udf.txt"
 grep -q "monet.op.udf" "$EMB_DIR/udf.txt"
+# Listing 4's two accumulator loops ran as typed loop kernels on the VM.
+grep -q "loops: 2 lifted, 0 bailed" "$EMB_DIR/udf.txt"
 # Line 10 is `distance += column[i] - mean` (body line 7 + the 3-line
-# header): continue past the first stop, quit at the second.
+# header): continue past the first stop, quit at the second. The
+# condition's line turns that loop's kernel off, so it still pauses there.
 printf 'c\nq\n' | cargo run --offline --release -q -p devudf-ide --bin devudf debug "$EMB_DIR/proj" \
   mean_deviation "10:distance < 0" --embedded > "$EMB_DIR/debug.txt"
 grep -q "paused at line 10" "$EMB_DIR/debug.txt"
@@ -174,6 +182,8 @@ cargo run --offline --release -q -p devudf-ide --bin devudf profile "$SMOKE_DIR"
   > /tmp/devudf-ci-profile.txt
 grep -q "hits" /tmp/devudf-ci-profile.txt
 grep -q "distance += column\[i\] - mean" /tmp/devudf-ci-profile.txt
+# The profiler turned the kernels off and notes which loops run as kernels.
+grep -q "run as typed kernels" /tmp/devudf-ci-profile.txt
 
 # Concurrency smoke against the same live server: 8 clients trace the
 # debug query simultaneously, each under a hard wall-clock cap so a

@@ -678,6 +678,305 @@ commands {commands:?}) on:\n{src}",
     });
 }
 
+/// One generated accumulator loop of [`loop_kernels_match_the_walker`]:
+/// the source, the globals it reads, its statement budget, and whether
+/// the VM must run it as a kernel when the walker runs it without error.
+struct LoopCase {
+    src: String,
+    globals: Vec<(&'static str, Value)>,
+    budget: Option<u64>,
+    /// Statically a candidate (no `break` / `continue`).
+    candidate: bool,
+    /// Every entry check passes: typed operands and scalars, in-range
+    /// indices, the builtin `abs`, no budget.
+    checks_pass: bool,
+}
+
+/// A random kernel expression over the loop variable `i`, the
+/// accumulators, the scalar `k` and, with `index`, `a[i]` and `b[i]`.
+fn loop_expr(rng: &mut devharness::Rng, depth: u32, accs: usize, index: bool) -> String {
+    if depth == 0 || rng.u64_below(3) == 0 {
+        return match rng.u64_below(if index { 7 } else { 5 }) {
+            0 => format!("{}", rng.u64_below(9) as i64 - 4),
+            1 => format!("{:.2}", (rng.u64_below(40) as f64 - 20.0) / 8.0),
+            2 => "i".to_string(),
+            3 => "k".to_string(),
+            4 => format!("acc{}", rng.u64_below(accs as u64)),
+            5 => "a[i]".to_string(),
+            _ => "b[i]".to_string(),
+        };
+    }
+    let sub = |rng: &mut devharness::Rng| loop_expr(rng, depth - 1, accs, index);
+    match rng.u64_below(6) {
+        0 => format!("-({})", sub(rng)),
+        1 => format!("abs({})", sub(rng)),
+        op => {
+            let l = sub(rng);
+            let r = sub(rng);
+            format!("({l} {} {r})", ["+", "-", "*", "/"][op as usize - 2])
+        }
+    }
+}
+
+/// A random column of `n` rows for a loop operand: an `Int` or `Float`
+/// array (maybe holding a NaN), or, rarely, a list or a `Bool` array,
+/// which no kernel takes. Returns the value and whether it is typed.
+fn loop_column(rng: &mut devharness::Rng, n: usize) -> (Value, bool) {
+    let ints: Vec<i64> = (0..n).map(|_| rng.u64_below(19) as i64 - 9).collect();
+    match rng.u64_below(12) {
+        0..=5 => (Value::array(Array::Int(ints)), true),
+        6..=9 => {
+            let mut floats: Vec<f64> = ints.iter().map(|&x| x as f64 / 4.0).collect();
+            if n > 0 && rng.u64_below(4) == 0 {
+                floats[rng.u64_below(n as u64) as usize] = f64::NAN;
+            }
+            (Value::array(Array::Float(floats)), true)
+        }
+        10 => (
+            Value::list(ints.into_iter().map(Value::Int).collect()),
+            false,
+        ),
+        _ => (
+            Value::array(Array::Bool(ints.iter().map(|&x| x > 0).collect())),
+            false,
+        ),
+    }
+}
+
+fn loop_case(rng: &mut devharness::Rng) -> LoopCase {
+    // Mostly a few rows; sometimes past the kernel's 1 024-iteration block.
+    let n = if rng.u64_below(12) == 0 {
+        1_000 + rng.u64_below(1_200) as usize
+    } else {
+        rng.u64_below(7) as usize
+    };
+    let (a, a_typed) = loop_column(rng, n);
+    let b_len = if rng.u64_below(6) == 0 {
+        n.saturating_sub(1)
+    } else {
+        n
+    };
+    let (b, b_typed) = loop_column(rng, b_len);
+    // Overflow at a chosen row of an `Int` column.
+    let overflow = n > 0 && rng.u64_below(5) == 0;
+    let a = match (&a, overflow) {
+        (Value::Array(arr), true) => match arr.as_ref() {
+            Array::Int(v) => {
+                let mut v = v.clone();
+                v[rng.u64_below(n as u64) as usize] = i64::MAX / 3 + 1;
+                Value::array(Array::Int(v))
+            }
+            _ => a,
+        },
+        _ => a,
+    };
+    let (k, k_typed) = match rng.u64_below(10) {
+        0 => (Value::Bool(true), false),
+        1..=4 => (Value::Float(2.5), true),
+        _ => (Value::Int(rng.u64_below(7) as i64 - 3), true),
+    };
+    let mut checks_pass = a_typed && b_typed && k_typed;
+
+    // The iterable and whether every index it produces is in range.
+    let (iterable, indices): (String, Option<Vec<i64>>) = match rng.u64_below(3) {
+        0 => ("range(len(a))".to_string(), Some((0..n as i64).collect())),
+        1 => {
+            let lo = rng.u64_below(n as u64 + 4) as i64 - 2;
+            let hi = rng.u64_below(n as u64 + 5) as i64 - 2;
+            let step = [-2i64, -1, 1, 2, 3][rng.u64_below(5) as usize];
+            let mut idx = Vec::new();
+            let mut i = lo;
+            while (step > 0 && i < hi) || (step < 0 && i > hi) {
+                idx.push(i);
+                i += step;
+            }
+            (format!("range({lo}, {hi}, {step})"), Some(idx))
+        }
+        _ => ("a".to_string(), None),
+    };
+    let index = indices.is_some();
+    let len = n.min(b_len) as i64;
+    if let Some(idx) = &indices {
+        checks_pass &= idx.iter().all(|&i| (0..len).contains(&i));
+    }
+
+    let accs = 1 + rng.u64_below(3) as usize;
+    let mut setup = String::new();
+    let shadow_abs = rng.u64_below(10) == 0;
+    if shadow_abs {
+        setup.push_str("def abs(x):\n    return x + 1\n");
+        checks_pass = false;
+    }
+    let mut inits = Vec::new();
+    for j in 0..accs {
+        match rng.u64_below(12) {
+            0 => checks_pass = false, // unbound accumulator
+            1 => {
+                inits.push(format!("acc{j} = True"));
+                checks_pass = false;
+            }
+            2..=5 => inits.push(format!("acc{j} = 0.0")),
+            _ => inits.push(format!("acc{j} = {}", rng.u64_below(5))),
+        }
+    }
+    let mut body = Vec::new();
+    if overflow && index {
+        body.push("acc0 += a[i] * 3".to_string());
+    }
+    for _ in 0..1 + rng.u64_below(3) {
+        let op = ["+=", "-=", "*=", "/="][rng.u64_below(4) as usize];
+        let j = rng.u64_below(accs as u64);
+        body.push(format!("acc{j} {op} {}", loop_expr(rng, 2, accs, index)));
+    }
+    let candidate = rng.u64_below(8) != 0;
+    if !candidate {
+        let flow = if rng.bool() { "break" } else { "continue" };
+        body.push(format!("if i > 1:\n    {flow}"));
+    }
+    let mut tail = Vec::new();
+    if rng.bool() {
+        tail.push("after = i".to_string());
+    }
+    if rng.u64_below(3) == 0 {
+        tail.push("print(acc0)".to_string());
+    }
+
+    let indent =
+        |text: &str, by: &str| -> String { text.lines().map(|l| format!("{by}{l}\n")).collect() };
+    let mut block = String::new();
+    for line in &inits {
+        block.push_str(&format!("{line}\n"));
+    }
+    block.push_str(&format!("for i in {iterable}:\n"));
+    for stmt in &body {
+        block.push_str(&indent(stmt, "    "));
+    }
+    for line in &tail {
+        block.push_str(&format!("{line}\n"));
+    }
+    let src = if rng.bool() {
+        format!(
+            "{setup}def f(a, b, k):\n{}    return acc0\nr = f(a, b, k)\n",
+            indent(&block, "    ")
+        )
+    } else {
+        format!("{setup}{block}")
+    };
+    let budget =
+        (rng.u64_below(5) == 0).then(|| rng.u64_below(4 + 4 * n as u64 * body.len() as u64));
+    checks_pass &= budget.is_none();
+    LoopCase {
+        src,
+        globals: vec![("a", a), ("b", b), ("k", k)],
+        budget,
+        candidate,
+        checks_pass,
+    }
+}
+
+/// Walker and VM agree on generated accumulator loops, which the VM runs
+/// as typed loop kernels (DESIGN §13): same value and globals, same
+/// stdout, the same error kind, message and line, and the same statement
+/// count. The loops cover `Int` and `Float` columns with NaN, empty
+/// columns, overflow at a chosen row, `range(a, b, step)` with negative
+/// steps and out-of-range or negative indices, the loop variable read
+/// after the loop, `break` / `continue` (no candidate), list and `Bool`
+/// operands, a shadowed `abs`, an unbound accumulator, a budget that runs
+/// out mid-loop, and loops longer than the kernel's block. Every
+/// candidate loop entry is counted lifted or bailed, and a loop whose
+/// entry checks pass and that the walker runs without error must run as
+/// a kernel.
+#[test]
+fn loop_kernels_match_the_walker() {
+    use pylite::{ExecMode, Interp};
+    use std::cell::Cell;
+
+    let _serial = obs::metrics::test_lock();
+    obs::set_enabled(true);
+
+    fn observe(
+        case: &LoopCase,
+        mode: ExecMode,
+    ) -> (String, String, u64, pylite::kernel::LoopCounts) {
+        let mut interp = Interp::new();
+        interp.set_exec_mode(mode);
+        for (name, value) in &case.globals {
+            interp.set_global(name, value.clone());
+        }
+        if let Some(budget) = case.budget {
+            interp.set_step_budget(budget);
+        }
+        let result = interp.eval_module(&case.src);
+        let globals: Vec<String> = interp
+            .global_names()
+            .iter()
+            .map(|n| format!("{n}={}", interp.get_global(n).unwrap().repr()))
+            .collect();
+        let outcome = match result {
+            Ok(v) => format!("ok {} | {}", v.repr(), globals.join(" ")),
+            Err(e) => format!(
+                "{:?}: {} @ {:?} | {}",
+                e.kind,
+                e.message,
+                e.innermost_line(),
+                globals.join(" ")
+            ),
+        };
+        (
+            outcome,
+            interp.stdout().to_string(),
+            interp.statements_executed(),
+            interp.loop_counts(),
+        )
+    }
+
+    let lifted_before = obs::counter!("pylite.loop.lifted").get();
+    let lifted = Cell::new(0u64);
+    prop::check(Config::cases(256), prop::any_u64(), |&seed| {
+        let case = loop_case(&mut devharness::Rng::new(seed));
+        let walker = observe(&case, ExecMode::Ast);
+        let vm = observe(&case, ExecMode::Bytecode);
+        prop_assert!(
+            (&walker.0, &walker.1, walker.2) == (&vm.0, &vm.1, vm.2),
+            "engines diverged (budget {:?}):\n  ast {walker:?}\n  vm  {vm:?}\non:\n{}",
+            case.budget,
+            case.src
+        );
+        let entries = vm.3.lifted + vm.3.bailed;
+        if case.candidate {
+            prop_assert!(
+                entries <= 1,
+                "one loop entry at most: {:?}\n{}",
+                vm.3,
+                case.src
+            );
+        } else {
+            prop_assert_eq!(entries, 0);
+        }
+        if case.candidate && case.checks_pass && walker.0.starts_with("ok ") {
+            prop_assert!(
+                vm.3.lifted == 1,
+                "the kernel must run: {:?} on:\n{}",
+                vm.3,
+                case.src
+            );
+        }
+        lifted.set(lifted.get() + vm.3.lifted);
+        Ok(())
+    });
+    let counted = obs::counter!("pylite.loop.lifted").get() - lifted_before;
+    assert!(
+        lifted.get() >= 64,
+        "the kernel ran in only {} generated loops",
+        lifted.get()
+    );
+    assert!(
+        counted >= lifted.get(),
+        "pylite.loop.lifted {counted} < {}",
+        lifted.get()
+    );
+}
+
 /// Three-way differential oracle over random *straight-line* UDFs: the AST
 /// walker, the bytecode VM, and the Froid-style inlined plan must agree on
 /// every observable — result values, or the full error when a body fails.
