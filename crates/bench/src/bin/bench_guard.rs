@@ -318,9 +318,9 @@ fn host(doc: &Json) -> String {
             })
             .unwrap_or_else(|| "?".to_string())
     };
-    let commit = field("commit");
+    let commit = field("base_commit");
     format!(
-        "{} cores, {}, commit {}",
+        "{} cores, {}, on commit {}",
         field("available_parallelism"),
         field("profile"),
         &commit[..commit.len().min(7)]

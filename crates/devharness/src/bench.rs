@@ -239,7 +239,9 @@ impl Harness {
 }
 
 /// What the numbers of an artifact were measured on: the host's
-/// `available_parallelism`, the build profile and the commit.
+/// `available_parallelism`, the build profile, and `base_commit`, the
+/// commit the measured tree sat on. The tree may hold changes beyond that
+/// commit: HEAD is read as is, and a dirty tree is not detected.
 fn host() -> Value {
     let parallelism = std::thread::available_parallelism().map_or(0, |n| n.get());
     let profile = if cfg!(debug_assertions) {
@@ -254,7 +256,7 @@ fn host() -> Value {
         ),
         ("profile".to_string(), Value::from(profile)),
         (
-            "commit".to_string(),
+            "base_commit".to_string(),
             Value::from(git_commit(&workspace_root()).as_str()),
         ),
     ])
@@ -530,7 +532,7 @@ mod tests {
                 "release"
             })
         );
-        assert!(host.get("commit").and_then(Value::as_str).is_some());
+        assert!(host.get("base_commit").and_then(Value::as_str).is_some());
         let benches = doc.get("benchmarks").unwrap().as_array().unwrap();
         assert_eq!(benches.len(), 2);
         let stats = benches[0].get("ns_per_iter").unwrap();

@@ -19,36 +19,39 @@
 //! # Candidates (decided at compile time)
 //!
 //! The loop target is a plain name, and the body is one or more
-//! `name op= e` statements with `op` one of `+ - * /`. Accumulators differ
-//! from the loop variable and from every indexed array. `e` uses only
-//! constants, the loop variable, the accumulators, names the loop does not
-//! assign, `arr[loopvar]`, unary minus, `+ - * /` and `abs(…)`. Anything
-//! else is no candidate and gets a static [`Bail`] reason, the label
-//! `EXPLAIN` shows.
+//! `name op= e` statements with `op` one of `+ - * /`, each with an
+//! accumulator of its own that differs from the loop variable and from
+//! every indexed array. `e` uses only constants, the loop variable, names
+//! the loop does not assign, `arr[loopvar]`, unary minus, `+ - * /` and
+//! `abs(…)`; it reads no accumulator. Anything else is no candidate and
+//! gets a static [`Bail`] reason, the label `EXPLAIN` shows.
 //!
 //! # Entry checks (once per loop entry)
 //!
 //! The kernel runs only when no profiler is armed, the attached debugger
 //! cannot stop on any body line, the iterable is a `range` or an
-//! `Int`/`Float` array, every indexed array is an `Int`/`Float` array that
-//! the range's indices stay inside, every scalar is an `Int` or a `Float`
-//! (never a `Bool`), `abs` is the builtin, and the statement budget covers
-//! the whole loop. A failed check is a runtime [`Bail`]: nothing changes
-//! and the fallback loop runs.
+//! `Int`/`Float` array, the loop runs at least [`MIN_TRIPS`] iterations,
+//! every indexed array is an `Int`/`Float` array that the range's indices
+//! stay inside, every scalar is an `Int` or a `Float` (never a `Bool`),
+//! `abs` is the builtin, and the statement budget covers the whole loop. A
+//! failed check is a runtime [`Bail`]: nothing changes and the fallback
+//! loop runs.
 //!
 //! # Why values and statement counts are identical
 //!
-//! The kernel evaluates each statement in the VM's order, with one typed
-//! accumulator per name and no reassociation, and its arithmetic is
-//! `binop_fast`'s: checked `i64`, int→float promotion, `f64` operators.
-//! Any failure mid-loop — overflow, a zero divisor — discards the kernel's
-//! work, and the fallback runs the loop from the start and raises the same
-//! error at the same statement. On success the kernel charges the
-//! statement budget exactly the statements the loop would have run, leaves
-//! the frame line where the VM would, and binds the accumulators and the
-//! loop variable's last value through the VM's slot cache (nothing for an
-//! empty loop). The AST walker has no kernels: it stays the oracle the
-//! kernels are checked against.
+//! The kernel computes each statement's value for every iteration with
+//! the VM's operator order, then folds the values into the statement's
+//! accumulator in iteration order, with no reassociation. No expression
+//! reads an accumulator, so these are the values the loop computes one
+//! iteration at a time. Its arithmetic is `binop_fast`'s: checked `i64`,
+//! int→float promotion, `f64` operators. Any failure mid-loop — overflow,
+//! a zero divisor — discards the kernel's work, and the fallback runs the
+//! loop from the start and raises the same error at the same statement.
+//! On success the kernel charges the statement budget exactly the
+//! statements the loop would have run, leaves the frame line where the VM
+//! would, and binds the accumulators and the loop variable's last value
+//! through the VM's slot cache. The AST walker has no kernels: it stays
+//! the oracle the kernels are checked against.
 //!
 //! ```
 //! use pylite::{ExecMode, Interp, Value};
@@ -64,6 +67,7 @@
 //! ```
 
 use std::rc::Rc;
+use std::sync::OnceLock;
 
 use crate::ast::{BinOp, Expr, ExprKind, Index, Stmt, StmtKind, UnaryOp};
 use crate::compile::CodeObject;
@@ -88,7 +92,8 @@ pub enum Bail {
     Statement,
     /// An operator other than `+ - * /`, or unary `+`/`not`.
     Operator,
-    /// An accumulator that is the loop variable or an indexed array.
+    /// An accumulator that is the loop variable or an indexed array, that
+    /// an expression reads, or that two statements assign.
     Accumulator,
     /// A call other than `abs(x)`.
     Call,
@@ -103,6 +108,8 @@ pub enum Bail {
     Debugger,
     /// The iterable is neither a `range` nor an `Int`/`Float` array.
     Iterable,
+    /// The loop runs fewer than [`MIN_TRIPS`] iterations.
+    Short,
     /// An indexed operand is not an `Int`/`Float` array.
     Operand,
     /// An index falls outside `0..len`, or an array iterable is indexed.
@@ -117,7 +124,8 @@ pub enum Bail {
     Budget,
     /// Integer overflow mid-loop.
     Overflow,
-    /// A zero divisor mid-loop.
+    /// A zero divisor mid-loop. The last reason: it sizes the table of
+    /// bail counters.
     ZeroDivision,
 }
 
@@ -142,6 +150,7 @@ impl Bail {
             Bail::Profiler => "profiler",
             Bail::Debugger => "debugger",
             Bail::Iterable => "iterable",
+            Bail::Short => "short",
             Bail::Operand => "operand",
             Bail::Index => "index",
             Bail::Scalar => "scalar",
@@ -151,6 +160,15 @@ impl Bail {
             Bail::Overflow => "overflow",
             Bail::ZeroDivision => "zero-division",
         }
+    }
+
+    /// The `pylite.loop.bail.<label>` counter, resolved once per reason.
+    fn counter(self) -> &'static obs::metrics::Counter {
+        static COUNTERS: [OnceLock<obs::metrics::Counter>; Bail::ZeroDivision as usize + 1] =
+            [const { OnceLock::new() }; Bail::ZeroDivision as usize + 1];
+        COUNTERS[self as usize].get_or_init(|| {
+            obs::metrics::registry().counter(&format!("pylite.loop.bail.{}", self.label()))
+        })
     }
 }
 
@@ -224,6 +242,12 @@ fn collect_loops(body: &[Stmt], out: &mut Vec<LoopPlan>) {
 /// candidate.
 const STACK: usize = 8;
 
+/// Fewest iterations a kernel runs. A kernel entry binds the loop's
+/// operands and allocates a block's vectors, which costs about as much as
+/// the VM running 5 or 6 iterations of `s += a[k]`, so a shorter loop runs
+/// on the VM.
+pub const MIN_TRIPS: u64 = 8;
+
 /// A typed kernel operand.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Num {
@@ -255,41 +279,40 @@ impl Num {
     }
 }
 
-/// One step of a kernel body, in postfix order.
+/// One step of a statement's expression, in postfix order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Op {
     Const(Num),
     /// The loop variable.
     Var,
-    Acc(u8),
-    /// A name the loop does not assign; a `Const` once the loop is entered.
+    /// The n-th name the loop does not assign, read once per loop entry.
     Free(u8),
-    /// `arrays[n][loopvar]`; an `ElemI` or `ElemF` once the loop is
-    /// entered.
+    /// Element `loopvar` of the n-th indexed array.
     Elem(u8),
-    /// Element `loopvar` of the n-th `Int` / `Float` array.
-    ElemI(u8),
-    ElemF(u8),
     Neg,
     Abs,
     Bin(BinOp),
-    /// End of a statement: pop the value and combine it into the
-    /// accumulator (`acc op= value`).
-    Store(u8, BinOp),
+}
+
+/// One body statement, `acc op= expr`, whose accumulator no other
+/// statement assigns and no expression reads.
+#[derive(Debug)]
+struct Statement {
+    acc: u16,
+    op: BinOp,
+    expr: Vec<Op>,
 }
 
 /// A compiled kernel: the loop's names as slots of the code object's name
-/// table, and its body as one postfix program.
+/// table, and its body statements.
 #[derive(Debug)]
 pub struct Kernel {
     var: u16,
-    accs: Vec<u16>,
+    stmts: Vec<Statement>,
     free: Vec<u16>,
     arrays: Vec<u16>,
     /// The `abs` slot, when the body calls it.
     abs: Option<u16>,
-    /// Every body statement in order, each ending in its `Store`.
-    body: Vec<Op>,
     /// Source line of each body statement.
     lines: Vec<u32>,
 }
@@ -324,13 +347,11 @@ pub(crate) fn plan(
         if !arithmetic(op) {
             return Err(Bail::Operator);
         }
-        if acc == var {
+        if acc == var || accs.contains(&acc) {
             return Err(Bail::Accumulator);
         }
-        if !accs.contains(&acc) {
-            accs.push(acc);
-        }
-        shapes.push((acc, op, value, stmt.line));
+        accs.push(acc);
+        shapes.push((op, value));
     }
     let mut lower = Lower {
         var,
@@ -339,26 +360,31 @@ pub(crate) fn plan(
         arrays: Vec::new(),
         abs: false,
     };
-    let mut ops = Vec::new();
-    for (acc, op, value, _) in &shapes {
+    let mut exprs = Vec::with_capacity(shapes.len());
+    for (_, value) in &shapes {
+        let mut ops = Vec::new();
         lower.expr(value, &mut ops)?;
-        ops.push(Op::Store(index(&accs, acc)?, *op));
-    }
-    if depth(&ops) > STACK {
-        return Err(Bail::Expression);
+        if depth(&ops) > STACK {
+            return Err(Bail::Expression);
+        }
+        exprs.push(ops);
     }
     if lower.arrays.iter().any(|a| accs.contains(a)) {
         return Err(Bail::Accumulator);
     }
     let mut slots = |names: &[&str]| names.iter().map(|n| slot(n)).collect::<Vec<_>>();
+    let stmts = slots(&accs)
+        .into_iter()
+        .zip(shapes.iter().zip(exprs))
+        .map(|(acc, ((op, _), expr))| Statement { acc, op: *op, expr })
+        .collect();
     Ok(Kernel {
         var: slots(&[var.as_str()])[0],
-        accs: slots(&accs),
+        stmts,
         free: slots(&lower.free),
         arrays: slots(&lower.arrays),
         abs: lower.abs.then(|| slots(&["abs"])[0]),
-        body: ops,
-        lines: shapes.iter().map(|s| s.3).collect(),
+        lines: body.iter().map(|s| s.line).collect(),
     })
 }
 
@@ -366,19 +392,13 @@ fn arithmetic(op: BinOp) -> bool {
     matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
 }
 
-/// Position of `name` in `names` as an operand index.
-fn index(names: &[&str], name: &str) -> Result<u8, Bail> {
-    let i = names.iter().position(|n| *n == name).expect("name listed");
-    u8::try_from(i).map_err(|_| Bail::Expression)
-}
-
-/// Operand-stack depth a postfix program reaches.
+/// Operand-stack depth a postfix expression reaches.
 fn depth(ops: &[Op]) -> usize {
     let (mut sp, mut max) = (0usize, 0usize);
     for op in ops {
         match op {
             Op::Neg | Op::Abs => {}
-            Op::Bin(_) | Op::Store(..) => sp -= 1,
+            Op::Bin(_) => sp -= 1,
             _ => sp += 1,
         }
         max = max.max(sp);
@@ -400,7 +420,11 @@ impl<'a> Lower<'a> {
         match &e.kind {
             ExprKind::Int(i) => ops.push(Op::Const(Num::I(*i))),
             ExprKind::Float(f) => ops.push(Op::Const(Num::F(*f))),
-            ExprKind::Name(name) => ops.push(self.name(name)?),
+            ExprKind::Name(name) if name == self.var => ops.push(Op::Var),
+            ExprKind::Name(name) if self.accs.contains(&name.as_str()) => {
+                return Err(Bail::Accumulator)
+            }
+            ExprKind::Name(name) => ops.push(Op::Free(listed(&mut self.free, name)?)),
             ExprKind::Subscript { value, index } => {
                 let (ExprKind::Name(array), Index::Item(idx)) = (&value.kind, index.as_ref())
                 else {
@@ -446,16 +470,6 @@ impl<'a> Lower<'a> {
         }
         Ok(())
     }
-
-    fn name(&mut self, name: &'a str) -> Result<Op, Bail> {
-        if name == self.var {
-            return Ok(Op::Var);
-        }
-        if self.accs.contains(&name) {
-            return Ok(Op::Acc(index(self.accs, name)?));
-        }
-        Ok(Op::Free(listed(&mut self.free, name)?))
-    }
 }
 
 /// Index of `name` in `names`, appended when new.
@@ -463,7 +477,8 @@ fn listed<'a>(names: &mut Vec<&'a str>, name: &'a str) -> Result<u8, Bail> {
     if !names.contains(&name) {
         names.push(name);
     }
-    index(names, name)
+    let i = names.iter().position(|n| *n == name).expect("name listed");
+    u8::try_from(i).map_err(|_| Bail::Expression)
 }
 
 /// The values a loop iterates over: a range, or an `Int`/`Float` array.
@@ -526,9 +541,7 @@ pub(crate) fn enter(
         Err(bail) => {
             interp.loops.bailed += 1;
             obs::counter!("pylite.loop.bailed").inc();
-            obs::metrics::registry()
-                .counter(&format!("pylite.loop.bail.{}", bail.label()))
-                .inc();
+            bail.counter().inc();
         }
     }
     outcome.is_ok()
@@ -558,8 +571,8 @@ fn run(
         Source::Range { n, .. } => *n,
         Source::Array(a) => a.len() as u64,
     };
-    if n == 0 {
-        return Ok(0);
+    if n < MIN_TRIPS {
+        return Err(Bail::Short);
     }
     let line = k.lines[0];
     let mut fill = |slot: u16| {
@@ -587,9 +600,9 @@ fn run(
             return Err(Bail::Index);
         }
     }
-    let mut accs = Vec::with_capacity(k.accs.len());
-    for &slot in &k.accs {
-        accs.push(Num::of(&fill(slot)?).ok_or(Bail::Scalar)?);
+    let mut accs = Vec::with_capacity(k.stmts.len());
+    for s in &k.stmts {
+        accs.push(Num::of(&fill(s.acc)?).ok_or(Bail::Scalar)?);
     }
     let mut free = Vec::with_capacity(k.free.len());
     for &slot in &k.free {
@@ -604,110 +617,17 @@ fn run(
         .checked_mul(k.lines.len() as u64)
         .filter(|&s| s <= interp.budget_left())
         .ok_or(Bail::Budget)?;
-    // Bind the program to this entry: free names become constants, and
-    // each indexed array a typed slice.
-    let (mut ints, mut floats) = (Vec::new(), Vec::new());
-    let mut typed = Vec::with_capacity(arrays.len());
-    for a in &arrays {
-        typed.push(match a.as_ref() {
-            Array::Int(v) => {
-                ints.push(v.as_slice());
-                Op::ElemI(ints.len() as u8 - 1)
-            }
-            Array::Float(v) => {
-                floats.push(v.as_slice());
-                Op::ElemF(floats.len() as u8 - 1)
-            }
-            _ => unreachable!("checked above"),
-        });
-    }
-    let prog: Vec<Op> = k
-        .body
-        .iter()
-        .map(|op| match *op {
-            Op::Free(f) => Op::Const(free[f as usize]),
-            Op::Elem(c) => typed[c as usize],
-            op => op,
-        })
-        .collect();
-    // Block at a time when no expression reads an accumulator and each
-    // statement has an accumulator of its own (Listing 4's loops).
-    let blockwise =
-        k.lines.len() == k.accs.len() && !prog.iter().any(|op| matches!(op, Op::Acc(_)));
-    if blockwise {
-        execute_blocks(&prog, &source, n, &ints, &floats, &mut accs)?;
-    } else {
-        execute(&prog, &source, n, &ints, &floats, &mut accs)?;
-    }
+    execute(k, &source, n, &free, &arrays, &mut accs)?;
     let last = source.var(n - 1);
     interp.charge_kernel(stmts, k.lines[k.lines.len() - 1]);
-    for (&slot, acc) in k.accs.iter().zip(accs) {
-        slots.store(slot, acc.value());
+    for (s, acc) in k.stmts.iter().zip(accs) {
+        slots.store(s.acc, acc.value());
     }
     slots.store(k.var, last.value());
     Ok(stmts)
 }
 
-/// The loop one iteration at a time: every iteration runs the bound
-/// program once.
-fn execute(
-    prog: &[Op],
-    source: &Source,
-    n: u64,
-    ints: &[&[i64]],
-    floats: &[&[f64]],
-    accs: &mut [Num],
-) -> Result<(), Bail> {
-    let mut stack = [Num::I(0); STACK];
-    for j in 0..n {
-        let var = source.var(j);
-        // Only a range loop indexes, and its indices were checked to
-        // stay in 0..len.
-        let idx = match var {
-            Num::I(i) => i as usize,
-            Num::F(_) => 0,
-        };
-        let mut sp = 0;
-        for op in prog {
-            match *op {
-                Op::Const(c) => {
-                    stack[sp] = c;
-                    sp += 1;
-                }
-                Op::Var => {
-                    stack[sp] = var;
-                    sp += 1;
-                }
-                Op::Acc(a) => {
-                    stack[sp] = accs[a as usize];
-                    sp += 1;
-                }
-                Op::ElemI(c) => {
-                    stack[sp] = Num::I(ints[c as usize][idx]);
-                    sp += 1;
-                }
-                Op::ElemF(c) => {
-                    stack[sp] = Num::F(floats[c as usize][idx]);
-                    sp += 1;
-                }
-                Op::Neg => stack[sp - 1] = neg(stack[sp - 1])?,
-                Op::Abs => stack[sp - 1] = abs(stack[sp - 1])?,
-                Op::Bin(b) => {
-                    sp -= 1;
-                    stack[sp - 1] = binop(b, stack[sp - 1], stack[sp])?;
-                }
-                Op::Store(a, b) => {
-                    sp -= 1;
-                    accs[a as usize] = binop(b, accs[a as usize], stack[sp])?;
-                }
-                Op::Free(_) | Op::Elem(_) => unreachable!("bound at loop entry"),
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Iterations one pass of [`execute_blocks`] covers.
+/// Iterations one pass of [`execute`] covers.
 const BLOCK: usize = 1024;
 
 /// One operand over a block of iterations.
@@ -733,40 +653,30 @@ impl Vals {
     }
 }
 
-/// The loop a block of iterations at a time, for bodies whose
-/// expressions read no accumulator and whose statements each have an
-/// accumulator of their own. Each statement's values for the block are
-/// computed one operator at a time over whole vectors, as a column engine
-/// evaluates an expression, then folded into its accumulator in iteration
-/// order. The values and the folds are the iteration-at-a-time ones, only
-/// computed in an interleaving that no statement can observe:
-/// bit-identical results, the same failures.
-fn execute_blocks(
-    prog: &[Op],
+/// The loop, a block of iterations at a time. Each statement's values for
+/// the block are computed one operator at a time over whole vectors, as a
+/// column engine evaluates an expression, then folded into its
+/// accumulator in iteration order. No expression reads an accumulator, so
+/// these are the values and folds of the loop run one iteration at a
+/// time, only computed in an interleaving no statement can observe:
+/// bit-identical results. Any failure discards the whole run, so it does
+/// not matter which iteration's failure is met first.
+fn execute(
+    k: &Kernel,
     source: &Source,
     n: u64,
-    ints: &[&[i64]],
-    floats: &[&[f64]],
+    free: &[Num],
+    arrays: &[Rc<Array>],
     accs: &mut [Num],
 ) -> Result<(), Bail> {
-    let mut stmts = Vec::new();
-    let mut from = 0;
-    for (at, op) in prog.iter().enumerate() {
-        if let Op::Store(acc, b) = *op {
-            stmts.push((&prog[from..at], acc as usize, b));
-            from = at + 1;
-        }
-    }
+    let mut stack = Vec::with_capacity(STACK);
     let mut base = 0;
     while base < n {
         let len = (n - base).min(BLOCK as u64) as usize;
         let vars = source.vars(base, len);
-        let values = stmts
-            .iter()
-            .map(|(ops, ..)| eval_block(ops, &vars, len, ints, floats))
-            .collect::<Result<Vec<_>, _>>()?;
-        for ((_, acc, b), v) in stmts.iter().zip(&values) {
-            accs[*acc] = fold(accs[*acc], *b, v)?;
+        for (s, acc) in k.stmts.iter().zip(accs.iter_mut()) {
+            let values = eval_block(&s.expr, &vars, len, free, arrays, &mut stack)?;
+            *acc = fold(*acc, s.op, &values)?;
         }
         base += len as u64;
     }
@@ -774,13 +684,15 @@ fn execute_blocks(
 }
 
 /// One statement's expression over a block: `vars` holds the loop
-/// variable's values, which index the arrays of a range loop.
+/// variable's values, which index the arrays of a range loop. `stack` is
+/// the caller's operand stack, empty between calls.
 fn eval_block(
     ops: &[Op],
     vars: &Vals,
     len: usize,
-    ints: &[&[i64]],
-    floats: &[&[f64]],
+    free: &[Num],
+    arrays: &[Rc<Array>],
+    stack: &mut Vec<Vals>,
 ) -> Result<Vals, Bail> {
     fn gather<T: Copy>(col: &[T], vars: &Vals) -> Vec<T> {
         match vars {
@@ -788,16 +700,22 @@ fn eval_block(
             Vals::F(_) => unreachable!("only a range loop indexes"),
         }
     }
-    let mut stack: Vec<Vals> = Vec::with_capacity(STACK);
+    let splat = |c: Num| match c {
+        Num::I(c) => Vals::I(vec![c; len]),
+        Num::F(c) => Vals::F(vec![c; len]),
+    };
+    stack.clear();
     for op in ops {
         match *op {
-            Op::Const(Num::I(c)) => stack.push(Vals::I(vec![c; len])),
-            Op::Const(Num::F(c)) => stack.push(Vals::F(vec![c; len])),
+            Op::Const(c) => stack.push(splat(c)),
+            Op::Free(f) => stack.push(splat(free[f as usize])),
             Op::Var => stack.push(vars.clone()),
-            Op::ElemI(c) => stack.push(Vals::I(gather(ints[c as usize], vars))),
-            Op::ElemF(c) => stack.push(Vals::F(gather(floats[c as usize], vars))),
+            Op::Elem(c) => stack.push(match arrays[c as usize].as_ref() {
+                Array::Int(col) => Vals::I(gather(col, vars)),
+                Array::Float(col) => Vals::F(gather(col, vars)),
+                _ => unreachable!("checked at loop entry"),
+            }),
             Op::Neg | Op::Abs => {
-                // `neg` and `abs` element by element, without a call each.
                 let negate = matches!(op, Op::Neg);
                 match stack.last_mut().expect("an operand") {
                     Vals::I(v) => {
@@ -821,9 +739,6 @@ fn eval_block(
                 let r = stack.pop().expect("two operands");
                 let l = stack.pop().expect("two operands");
                 stack.push(binop_block(b, l, r)?);
-            }
-            Op::Acc(_) | Op::Store(..) | Op::Free(_) | Op::Elem(_) => {
-                unreachable!("no accumulator reads or stores in a block expression")
             }
         }
     }
@@ -912,25 +827,8 @@ fn fold_float(acc: Num, op: BinOp, vals: &Vals) -> Result<Num, Bail> {
     Ok(Num::F(a))
 }
 
-/// Unary minus, as the VM computes it.
-fn neg(v: Num) -> Result<Num, Bail> {
-    Ok(match v {
-        Num::I(i) => Num::I(i.checked_neg().ok_or(Bail::Overflow)?),
-        Num::F(f) => Num::F(-f),
-    })
-}
-
-/// The builtin `abs`, as the VM computes it.
-fn abs(v: Num) -> Result<Num, Bail> {
-    Ok(match v {
-        Num::I(i) => Num::I(i.checked_abs().ok_or(Bail::Overflow)?),
-        Num::F(f) => Num::F(f.abs()),
-    })
-}
-
 /// `binop_fast`'s `+ - * /` rows: checked `i64`, `/` always to float,
 /// any float operand promotes the other.
-#[inline(always)]
 fn binop(op: BinOp, l: Num, r: Num) -> Result<Num, Bail> {
     if let (Num::I(a), Num::I(b)) = (l, r) {
         return match op {
@@ -982,6 +880,9 @@ mod tests {
             ("for i in x:\n    s += i ** 2\n", Bail::Operator),
             ("for i in x:\n    i += 1\n", Bail::Accumulator),
             ("for i in x:\n    a += a[i]\n", Bail::Accumulator),
+            ("for i in x:\n    s += s * i\n", Bail::Accumulator),
+            ("for i in x:\n    s += i\n    t += s\n", Bail::Accumulator),
+            ("for i in x:\n    s += i\n    s -= 1\n", Bail::Accumulator),
             ("for i in x:\n    s += len(a)\n", Bail::Call),
             ("for i in x:\n    s += abs(i, 2)\n", Bail::Call),
             ("for i in x:\n    s += a.size\n", Bail::Attribute),

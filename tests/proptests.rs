@@ -685,24 +685,29 @@ struct LoopCase {
     src: String,
     globals: Vec<(&'static str, Value)>,
     budget: Option<u64>,
-    /// Statically a candidate (no `break` / `continue`).
+    /// Statically a candidate: no `break` / `continue`, no accumulator
+    /// read, no accumulator assigned twice.
     candidate: bool,
-    /// Every entry check passes: typed operands and scalars, in-range
-    /// indices, the builtin `abs`, no budget.
+    /// Every entry check passes: at least `MIN_TRIPS` iterations, typed
+    /// operands and scalars, in-range indices, the builtin `abs`, no
+    /// budget.
     checks_pass: bool,
 }
 
-/// A random kernel expression over the loop variable `i`, the
-/// accumulators, the scalar `k` and, with `index`, `a[i]` and `b[i]`.
+/// A random kernel expression over the loop variable `i`, the scalar `k`
+/// and, with `index`, `a[i]` and `b[i]`; rarely, with `accs > 0`, over an
+/// accumulator too, which makes the loop no candidate.
 fn loop_expr(rng: &mut devharness::Rng, depth: u32, accs: usize, index: bool) -> String {
     if depth == 0 || rng.u64_below(3) == 0 {
-        return match rng.u64_below(if index { 7 } else { 5 }) {
+        if accs > 0 && rng.u64_below(8) == 0 {
+            return format!("acc{}", rng.u64_below(accs as u64));
+        }
+        return match rng.u64_below(if index { 6 } else { 4 }) {
             0 => format!("{}", rng.u64_below(9) as i64 - 4),
             1 => format!("{:.2}", (rng.u64_below(40) as f64 - 20.0) / 8.0),
             2 => "i".to_string(),
             3 => "k".to_string(),
-            4 => format!("acc{}", rng.u64_below(accs as u64)),
-            5 => "a[i]".to_string(),
+            4 => "a[i]".to_string(),
             _ => "b[i]".to_string(),
         };
     }
@@ -744,11 +749,13 @@ fn loop_column(rng: &mut devharness::Rng, n: usize) -> (Value, bool) {
 }
 
 fn loop_case(rng: &mut devharness::Rng) -> LoopCase {
-    // Mostly a few rows; sometimes past the kernel's 1 024-iteration block.
-    let n = if rng.u64_below(12) == 0 {
-        1_000 + rng.u64_below(1_200) as usize
-    } else {
-        rng.u64_below(7) as usize
+    use pylite::kernel::MIN_TRIPS;
+    // Mostly a few more rows than a kernel's shortest loop, sometimes
+    // fewer (empty included), sometimes past its 1 024-iteration block.
+    let n = match rng.u64_below(12) {
+        0 => 1_000 + rng.u64_below(1_200) as usize,
+        1 | 2 => rng.u64_below(MIN_TRIPS) as usize,
+        _ => (MIN_TRIPS + rng.u64_below(12)) as usize,
     };
     let (a, a_typed) = loop_column(rng, n);
     let b_len = if rng.u64_below(6) == 0 {
@@ -777,7 +784,7 @@ fn loop_case(rng: &mut devharness::Rng) -> LoopCase {
     };
     let mut checks_pass = a_typed && b_typed && k_typed;
 
-    // The iterable and whether every index it produces is in range.
+    // The iterable and the indices it produces, for a range.
     let (iterable, indices): (String, Option<Vec<i64>>) = match rng.u64_below(3) {
         0 => ("range(len(a))".to_string(), Some((0..n as i64).collect())),
         1 => {
@@ -796,11 +803,17 @@ fn loop_case(rng: &mut devharness::Rng) -> LoopCase {
     };
     let index = indices.is_some();
     let len = n.min(b_len) as i64;
+    let trips = indices.as_ref().map_or(n, Vec::len);
+    checks_pass &= trips as u64 >= MIN_TRIPS;
     if let Some(idx) = &indices {
         checks_pass &= idx.iter().all(|&i| (0..len).contains(&i));
     }
 
-    let accs = 1 + rng.u64_below(3) as usize;
+    // One statement per accumulator, the first adding `a[i] * 3` when
+    // the case overflows; rarely, the last assigns the first's again.
+    let overflows = overflow && index;
+    let accs = usize::from(overflows) + 1 + rng.u64_below(3) as usize;
+    let shared = accs > 1 && rng.u64_below(10) == 0;
     let mut setup = String::new();
     let shadow_abs = rng.u64_below(10) == 0;
     if shadow_abs {
@@ -820,16 +833,21 @@ fn loop_case(rng: &mut devharness::Rng) -> LoopCase {
         }
     }
     let mut body = Vec::new();
-    if overflow && index {
-        body.push("acc0 += a[i] * 3".to_string());
-    }
-    for _ in 0..1 + rng.u64_below(3) {
+    let mut reads_acc = false;
+    for j in 0..accs {
+        let target = if shared && j == accs - 1 { 0 } else { j };
+        if overflows && j == 0 {
+            body.push("acc0 += a[i] * 3".to_string());
+            continue;
+        }
         let op = ["+=", "-=", "*=", "/="][rng.u64_below(4) as usize];
-        let j = rng.u64_below(accs as u64);
-        body.push(format!("acc{j} {op} {}", loop_expr(rng, 2, accs, index)));
+        let value = loop_expr(rng, 2, accs, index);
+        reads_acc |= value.contains("acc");
+        body.push(format!("acc{target} {op} {value}"));
     }
-    let candidate = rng.u64_below(8) != 0;
-    if !candidate {
+    let flow = rng.u64_below(8) == 0;
+    let candidate = !flow && !shared && !reads_acc;
+    if flow {
         let flow = if rng.bool() { "break" } else { "continue" };
         body.push(format!("if i > 1:\n    {flow}"));
     }
@@ -880,12 +898,13 @@ fn loop_case(rng: &mut devharness::Rng) -> LoopCase {
 /// count. The loops cover `Int` and `Float` columns with NaN, empty
 /// columns, overflow at a chosen row, `range(a, b, step)` with negative
 /// steps and out-of-range or negative indices, the loop variable read
-/// after the loop, `break` / `continue` (no candidate), list and `Bool`
-/// operands, a shadowed `abs`, an unbound accumulator, a budget that runs
-/// out mid-loop, and loops longer than the kernel's block. Every
-/// candidate loop entry is counted lifted or bailed, and a loop whose
-/// entry checks pass and that the walker runs without error must run as
-/// a kernel.
+/// after the loop, `break` / `continue` and accumulator reads or shared
+/// accumulators (no candidate), loops shorter than `MIN_TRIPS`, list and
+/// `Bool` operands, a shadowed `abs`, an unbound accumulator, a budget
+/// that runs out mid-loop, and loops longer than the kernel's block.
+/// Every candidate loop entry is counted lifted or bailed, and a loop
+/// whose entry checks pass and that the walker runs without error must
+/// run as a kernel.
 #[test]
 fn loop_kernels_match_the_walker() {
     use pylite::{ExecMode, Interp};
@@ -932,7 +951,7 @@ fn loop_kernels_match_the_walker() {
 
     let lifted_before = obs::counter!("pylite.loop.lifted").get();
     let lifted = Cell::new(0u64);
-    prop::check(Config::cases(256), prop::any_u64(), |&seed| {
+    prop::check(Config::cases(512), prop::any_u64(), |&seed| {
         let case = loop_case(&mut devharness::Rng::new(seed));
         let walker = observe(&case, ExecMode::Ast);
         let vm = observe(&case, ExecMode::Bytecode);
