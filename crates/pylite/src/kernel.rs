@@ -372,18 +372,24 @@ pub(crate) fn plan(
     if lower.arrays.iter().any(|a| accs.contains(a)) {
         return Err(Bail::Accumulator);
     }
-    let mut slots = |names: &[&str]| names.iter().map(|n| slot(n)).collect::<Vec<_>>();
-    let stmts = slots(&accs)
-        .into_iter()
-        .zip(shapes.iter().zip(exprs))
-        .map(|(acc, ((op, _), expr))| Statement { acc, op: *op, expr })
+    let var = slot(var);
+    let stmts = accs
+        .iter()
+        .zip(shapes)
+        .zip(exprs)
+        .map(|((acc, (op, _)), expr)| Statement {
+            acc: slot(acc),
+            op,
+            expr,
+        })
         .collect();
+    let mut slots = |names: &[&str]| names.iter().map(|n| slot(n)).collect();
     Ok(Kernel {
-        var: slots(&[var.as_str()])[0],
+        var,
         stmts,
         free: slots(&lower.free),
         arrays: slots(&lower.arrays),
-        abs: lower.abs.then(|| slots(&["abs"])[0]),
+        abs: lower.abs.then(|| slot("abs")),
         lines: body.iter().map(|s| s.line).collect(),
     })
 }
