@@ -10,24 +10,32 @@
 //! match   := varint(len << 1 | 1) varint(distance)
 //! ```
 //!
-//! Matches are found with a hash-chain matcher over 4-byte prefixes inside a
-//! 64 KiB sliding window — the classic LZ77/DEFLATE arrangement, tuned for
-//! the columnar, highly repetitive payloads the extract function produces.
+//! Matches are found with a short hash chain over 4-byte prefixes inside a
+//! 64 KiB sliding window, the LZ77/DEFLATE arrangement made cheap the way
+//! LZ4 is: each position walks at most 4 links and stops at a 32-byte
+//! match, a candidate that already differs at the current best length is
+//! skipped unexamined, matches extend 8 bytes at a time, and the parse
+//! steps further ahead the longer it goes without a match, so
+//! incompressible input costs little. The decoder does not depend on how
+//! matches were chosen: streams from the earlier 32-link parse decode
+//! unchanged.
 //!
-//! # Block-friendly entry points
+//! # Reused tables
 //!
-//! The chunked transfer pipeline (`wireproto::transfer`) compresses many
-//! independent blocks per payload, so allocating the two match-finder
-//! tables per call would dominate small-block cost. [`Scratch`] holds the
-//! tables across calls and invalidates them in O(1) with an epoch stamp
-//! instead of a memset: each stored position is offset by the scratch's
-//! current epoch, and lookups treat any entry at or below the epoch as
-//! empty. The compressed bytes are therefore **identical** to what a
-//! fresh scratch produces — reuse is invisible on the wire, which is what
+//! The chunked transfer pipeline (`wireproto::transfer`) and the WAL frame
+//! codec call [`compress`] once per block or frame, so allocating the two
+//! match-finder tables (384 KiB) per call would dominate small inputs.
+//! Each thread keeps one scratch and invalidates it in O(1) with an
+//! epoch stamp instead of a memset: each stored position is offset by the
+//! scratch's current epoch, and lookups treat any entry at or below the
+//! epoch as empty. The compressed bytes are therefore **identical** to what
+//! a fresh scratch produces — reuse is invisible on the wire, which is what
 //! lets the transfer format stay deterministic across thread counts.
 //! [`decompress_into`] is the mirrored entry point: it writes into a
 //! caller-provided exact-size buffer so parallel block decode can target
 //! disjoint sub-slices of one output allocation.
+
+use std::cell::RefCell;
 
 use crate::varint::{encoded_len, read_u64, write_u64, VarintError};
 
@@ -40,11 +48,15 @@ const WINDOW: usize = 1 << 16;
 /// Number of hash buckets (power of two).
 const HASH_BITS: u32 = 15;
 /// Max chain links to follow per position (compression effort knob).
-const MAX_CHAIN: usize = 32;
+const MAX_CHAIN: usize = 4;
 /// A match at least this long is "good enough": stop walking the chain.
 /// Lifts throughput on highly repetitive data where every chain link
-/// would otherwise be compared against an already-near-maximal match.
-const NICE_MATCH: usize = 128;
+/// would otherwise be compared against an already-long match.
+const NICE_MATCH: usize = 32;
+/// After `1 << SKIP_TRIGGER` positions in a row without a match, the parse
+/// advances two bytes per probe, then three, and so on (LZ4's skip
+/// acceleration); a match resets it to one.
+const SKIP_TRIGGER: u32 = 6;
 
 /// Errors returned while decompressing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +111,7 @@ fn hash4(data: &[u8]) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Reusable match-finder state for [`compress_with`].
+/// Reusable match-finder state; [`compress`] keeps one per thread.
 ///
 /// Holds the hash-chain tables (`head`/`prev`) across calls. Entries are
 /// stamped with an epoch: a stored value encodes `epoch + position + 1`,
@@ -107,7 +119,7 @@ fn hash4(data: &[u8]) -> usize {
 /// the epoch between inputs therefore invalidates the whole table without
 /// touching memory; the tables are only zeroed when the u32 stamp space
 /// would overflow (every ~4 GiB of input through one scratch).
-pub struct Scratch {
+struct Scratch {
     /// `head[h]`: stamp of the most recent position hashing to `h`.
     head: Vec<u32>,
     /// `prev[i % WINDOW]`: stamp of the previous position in `i`'s chain.
@@ -116,15 +128,9 @@ pub struct Scratch {
     epoch: u32,
 }
 
-impl Default for Scratch {
-    fn default() -> Self {
-        Scratch::new()
-    }
-}
-
 impl Scratch {
     /// Create a scratch with zeroed tables.
-    pub fn new() -> Scratch {
+    fn new() -> Scratch {
         Scratch {
             head: vec![0u32; 1 << HASH_BITS],
             prev: vec![0u32; WINDOW],
@@ -150,16 +156,44 @@ impl Scratch {
     }
 }
 
+thread_local! {
+    /// This thread's match-finder tables: allocated on the thread's first
+    /// [`compress`], reused by every later one.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+}
+
 /// Compress `input` into a fresh buffer.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    compress_with(&mut Scratch::new(), input)
+    SCRATCH.with(|scratch| compress_with(&mut scratch.borrow_mut(), input))
+}
+
+/// Length of the common prefix of `input[older..]` and `input[pos..]`,
+/// capped at `limit`, compared 8 bytes at a time. Needs
+/// `older < pos` and `pos + limit <= input.len()`.
+#[inline]
+fn match_len(input: &[u8], older: usize, pos: usize, limit: usize) -> usize {
+    let (a, b) = (&input[older..older + limit], &input[pos..pos + limit]);
+    let mut len = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("8-byte chunk"));
+        let y = u64::from_le_bytes(y.try_into().expect("8-byte chunk"));
+        let diff = x ^ y;
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && a[len] == b[len] {
+        len += 1;
+    }
+    len
 }
 
 /// Compress `input` reusing the match-finder tables in `scratch`.
 ///
-/// Output is byte-identical to [`compress`] regardless of what the
-/// scratch was previously used for (see [`Scratch`] for why).
-pub fn compress_with(scratch: &mut Scratch, input: &[u8]) -> Vec<u8> {
+/// Output is byte-identical whatever the scratch was previously used for
+/// (see [`Scratch`] for why).
+fn compress_with(scratch: &mut Scratch, input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     write_u64(&mut out, input.len() as u64);
     if input.is_empty() {
@@ -173,6 +207,7 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8]) -> Vec<u8> {
 
     let mut literal_start = 0usize;
     let mut pos = 0usize;
+    let mut misses = 0usize;
 
     let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize| {
         let mut start = from;
@@ -186,6 +221,7 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8]) -> Vec<u8> {
 
     while pos + MIN_MATCH <= input.len() {
         let h = hash4(&input[pos..]);
+        let limit = (input.len() - pos).min(MAX_MATCH);
         // Walk the chain looking for the longest match. Stamps at or
         // below `epoch` belong to earlier inputs and terminate the walk,
         // exactly as a zeroed table would.
@@ -198,16 +234,17 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8]) -> Vec<u8> {
             if pos - cand_pos > WINDOW {
                 break;
             }
-            let limit = (input.len() - pos).min(MAX_MATCH);
-            let mut len = 0usize;
-            while len < limit && input[cand_pos + len] == input[pos + len] {
-                len += 1;
-            }
-            if len > best_len {
-                best_len = len;
-                best_dist = pos - cand_pos;
-                if len == limit || len >= NICE_MATCH {
-                    break;
+            // Only a candidate that also matches at `best_len` can be
+            // longer (`best_len < limit` holds: reaching `limit` stops the
+            // walk).
+            if input[cand_pos + best_len] == input[pos + best_len] {
+                let len = match_len(input, cand_pos, pos, limit);
+                if len > best_len {
+                    best_len = len;
+                    best_dist = pos - cand_pos;
+                    if len == limit || len >= NICE_MATCH {
+                        break;
+                    }
                 }
             }
             stamp = prev[cand_pos % WINDOW];
@@ -233,8 +270,10 @@ pub fn compress_with(scratch: &mut Scratch, input: &[u8]) -> Vec<u8> {
             }
             pos = end;
             literal_start = pos;
+            misses = 0;
         } else {
-            pos += 1;
+            misses += 1;
+            pos += 1 + (misses >> SKIP_TRIGGER);
         }
     }
 
@@ -504,6 +543,11 @@ mod tests {
         round_trip(&data);
     }
 
+    /// What a never-used scratch emits for `input`.
+    fn compress_fresh(input: &[u8]) -> Vec<u8> {
+        compress_with(&mut Scratch::new(), input)
+    }
+
     #[test]
     fn scratch_reuse_is_byte_identical_to_fresh() {
         // The wire format must not depend on what a scratch compressed
@@ -519,13 +563,15 @@ mod tests {
         let mut scratch = Scratch::new();
         for input in &inputs {
             let reused = compress_with(&mut scratch, input);
-            let fresh = compress(input);
+            let fresh = compress_fresh(input);
             assert_eq!(reused, fresh, "scratch reuse changed output bytes");
             assert_eq!(decompress(&reused).unwrap(), *input);
+            // The thread's own scratch, whatever it compressed before.
+            assert_eq!(compress(input), fresh);
         }
         // A second pass over the same inputs with the dirty scratch too.
         for input in &inputs {
-            assert_eq!(compress_with(&mut scratch, input), compress(input));
+            assert_eq!(compress_with(&mut scratch, input), compress_fresh(input));
         }
     }
 
@@ -536,8 +582,25 @@ mod tests {
         // must zero-reset instead of wrapping stamps around.
         scratch.epoch = u32::MAX - 10;
         let data = b"wrap wrap wrap wrap wrap".repeat(100);
-        assert_eq!(compress_with(&mut scratch, &data), compress(&data));
+        assert_eq!(compress_with(&mut scratch, &data), compress_fresh(&data));
         assert!(scratch.epoch < u32::MAX - 10, "epoch should have reset");
+    }
+
+    #[test]
+    fn streams_of_the_32_link_parse_still_decode() {
+        // A 300-row readings pickle and the stream the 32-link hash-chain
+        // parse emitted for it (35 matches, 4 of them overlapping). WAL
+        // files, snapshots and peers' containers written before the
+        // 4-link parse hold such streams.
+        let fixture = include_str!("../testdata/lz_readings_300.hex");
+        let mut lines = fixture.lines().filter(|line| !line.starts_with('#'));
+        let mut next_hex = || crate::hex::from_hex(lines.next().expect("fixture line"));
+        let (raw, stream) = (next_hex().unwrap(), next_hex().unwrap());
+        assert_eq!(decompress(&stream).unwrap(), raw);
+        let mut buf = vec![0u8; raw.len()];
+        decompress_into(&stream, &mut buf).unwrap();
+        assert_eq!(buf, raw);
+        round_trip(&raw);
     }
 
     #[test]

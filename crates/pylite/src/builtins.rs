@@ -38,9 +38,11 @@ pub fn lookup(name: &str) -> Option<Value> {
     Some(match name {
         "len" => builtin!("len", |interp, args, _kw| {
             arity("len", args, 1, 1)?;
-            Ok(Value::Int(
-                interp.value_len(&args[0], interp.call_line())? as i64
-            ))
+            let len = interp.value_len(&args[0], interp.call_line())?;
+            // Only a range can hold more than i64::MAX elements.
+            let len = i64::try_from(len)
+                .map_err(|_| err(ErrorKind::Value, "integer overflow in len()"))?;
+            Ok(Value::Int(len))
         }),
         "range" => builtin!("range", |_interp, args, _kw| {
             arity("range", args, 1, 3)?;
@@ -578,6 +580,23 @@ mod tests {
         i.set_global("a", Value::array(Array::Int(vec![1, i64::MIN])));
         let e = i.eval_module("b = abs(a)\n").unwrap_err();
         assert_eq!(e.message, "integer overflow in abs()");
+    }
+
+    #[test]
+    fn len_beyond_i64_errors_on_both_engines() {
+        for mode in [crate::ExecMode::Ast, crate::ExecMode::Bytecode] {
+            let mut i = Interp::new();
+            i.set_exec_mode(mode);
+            let e = i
+                .eval_module("n = len(range(-9223372036854775807, 9223372036854775807))\n")
+                .unwrap_err();
+            assert_eq!(e.kind, ErrorKind::Value, "{mode}: {e}");
+            assert_eq!(e.message, "integer overflow in len()", "{mode}");
+            // The longest range that fits still has its exact length.
+            i.eval_module("m = len(range(-1, 9223372036854775806))\n")
+                .unwrap();
+            assert_eq!(g(&i, "m"), Value::Int(i64::MAX), "{mode}");
+        }
     }
 
     #[test]

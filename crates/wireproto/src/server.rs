@@ -750,8 +750,8 @@ fn traced_reply(
 }
 
 /// Build a [`Message::DeltaBlocks`] reply: pickle the fresh inputs,
-/// digest the plaintext block grid on the global pool, and run the block
-/// codec only over the blocks whose digest the client did not declare.
+/// digest the plaintext block grid, and run the block codec on the global
+/// pool only over the blocks whose digest the client did not declare.
 /// The shipped bodies are bit-identical to what the full container would
 /// carry, so the cold path's wire-determinism guarantees extend here.
 fn delta_reply(
@@ -767,7 +767,7 @@ fn delta_reply(
         Err(e) => return err_msg("TransferError", e.to_string()),
     };
     let pool = devharness::pool::global();
-    let digests = transfer::block_digests_pooled(pool, &raw, options.effective_block_size());
+    let digests = codecs::sha256::block_digests(&raw, options.effective_block_size());
     let known: std::collections::HashSet<&[u8; 32]> = client_digests.iter().collect();
     let ship: Vec<bool> = digests.iter().map(|d| !known.contains(d)).collect();
     let blocks =

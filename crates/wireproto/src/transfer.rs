@@ -48,7 +48,7 @@
 //!
 //! On top of the container, the extract path supports **block-level delta
 //! transfer** (DESIGN §12): both ends address the *plaintext* pickle
-//! blocks by their SHA-256 digest ([`block_digests_pooled`]), the client
+//! blocks by their SHA-256 digest ([`codecs::sha256::block_digests`]), the client
 //! caches raw blocks under those digests ([`crate::delta`]), and the
 //! server ships only the blocks whose digest the client does not already
 //! hold ([`encode_delta_blocks`] / [`reconstruct_delta`]) — or, when
@@ -60,7 +60,6 @@
 //! would carry for that block, because both run through the same
 //! per-block codec with the same (transfer id, block index) nonce.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -247,13 +246,6 @@ const BLOCK_LZ: u8 = 1;
 /// Most-recently-used KDF cache entries kept per process.
 const KDF_CACHE_CAP: usize = 8;
 
-thread_local! {
-    /// Per-thread LZ scratch: pool workers are persistent, so the two
-    /// match-finder tables are allocated once per worker instead of once
-    /// per block. Epoch stamping keeps reuse output-invisible.
-    static LZ_SCRATCH: RefCell<lz::Scratch> = RefCell::new(lz::Scratch::new());
-}
-
 /// Derive (or fetch) the ChaCha20 transfer key for `password`.
 ///
 /// The KDF runs 1024 SHA-256 iterations by design — deliberately slow —
@@ -371,7 +363,7 @@ fn encode_block_body(
 ) -> (u8, Vec<u8>) {
     let start = Instant::now();
     let (enc, mut body) = if compress {
-        let packed = LZ_SCRATCH.with(|s| lz::compress_with(&mut s.borrow_mut(), raw));
+        let packed = lz::compress(raw);
         if packed.len() < raw.len() {
             (BLOCK_LZ, packed)
         } else {
@@ -696,22 +688,6 @@ pub struct DeltaBlock {
     pub body: Vec<u8>,
 }
 
-/// Content addresses of `data`'s blocks at `block_size`, computed across
-/// `pool`. Semantically identical to [`codecs::sha256::block_digests`]
-/// but fanned out over the worker pool ([`Pool::map`] preserves order, so
-/// the result is pool-width independent). Digests are taken over the
-/// *plaintext* pickle blocks — before compression and encryption — which
-/// is what makes them stable across transfers.
-///
-/// # Panics
-///
-/// Panics if `block_size` is zero.
-pub fn block_digests_pooled(pool: &Pool, data: &[u8], block_size: usize) -> Vec<[u8; 32]> {
-    assert!(block_size > 0, "block_size must be non-zero");
-    let chunks: Vec<&[u8]> = data.chunks(block_size).collect();
-    pool.map(chunks, |_, chunk| codecs::sha256::sha256(chunk))
-}
-
 /// Server side of a delta reply: run the per-block codec only over the
 /// blocks flagged in `ship` (indexes past `ship`'s end are shipped). Each
 /// block keeps its **original** grid index in the nonce derivation, so a
@@ -891,6 +867,7 @@ pub fn decode_payload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use codecs::sha256::block_digests;
     use codecs::varint::read_u64;
 
     fn sample_dict(rows: usize) -> Value {
@@ -981,6 +958,33 @@ mod tests {
         assert!(payload.len() < raw / 10, "{} vs {raw}", payload.len());
         let back = decode_payload(payload, &opts, "pw", 2).unwrap();
         assert_eq!(back, pickle_inputs(&inputs).unwrap());
+    }
+
+    #[test]
+    fn readings_extract_keeps_its_compression_ratio() {
+        // 200k sensor-style readings (a level held for runs of 64 rows plus
+        // a little noise), the shape of a debug session's extract, in the
+        // 64 KiB blocks a churning session uses. The 32-link hash-chain
+        // parse reached 2.242; the cheaper parse may give up at most 2 %.
+        let mut rng = devharness::Rng::new(1);
+        let phase = rng.u64_below(500);
+        let readings: Vec<i64> = (0..200_000u64)
+            .map(|idx| ((idx / 64 + phase) % 500 + rng.u64_below(4)) as i64)
+            .collect();
+        let mut d = Dict::new();
+        d.insert(Value::str("i"), Value::array(Array::Int(readings)))
+            .unwrap();
+        let raw = pickle_inputs(&Value::dict(d)).unwrap();
+        let opts = TransferOptions::compressed().with_block_size(64 * 1024);
+        let container = encode_blocks(&Pool::new(1), &raw, &opts, "pw", 1);
+        let ratio = raw.len() as f64 / container.len() as f64;
+        assert!(
+            ratio >= 2.197,
+            "ratio {ratio:.4} ({} of {} bytes)",
+            container.len(),
+            raw.len()
+        );
+        assert_eq!(decode_payload(container, &opts, "pw", 1).unwrap(), raw);
     }
 
     #[test]
@@ -1401,21 +1405,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_digests_match_the_serial_helper() {
-        let mut rng = devharness::Rng::new(77);
-        let mut data = vec![0u8; 100_000];
-        rng.fill_bytes(&mut data);
-        for threads in [1, 4] {
-            let pool = Pool::new(threads);
-            assert_eq!(
-                block_digests_pooled(&pool, &data, 16 * 1024),
-                codecs::sha256::block_digests(&data, 16 * 1024)
-            );
-        }
-        assert!(block_digests_pooled(&Pool::new(2), &[], 1024).is_empty());
-    }
-
-    #[test]
     fn delta_bodies_are_bit_identical_to_container_bodies() {
         // A shipped delta block must carry exactly the bytes the full
         // container would carry for that block — same codec, same nonce.
@@ -1456,7 +1445,7 @@ mod tests {
         let old: Vec<u8> = (0..40_000u32).map(|i| (i / 7) as u8).collect();
 
         // Cold: nothing cached, everything shipped.
-        let digests = block_digests_pooled(&pool, &old, 4 * 1024);
+        let digests = block_digests(&old, 4 * 1024);
         let nblocks = digests.len();
         let shipped = encode_delta_blocks(&pool, &old, &opts, "pw", 1, &vec![true; nblocks]);
         let back = reconstruct_delta(
@@ -1475,7 +1464,7 @@ mod tests {
         // Warm: mutate one block in place; only it should need shipping.
         let mut new = old.clone();
         new[9000] ^= 0xFF; // inside block 2
-        let new_digests = block_digests_pooled(&pool, &new, 4 * 1024);
+        let new_digests = block_digests(&new, 4 * 1024);
         let known: std::collections::HashSet<[u8; 32]> = digests.iter().copied().collect();
         let ship: Vec<bool> = new_digests.iter().map(|d| !known.contains(d)).collect();
         assert_eq!(ship.iter().filter(|s| **s).count(), 1);
@@ -1503,7 +1492,7 @@ mod tests {
         let pool = Pool::new(1);
         let opts = TransferOptions::compressed().with_block_size(1024);
         let data = vec![3u8; 4096];
-        let digests = block_digests_pooled(&pool, &data, 1024);
+        let digests = block_digests(&data, 1024);
         let full = encode_delta_blocks(&pool, &data, &opts, "pw", 5, &[true; 4]);
         let empty: HashMap<[u8; 32], &[u8]> = HashMap::new();
 

@@ -17,6 +17,12 @@ cargo build --offline --release --workspace
 echo "==> cargo test"
 cargo test --offline --workspace -q 2>&1 | tee /tmp/devudf-ci-test.txt
 
+# The codecs crate carries the workspace's SIMD code (SHA-256 on the x86 SHA
+# extensions) and its differential tests against the scalar rounds; release
+# builds optimize differently from the debug run above, so run them there too.
+echo "==> codecs tests in release"
+cargo test --offline --release -q -p codecs
+
 echo "==> doctests (every module example must run)"
 cargo test --offline --workspace --doc -q
 

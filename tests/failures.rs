@@ -647,8 +647,7 @@ fn stub_extract_peer(damage: Damage) -> (std::net::SocketAddr, std::thread::Join
             ) => {
                 let pool = devharness::pool::global();
                 let raw = transfer::pickle_inputs(&inputs).unwrap();
-                let digests =
-                    transfer::block_digests_pooled(pool, &raw, options.effective_block_size());
+                let digests = codecs::sha256::block_digests(&raw, options.effective_block_size());
                 let mut blocks = transfer::encode_delta_blocks(
                     pool,
                     &raw,
