@@ -13,6 +13,13 @@
 //! policy), pinning down what the robustness layer costs under
 //! concurrency.
 //!
+//! A third group, `server_write`, times the write path on a two-column
+//! table `t (i INTEGER, j INTEGER)` at 20 000 and 200 000 rows: a 5-row
+//! INSERT and a 1-row UPDATE on the engine alone, on the engine while a
+//! snapshot of it is held (re-taken before every write, as the server
+//! publishes one after every write), and through an in-proc server,
+//! plus an in-proc `SELECT 1` round trip (EXPERIMENTS C17).
+//!
 //! After the sweep the suite drains the server-side obs histograms and
 //! appends their p50/p99 to the artifact under a `"histograms"` key —
 //! per-command dispatch latency (`wire.server.latency.query`) and queue
@@ -25,7 +32,8 @@ use std::net::SocketAddr;
 
 use devharness::bench::{BenchmarkId, Harness, Throughput};
 use devudf_bench::SessionFleet;
-use wireproto::{ClientOptions, FaultPolicy, RetryPolicy, Server, ServerConfig};
+use monetlite::Engine;
+use wireproto::{Client, ClientOptions, FaultPolicy, RetryPolicy, Server, ServerConfig};
 
 /// Round trips each session completes per measured burst.
 const QUERIES_PER_BURST: usize = 4;
@@ -99,6 +107,94 @@ fn sweep_lossy(h: &mut Harness, addr: SocketAddr) {
     group.finish();
 }
 
+/// Load `t (i INTEGER, j INTEGER)` with `rows` rows, `i` the row number.
+fn load_write_table(db: &Engine, rows: usize) {
+    db.execute("CREATE TABLE t (i INTEGER, j INTEGER)").unwrap();
+    let csv: String = (0..rows).map(|r| format!("{r},{}\n", r % 97)).collect();
+    db.fs().write("/t.csv", csv.as_bytes()).unwrap();
+    db.execute("COPY INTO t FROM '/t.csv'").unwrap();
+}
+
+/// The measured writes on a `rows`-row table, one statement per call.
+/// Appends add 5 rows each; every `rows / 100` appends a DELETE of the
+/// appended rows (which touches only the tail segments) runs first, so
+/// the table stays within 5 % of its size. UPDATEs set one row, each
+/// time another.
+struct Writes {
+    rows: usize,
+    calls: usize,
+}
+
+impl Writes {
+    fn insert5(&mut self, mut run: impl FnMut(&str)) {
+        let appended = self.calls % (self.rows / 100);
+        if appended == 0 && self.calls > 0 {
+            run(&format!("DELETE FROM t WHERE i >= {}", self.rows));
+        }
+        let first = self.rows + 5 * appended;
+        let values: Vec<String> = (first..first + 5).map(|i| format!("({i}, 1)")).collect();
+        run(&format!("INSERT INTO t VALUES {}", values.join(", ")));
+        self.calls += 1;
+    }
+
+    fn update1(&mut self, mut run: impl FnMut(&str)) {
+        let row = self.calls * 7_919 % self.rows;
+        run(&format!("UPDATE t SET j = j + 1 WHERE i = {row}"));
+        self.calls += 1;
+    }
+}
+
+fn write_sweep(h: &mut Harness) {
+    let mut group = h.benchmark_group("server_write");
+    for rows in [20_000usize, 200_000] {
+        type Write = fn(&mut Writes, &mut dyn FnMut(&str));
+        let writes: [(&str, Write); 2] = [
+            ("insert5", |w, run| w.insert5(run)),
+            ("update1", |w, run| w.update1(run)),
+        ];
+        for (kind, write) in writes {
+            let db = Engine::new();
+            load_write_table(&db, rows);
+            let mut w = Writes { rows, calls: 0 };
+            group.bench_function(format!("{kind}_engine/{rows}"), |b| {
+                b.iter(|| write(&mut w, &mut |sql| drop(db.execute(sql).unwrap())))
+            });
+
+            let db = Engine::new();
+            load_write_table(&db, rows);
+            let (mut w, mut held) = (Writes { rows, calls: 0 }, None);
+            group.bench_function(format!("{kind}_snapshot/{rows}"), |b| {
+                b.iter(|| {
+                    write(&mut w, &mut |sql| {
+                        held = Some(db.snapshot());
+                        db.execute(sql).unwrap();
+                    })
+                })
+            });
+            drop(held);
+
+            let server =
+                Server::start(ServerConfig::new("demo", "monetdb", "monetdb"), move |db| {
+                    load_write_table(db, rows)
+                });
+            let mut client =
+                Client::connect_in_proc(&server, "monetdb", "monetdb", "demo").unwrap();
+            let mut w = Writes { rows, calls: 0 };
+            group.bench_function(format!("{kind}_server/{rows}"), |b| {
+                b.iter(|| write(&mut w, &mut |sql| drop(client.query(sql).unwrap())))
+            });
+            if rows == 200_000 && kind == "insert5" {
+                group.bench_function("select1_server", |b| {
+                    b.iter(|| client.query("SELECT 1").unwrap())
+                });
+            }
+            drop(client);
+            server.shutdown();
+        }
+    }
+    group.finish();
+}
+
 /// Append server-side histogram quantiles to the artifact: what the
 /// scheduler itself observed while the sweep ran.
 fn append_histograms(path: &std::path::Path) {
@@ -143,6 +239,7 @@ fn main() {
     let mut h = Harness::new("server_concurrency");
     sweep(&mut h, addr);
     sweep_lossy(&mut h, addr);
+    write_sweep(&mut h);
     let path = h.finish();
     append_histograms(&path);
     server.shutdown();

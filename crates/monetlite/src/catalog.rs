@@ -80,9 +80,10 @@ pub struct FunctionDef {
 
 /// The database catalog.
 ///
-/// `Clone` is cheap by construction: tables share their column storage via
-/// `Arc` (see [`Table`]), so cloning the whole catalog — the basis of engine
-/// snapshots — copies only the maps and counters, never the data.
+/// `Clone` is cheap by construction: tables share their column segments
+/// via `Arc` (see [`Table`]), so cloning the whole catalog — the basis of
+/// engine snapshots — copies only the maps, the counters and one pointer
+/// per segment, never the data.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
@@ -338,11 +339,11 @@ impl Catalog {
         Table::from_columns(
             "sys.functions",
             vec![
-                Column::new("id", ColumnData::Int(ids)),
-                Column::new("name", ColumnData::Str(names)),
-                Column::new("func", ColumnData::Str(bodies)),
-                Column::new("language", ColumnData::Str(langs)),
-                Column::new("return_type", ColumnData::Str(rets)),
+                Column::new("id", ColumnData::Int(ids.into())),
+                Column::new("name", ColumnData::Str(names.into())),
+                Column::new("func", ColumnData::Str(bodies.into())),
+                Column::new("language", ColumnData::Str(langs.into())),
+                Column::new("return_type", ColumnData::Str(rets.into())),
             ],
         )
         .expect("sys.functions columns are same length")
@@ -365,10 +366,10 @@ impl Catalog {
         Table::from_columns(
             "sys.args",
             vec![
-                Column::new("function", ColumnData::Str(funcs)),
-                Column::new("name", ColumnData::Str(names)),
-                Column::new("type", ColumnData::Str(types)),
-                Column::new("position", ColumnData::Int(positions)),
+                Column::new("function", ColumnData::Str(funcs.into())),
+                Column::new("name", ColumnData::Str(names.into())),
+                Column::new("type", ColumnData::Str(types.into())),
+                Column::new("position", ColumnData::Int(positions.into())),
             ],
         )
         .expect("sys.args columns are same length")
@@ -401,14 +402,14 @@ impl Catalog {
         Table::from_columns(
             "sys.metrics",
             vec![
-                Column::new("name", ColumnData::Str(names)),
-                Column::new("kind", ColumnData::Str(kinds)),
-                Column::new("value", ColumnData::Int(values)),
-                Column::new("sum", ColumnData::Int(sums)),
-                Column::new("mean", ColumnData::Double(means)),
-                Column::new("p50", ColumnData::Int(p50s)),
-                Column::new("p90", ColumnData::Int(p90s)),
-                Column::new("p99", ColumnData::Int(p99s)),
+                Column::new("name", ColumnData::Str(names.into())),
+                Column::new("kind", ColumnData::Str(kinds.into())),
+                Column::new("value", ColumnData::Int(values.into())),
+                Column::new("sum", ColumnData::Int(sums.into())),
+                Column::new("mean", ColumnData::Double(means.into())),
+                Column::new("p50", ColumnData::Int(p50s.into())),
+                Column::new("p90", ColumnData::Int(p90s.into())),
+                Column::new("p99", ColumnData::Int(p99s.into())),
             ],
         )
         .expect("sys.metrics columns are same length")
@@ -432,10 +433,10 @@ impl Catalog {
         Table::from_columns(
             "sys.profile",
             vec![
-                Column::new("func", ColumnData::Str(funcs)),
-                Column::new("line", ColumnData::Int(lines)),
-                Column::new("hits", ColumnData::Int(hits)),
-                Column::new("ns", ColumnData::Int(nss)),
+                Column::new("func", ColumnData::Str(funcs.into())),
+                Column::new("line", ColumnData::Int(lines.into())),
+                Column::new("hits", ColumnData::Int(hits.into())),
+                Column::new("ns", ColumnData::Int(nss.into())),
             ],
         )
         .expect("sys.profile columns are same length")
@@ -458,10 +459,10 @@ impl Catalog {
         Table::from_columns(
             "sys.tables",
             vec![
-                Column::new("name", ColumnData::Str(names)),
-                Column::new("epoch", ColumnData::Int(epochs)),
-                Column::new("rows", ColumnData::Int(rows)),
-                Column::new("columns", ColumnData::Int(cols)),
+                Column::new("name", ColumnData::Str(names.into())),
+                Column::new("epoch", ColumnData::Int(epochs.into())),
+                Column::new("rows", ColumnData::Int(rows.into())),
+                Column::new("columns", ColumnData::Int(cols.into())),
             ],
         )
         .expect("sys.tables columns are same length")
@@ -489,11 +490,11 @@ impl Catalog {
         Table::from_columns(
             "sys.sessions",
             vec![
-                Column::new("id", ColumnData::Int(ids)),
-                Column::new("peer", ColumnData::Str(peers)),
-                Column::new("state", ColumnData::Str(states)),
-                Column::new("commands", ColumnData::Int(commands)),
-                Column::new("queue_wait_ns", ColumnData::Int(waits)),
+                Column::new("id", ColumnData::Int(ids.into())),
+                Column::new("peer", ColumnData::Str(peers.into())),
+                Column::new("state", ColumnData::Str(states.into())),
+                Column::new("commands", ColumnData::Int(commands.into())),
+                Column::new("queue_wait_ns", ColumnData::Int(waits.into())),
             ],
         )
         .expect("sys.sessions columns are same length")
@@ -704,21 +705,30 @@ mod tests {
             &[("i".to_string(), SqlType::Integer)],
         ))
         .unwrap();
+        c.table_mut("numbers")
+            .unwrap()
+            .push_row(&[SqlValue::Int(0)])
+            .unwrap();
         let snap = c.clone();
         assert_eq!(snap.version(), c.version());
-        // The clone shares column storage (Arc), not a deep copy.
-        assert!(Arc::ptr_eq(
-            &c.table("numbers").unwrap().columns,
-            &snap.table("numbers").unwrap().columns
-        ));
+        // The clone shares column storage (every segment's Arc), not a
+        // deep copy.
+        let segments = |c: &Catalog| match c.table("numbers").unwrap().columns[0].data.clone() {
+            ColumnData::Int(v) => v.segments().to_vec(),
+            other => panic!("{other:?}"),
+        };
+        let (live, shared) = (segments(&c), segments(&snap));
+        assert_eq!(live.len(), 1);
+        assert!(Arc::ptr_eq(&live[0], &shared[0]));
         // Mutating the original copies-on-write; the snapshot is unaffected.
         c.table_mut("numbers")
             .unwrap()
             .push_row(&[SqlValue::Int(1)])
             .unwrap();
         assert!(c.version() > snap.version());
-        assert_eq!(c.table("numbers").unwrap().row_count(), 1);
-        assert_eq!(snap.table("numbers").unwrap().row_count(), 0);
+        assert!(!Arc::ptr_eq(&segments(&c)[0], &shared[0]));
+        assert_eq!(c.table("numbers").unwrap().row_count(), 2);
+        assert_eq!(snap.table("numbers").unwrap().row_count(), 1);
     }
 
     #[test]
@@ -791,7 +801,7 @@ mod tests {
             vec!["name", "kind", "value", "sum", "mean", "p50", "p90", "p99"]
         );
         let names = match &t.columns[0].data {
-            ColumnData::Str(v) => v.clone(),
+            ColumnData::Str(v) => v.clone().into_vec(),
             other => panic!("{other:?}"),
         };
         let idx = names

@@ -601,6 +601,7 @@ impl Engine {
         table_name: &str,
         predicate: Option<&crate::sql::ast::SqlExpr>,
     ) -> Result<QueryResult, DbError> {
+        let epoch = self.table_epoch(table_name);
         let table = self.get_table(table_name)?;
         let (keep, removed) = match predicate {
             None => (vec![false; table.row_count()], table.row_count()),
@@ -618,8 +619,11 @@ impl Engine {
                 (keep, removed)
             }
         };
+        // Dropping the read leaves the segments unshared, so the write
+        // copies nothing unless a snapshot holds them.
+        drop(table);
         let mut inner = self.inner.borrow_mut();
-        unchanged_since(inner.catalog.table_mut(table_name)?, table)?.retain_rows(&keep);
+        unchanged_since(&mut inner.catalog, table_name, epoch)?.retain_rows(&keep);
         Ok(QueryResult::Affected {
             rows: removed,
             message: format!("{removed} row(s) deleted"),
@@ -632,6 +636,7 @@ impl Engine {
         assignments: &[(String, crate::sql::ast::SqlExpr)],
         predicate: Option<&crate::sql::ast::SqlExpr>,
     ) -> Result<QueryResult, DbError> {
+        let epoch = self.table_epoch(table_name);
         let table = self.get_table(table_name)?;
         let rows: Vec<usize> = match predicate {
             None => (0..table.row_count()).collect(),
@@ -668,11 +673,12 @@ impl Engine {
             writes.push((idx, values));
         }
         let updated = rows.len();
+        drop(table);
         let mut inner = self.inner.borrow_mut();
-        let columns = unchanged_since(inner.catalog.table_mut(table_name)?, table)?.columns_mut();
+        let live = unchanged_since(&mut inner.catalog, table_name, epoch)?;
         for (idx, values) in writes {
             for (&row, value) in rows.iter().zip(values) {
-                columns[idx].set(row, value);
+                live.columns[idx].set(row, value);
             }
         }
         Ok(QueryResult::Affected {
@@ -841,25 +847,27 @@ fn append_staged(
         }
     }
     let table = catalog.table_mut(table_name)?;
-    for row in rows.iter() {
-        table.push_row(row)?;
+    for (c, column) in table.columns.iter_mut().enumerate() {
+        column.extend_coerced(rows.iter().map(|row| &row[c]));
     }
     Ok(rows.len())
 }
 
-/// The live table an UPDATE or DELETE writes in place, provided it still
-/// holds the storage its row positions were computed on (`read`); a UDF's
-/// loopback write during evaluation replaces that storage. Dropping `read`
-/// leaves the storage unshared, so the write copies nothing unless a
-/// snapshot holds it.
-fn unchanged_since(live: &mut Table, read: Table) -> Result<&mut Table, DbError> {
-    if !std::sync::Arc::ptr_eq(&live.columns, &read.columns) {
+/// The live table an UPDATE or DELETE writes in place, provided nothing
+/// wrote it since its row positions were computed, when its catalog epoch
+/// was `epoch`: a UDF's loopback write during evaluation bumps the epoch,
+/// as every write does.
+fn unchanged_since<'c>(
+    catalog: &'c mut Catalog,
+    table_name: &str,
+    epoch: Option<u64>,
+) -> Result<&'c mut Table, DbError> {
+    if catalog.table_epoch(table_name) != epoch {
         return Err(DbError::exec(format!(
-            "table '{}' changed while the statement was evaluated",
-            read.name
+            "table '{table_name}' changed while the statement was evaluated"
         )));
     }
-    Ok(live)
+    catalog.table_mut(table_name)
 }
 
 /// The `EXPLAIN ANALYZE` result: the `query` total row, then one row per
@@ -1230,7 +1238,14 @@ mod tests {
     fn update_and_delete_write_in_place_unless_a_snapshot_shares_storage() {
         let db = engine_with_numbers();
         let storage = |db: &Engine| {
-            db.with_catalog(|c| std::sync::Arc::as_ptr(&c.table("t").unwrap().columns))
+            db.with_catalog(|c| match &c.table("t").unwrap().columns[0].data {
+                crate::types::ColumnData::Int(v) => v
+                    .segments()
+                    .iter()
+                    .map(std::sync::Arc::as_ptr)
+                    .collect::<Vec<_>>(),
+                other => panic!("{other:?}"),
+            })
         };
         let sum = |db: &Engine| {
             db.execute("SELECT sum(i), count(i) FROM t")

@@ -5,6 +5,7 @@ use std::cmp::Ordering;
 
 use crate::engine::Engine;
 use crate::error::DbError;
+use crate::segments::Segments;
 use crate::sql::ast::{BinaryOp, SqlExpr, UnaryOp};
 use crate::table::Table;
 use crate::types::{Column, ColumnData, SqlValue};
@@ -152,16 +153,12 @@ pub fn eval_expr<'t>(
                     }
                 }
             }
-            let apply = move |s: &SqlValue| -> Result<SqlValue, DbError> {
-                if s.is_null() {
-                    return Ok(SqlValue::Null);
+            if let Evaluated::Column(c) = &v {
+                if let Some(hits) = in_list_typed(c, &options, *negated) {
+                    return Ok(Evaluated::owned(Column::new("in", ColumnData::Bool(hits))));
                 }
-                let found = options
-                    .iter()
-                    .any(|o| cmp_sql(s, o) == Ordering::Equal && !o.is_null());
-                Ok(SqlValue::Bool(found != *negated))
-            };
-            map_evaluated(v, "in", apply)
+            }
+            map_evaluated(v, "in", |s| Ok(in_list_row(s, &options, *negated)))
         }
         SqlExpr::Call { name, args } => eval_call(engine, source, name, args),
         SqlExpr::Cast { expr, target } => {
@@ -178,13 +175,17 @@ pub fn eval_expr<'t>(
                         (ColumnData::Int(ints), SqlType::Double) => {
                             return Ok(Evaluated::owned(Column::new(
                                 "cast",
-                                ColumnData::Double(ints.iter().map(|&x| x as f64).collect()),
+                                ColumnData::Double(
+                                    ints.map_slices(|s| s.iter().map(|&x| x as f64).collect()),
+                                ),
                             )))
                         }
                         (ColumnData::Double(ds), SqlType::Integer) => {
                             return Ok(Evaluated::owned(Column::new(
                                 "cast",
-                                ColumnData::Int(ds.iter().map(|d| d.trunc() as i64).collect()),
+                                ColumnData::Int(
+                                    ds.map_slices(|s| s.iter().map(|d| d.trunc() as i64).collect()),
+                                ),
                             )))
                         }
                         _ => {}
@@ -352,8 +353,10 @@ fn eval_case<'t>(
                     // Scalar true: all remaining rows take this branch.
                     let table = source
                         .ok_or_else(|| DbError::exec("columnar CASE requires a FROM clause"))?;
-                    let trues =
-                        Column::new("case", ColumnData::Bool(vec![true; table.row_count()]));
+                    let trues = Column::new(
+                        "case",
+                        ColumnData::Bool(vec![true; table.row_count()].into()),
+                    );
                     cond_cols.push((idx, Cow::Owned(trues)));
                     break;
                 }
@@ -534,17 +537,8 @@ fn apply_binary<'t>(
 /// broadcast to every row.
 #[derive(Clone, Copy)]
 enum Side<'a, T> {
-    Col(&'a [T]),
+    Col(&'a Segments<T>),
     Scalar(T),
-}
-
-impl<T: Copy> Side<'_, T> {
-    fn at(self, i: usize) -> T {
-        match self {
-            Side::Col(v) => v[i],
-            Side::Scalar(k) => k,
-        }
-    }
 }
 
 /// Typed view of a NULL-free numeric operand for the columnar fast path.
@@ -552,15 +546,6 @@ impl<T: Copy> Side<'_, T> {
 enum NumOperand<'a> {
     Int(Side<'a, i64>),
     Float(Side<'a, f64>),
-}
-
-impl NumOperand<'_> {
-    fn f64_at(self, i: usize) -> f64 {
-        match self {
-            NumOperand::Int(s) => s.at(i) as f64,
-            NumOperand::Float(s) => s.at(i),
-        }
-    }
 }
 
 fn num_operand<'a>(v: &'a Evaluated) -> Option<NumOperand<'a>> {
@@ -579,19 +564,63 @@ fn num_operand<'a>(v: &'a Evaluated) -> Option<NumOperand<'a>> {
     }
 }
 
-/// `test` over every row of two sides, one loop per operand shape.
-fn zip_rows<X: Copy, Y: Copy>(
+/// `f` over every row of two sides, segment by segment, one loop per
+/// operand shape. Two columns of one length split at the same rows, so
+/// their segments pair up.
+fn zip_rows<X: Copy, Y: Copy, O: Clone>(
     a: Side<X>,
     b: Side<Y>,
     len: usize,
-    test: impl Fn(X, Y) -> bool,
-) -> Vec<bool> {
+    f: impl Fn(X, Y) -> O,
+) -> Segments<O> {
     match (a, b) {
-        (Side::Col(x), Side::Col(y)) => x.iter().zip(y).map(|(&x, &y)| test(x, y)).collect(),
-        (Side::Col(x), Side::Scalar(k)) => x.iter().map(|&x| test(x, k)).collect(),
-        (Side::Scalar(k), Side::Col(y)) => y.iter().map(|&y| test(k, y)).collect(),
-        (Side::Scalar(j), Side::Scalar(k)) => vec![test(j, k); len],
+        (Side::Col(x), Side::Col(y)) => Segments::from_chunks(
+            x.slices()
+                .zip(y.slices())
+                .map(|(x, y)| x.iter().zip(y).map(|(&x, &y)| f(x, y)).collect()),
+        ),
+        (Side::Col(x), Side::Scalar(k)) => x.map_slices(|x| x.iter().map(|&x| f(x, k)).collect()),
+        (Side::Scalar(k), Side::Col(y)) => y.map_slices(|y| y.iter().map(|&y| f(k, y)).collect()),
+        (Side::Scalar(j), Side::Scalar(k)) => vec![f(j, k); len].into(),
     }
+}
+
+/// [`zip_rows`] for a kernel that can fail: the first error in row order
+/// is the result.
+fn try_zip_rows<X: Copy, Y: Copy, O: Clone>(
+    a: Side<X>,
+    b: Side<Y>,
+    len: usize,
+    f: impl Fn(X, Y) -> Result<O, DbError>,
+) -> Result<Segments<O>, DbError> {
+    fn chunk<O>(
+        rows: usize,
+        values: impl Iterator<Item = Result<O, DbError>>,
+    ) -> Result<Vec<O>, DbError> {
+        let mut out = Vec::with_capacity(rows);
+        for v in values {
+            out.push(v?);
+        }
+        Ok(out)
+    }
+    let chunks = match (a, b) {
+        (Side::Col(x), Side::Col(y)) => x
+            .slices()
+            .zip(y.slices())
+            .map(|(x, y)| chunk(x.len(), x.iter().zip(y).map(|(&x, &y)| f(x, y))))
+            .collect::<Result<Vec<_>, _>>()?,
+        (Side::Col(x), Side::Scalar(k)) => x
+            .slices()
+            .map(|x| chunk(x.len(), x.iter().map(|&x| f(x, k))))
+            .collect::<Result<Vec<_>, _>>()?,
+        (Side::Scalar(k), Side::Col(y)) => y
+            .slices()
+            .map(|y| chunk(y.len(), y.iter().map(|&y| f(k, y))))
+            .collect::<Result<Vec<_>, _>>()?,
+        (Side::Scalar(j), Side::Scalar(k)) if len > 0 => return Ok(vec![f(j, k)?; len].into()),
+        (Side::Scalar(_), Side::Scalar(_)) => Vec::new(),
+    };
+    Ok(Segments::from_chunks(chunks))
 }
 
 /// Comparison kernel: `op` over two sides whose elements are ordered as
@@ -605,7 +634,7 @@ fn compare<X: Copy, Y: Copy, K: PartialOrd>(
     len: usize,
     kx: impl Fn(X) -> K,
     ky: impl Fn(Y) -> K,
-) -> Vec<bool> {
+) -> Segments<bool> {
     use BinaryOp::*;
     let (lt, gt) = (|x, y| kx(x) < ky(y), |x, y| kx(x) > ky(y));
     match op {
@@ -692,17 +721,8 @@ fn binary_fast(
             },
             _ => return None,
         };
-        let mut out = Vec::with_capacity(len);
-        for i in 0..len {
-            match kernel(x.at(i), y.at(i)) {
-                Ok(v) => out.push(v),
-                Err(e) => return Some(Err(e)),
-            }
-        }
-        return Some(Ok(Evaluated::owned(Column::new(
-            name,
-            ColumnData::Int(out),
-        ))));
+        let out = try_zip_rows(x, y, len, kernel);
+        return Some(out.map(|out| Evaluated::owned(Column::new(name, ColumnData::Int(out)))));
     }
 
     let kernel: fn(f64, f64) -> Result<f64, DbError> = match op {
@@ -736,17 +756,66 @@ fn binary_fast(
         Pow => |x, y| Ok(x.powf(y)),
         _ => return None,
     };
-    let mut out = Vec::with_capacity(len);
-    for i in 0..len {
-        match kernel(a.f64_at(i), b.f64_at(i)) {
-            Ok(v) => out.push(v),
-            Err(e) => return Some(Err(e)),
+    let out = match (a, b) {
+        (Int(_), Int(_)) => unreachable!("Int × Int returned above"),
+        (Int(x), Float(y)) => try_zip_rows(x, y, len, |x, y| kernel(x as f64, y)),
+        (Float(x), Int(y)) => try_zip_rows(x, y, len, |x, y| kernel(x, y as f64)),
+        (Float(x), Float(y)) => try_zip_rows(x, y, len, kernel),
+    };
+    Some(out.map(|out| Evaluated::owned(Column::new(name, ColumnData::Double(out)))))
+}
+
+/// `s IN (options)` for one row: NULL for a NULL row, and a NULL item
+/// never matches.
+fn in_list_row(s: &SqlValue, options: &[SqlValue], negated: bool) -> SqlValue {
+    if s.is_null() {
+        return SqlValue::Null;
+    }
+    let found = options
+        .iter()
+        .any(|o| cmp_sql(s, o) == Ordering::Equal && !o.is_null());
+    SqlValue::Bool(found != negated)
+}
+
+/// [`in_list_row`] over every row of a non-empty, NULL-free Int or Double
+/// column, segment by segment; `None` for any other column. It compares as
+/// [`cmp_sql`] does: an Int item matches an Int row exactly, every other
+/// numeric pair compares through f64, where NaN equals everything, and a
+/// NULL, string or blob item matches no number.
+fn in_list_typed(c: &Column, options: &[SqlValue], negated: bool) -> Option<Segments<bool>> {
+    let int_rows = matches!(c.data, ColumnData::Int(_));
+    if c.is_empty() || c.has_nulls() || !(int_rows || matches!(c.data, ColumnData::Double(_))) {
+        return None;
+    }
+    let (mut exact, mut floats) = (Vec::new(), Vec::new());
+    for o in options {
+        match o {
+            SqlValue::Int(k) if int_rows => exact.push(*k),
+            SqlValue::Int(_) | SqlValue::Double(_) | SqlValue::Bool(_) => {
+                floats.extend(to_f64(o));
+            }
+            SqlValue::Null | SqlValue::Str(_) | SqlValue::Blob(_) => {}
         }
     }
-    Some(Ok(Evaluated::owned(Column::new(
-        name,
-        ColumnData::Double(out),
-    ))))
+    exact.sort_unstable();
+    exact.dedup();
+    let exact_hit = |x: i64| match exact.len() {
+        0..=8 => exact.contains(&x),
+        _ => exact.binary_search(&x).is_ok(),
+    };
+    let any_nan = floats.iter().any(|k| k.is_nan());
+    let float_hit = |x: f64| any_nan || (x.is_nan() && !floats.is_empty()) || floats.contains(&x);
+    Some(match &c.data {
+        ColumnData::Int(v) => v.map_slices(|s| {
+            s.iter()
+                .map(|&x| (exact_hit(x) || float_hit(x as f64)) != negated)
+                .collect()
+        }),
+        ColumnData::Double(v) => {
+            v.map_slices(|s| s.iter().map(|&x| float_hit(x) != negated).collect())
+        }
+        _ => unreachable!("Int or Double checked above"),
+    })
 }
 
 /// Scalar binary operation with SQL NULL propagation.
@@ -958,10 +1027,11 @@ pub fn predicate_mask(
                 return Ok(vec![false; c.len()]);
             }
             let Column { data, nulls, .. } = c.into_owned();
-            let ColumnData::Bool(mut mask) = data else {
+            let ColumnData::Bool(mask) = data else {
                 unreachable!("checked to be boolean above")
             };
-            for (keep, null) in mask.iter_mut().zip(nulls) {
+            let mut mask = mask.into_vec();
+            for (keep, null) in mask.iter_mut().zip(nulls.iter()) {
                 *keep &= !null;
             }
             Ok(mask)
@@ -994,7 +1064,7 @@ fn eval_call<'t>(
         });
     }
     let rows = source.map_or(1, Table::row_count);
-    let mut columns = udf::call(engine, name, inputs, rows)?.into_columns();
+    let mut columns = udf::call(engine, name, inputs, rows)?.columns;
     let (Some(column), true) = (columns.pop(), columns.is_empty()) else {
         return Err(DbError::exec(format!(
             "function '{name}' returns a table, not one value per row"
@@ -1039,29 +1109,37 @@ fn eval_aggregate(
             }
             (ColumnData::Int(v), "sum") => {
                 let mut acc = 0i64;
-                for &x in v {
-                    acc = acc.checked_add(x).ok_or_else(overflow)?;
+                for s in v.slices() {
+                    for &x in s {
+                        acc = acc.checked_add(x).ok_or_else(overflow)?;
+                    }
                 }
                 return Ok(Evaluated::Scalar(SqlValue::Int(acc)));
             }
             (ColumnData::Double(v), "sum") => {
                 let mut acc = 0f64;
-                for &x in v {
-                    acc += x;
+                for s in v.slices() {
+                    for &x in s {
+                        acc += x;
+                    }
                 }
                 return Ok(Evaluated::Scalar(SqlValue::Double(acc)));
             }
             (ColumnData::Int(v), "avg") => {
                 let mut acc = 0f64;
-                for &x in v {
-                    acc += x as f64;
+                for s in v.slices() {
+                    for &x in s {
+                        acc += x as f64;
+                    }
                 }
                 return Ok(Evaluated::Scalar(SqlValue::Double(acc / v.len() as f64)));
             }
             (ColumnData::Double(v), "avg") => {
                 let mut acc = 0f64;
-                for &x in v {
-                    acc += x;
+                for s in v.slices() {
+                    for &x in s {
+                        acc += x;
+                    }
                 }
                 return Ok(Evaluated::Scalar(SqlValue::Double(acc / v.len() as f64)));
             }
@@ -1171,20 +1249,19 @@ fn eval_scalar_builtin<'t>(
                 if !c.has_nulls() {
                     match &c.data {
                         ColumnData::Int(ints) => {
-                            let mut out = Vec::with_capacity(ints.len());
-                            for &x in ints {
-                                out.push(
-                                    x.checked_abs().ok_or_else(|| {
-                                        DbError::exec("integer overflow in abs()")
-                                    })?,
-                                );
-                            }
+                            let out =
+                                try_zip_rows(Side::Col(ints), Side::Scalar(()), 0, |x, ()| {
+                                    x.checked_abs()
+                                        .ok_or_else(|| DbError::exec("integer overflow in abs()"))
+                                })?;
                             return Ok(Evaluated::owned(Column::new("abs", ColumnData::Int(out))));
                         }
                         ColumnData::Double(ds) => {
                             return Ok(Evaluated::owned(Column::new(
                                 "abs",
-                                ColumnData::Double(ds.iter().map(|d| d.abs()).collect()),
+                                ColumnData::Double(
+                                    ds.map_slices(|s| s.iter().map(|d| d.abs()).collect()),
+                                ),
                             )));
                         }
                         _ => {}
@@ -1371,6 +1448,66 @@ mod tests {
         assert_eq!(binary_values(And, &t, &n).unwrap(), SqlValue::Null);
         assert_eq!(binary_values(Or, &t, &n).unwrap(), SqlValue::Bool(true));
         assert_eq!(binary_values(Or, &f, &n).unwrap(), SqlValue::Null);
+    }
+
+    /// The typed `IN` loop against the rowwise one over random columns
+    /// (Int, Double, Bool; with and without NULLs; one value or more than
+    /// a segment) and random lists (every scalar type, NULL, NaN, −0.0,
+    /// duplicates, integers past 2^53; `IN` and `NOT IN`).
+    #[test]
+    fn typed_in_lists_match_the_rowwise_path() {
+        use crate::segments::SEGMENT_ROWS;
+        use devharness::prop::{self, Config};
+        use devharness::{prop_assert, prop_assert_eq, Rng};
+        const BIG: i64 = 1 << 53;
+        fn number(rng: &mut Rng) -> SqlValue {
+            match rng.usize_below(6) {
+                0 => SqlValue::Int([BIG, BIG + 1, -3][rng.usize_below(3)]),
+                1 => SqlValue::Double([f64::NAN, -0.0, 0.5, BIG as f64][rng.usize_below(4)]),
+                2 | 3 => SqlValue::Int(rng.i64_in(-4, 5)),
+                _ => SqlValue::Double(rng.i64_in(-4, 5) as f64),
+            }
+        }
+        let cases = prop::from_fn(|rng: &mut Rng| {
+            let rows = [1, 7, SEGMENT_ROWS + 3][rng.usize_below(3)];
+            let (kind, nulls) = (rng.usize_below(3), rng.ratio(0.3));
+            let column: Vec<SqlValue> = (0..rows)
+                .map(|_| match number(rng) {
+                    _ if nulls && rng.ratio(0.2) => SqlValue::Null,
+                    _ if kind == 2 => SqlValue::Bool(rng.bool()),
+                    SqlValue::Int(i) if kind == 1 => SqlValue::Double(i as f64),
+                    SqlValue::Double(d) if kind == 0 => SqlValue::Int(d as i64),
+                    v => v,
+                })
+                .collect();
+            let list: Vec<SqlValue> = (0..rng.usize_below(16))
+                .map(|_| match rng.usize_below(8) {
+                    0 => SqlValue::Null,
+                    1 => SqlValue::Bool(rng.bool()),
+                    2 => SqlValue::Str("1".into()),
+                    3 => SqlValue::Blob(vec![1]),
+                    _ => number(rng),
+                })
+                .collect();
+            (column, list, rng.bool())
+        });
+        prop::check(Config::cases(300), cases, |(values, list, negated)| {
+            let column = Column::from_values("c", values).map_err(|e| e.message)?;
+            let rowwise: Vec<SqlValue> = (0..column.len())
+                .map(|i| in_list_row(&column.get(i), list, *negated))
+                .collect();
+            match in_list_typed(&column, list, *negated) {
+                Some(hits) => {
+                    let typed: Vec<SqlValue> = hits.iter().map(|&b| SqlValue::Bool(b)).collect();
+                    prop_assert_eq!(typed, rowwise);
+                }
+                None => prop_assert!(
+                    column.has_nulls() || matches!(column.data, ColumnData::Bool(_)),
+                    "a NULL-free numeric column took the rowwise path"
+                ),
+            }
+            Ok(())
+        });
     }
 
     #[test]

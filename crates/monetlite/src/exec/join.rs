@@ -10,7 +10,7 @@ use crate::types::{Column, SqlValue};
 /// Qualify every column of `table` as `<alias>.<name>` unless it is already
 /// qualified (joined intermediates keep their qualifiers).
 pub fn qualify(mut table: Table, alias: &str) -> Table {
-    for c in table.columns_mut() {
+    for c in &mut table.columns {
         if !c.name.contains('.') {
             c.name = format!("{alias}.{}", c.name);
         }

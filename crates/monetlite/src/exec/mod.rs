@@ -388,7 +388,7 @@ pub fn run_table_function(
         match arg {
             TableFuncArg::Query(sub) => {
                 let t = run_select(engine, sub)?;
-                inputs.extend(t.into_columns().into_iter().map(UdfInput::Column));
+                inputs.extend(t.columns.into_iter().map(UdfInput::Column));
             }
             TableFuncArg::Expr(e) => inputs.push(match eval::eval_expr(engine, None, e)? {
                 Evaluated::Scalar(s) => UdfInput::Scalar(s),

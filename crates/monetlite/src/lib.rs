@@ -41,6 +41,7 @@ pub mod engine;
 pub mod error;
 pub mod exec;
 pub mod inline;
+pub mod segments;
 pub mod snapshot;
 pub mod sql;
 pub mod storage;
@@ -54,6 +55,7 @@ pub use catalog::{
 pub use classify::{classify_extract, classify_sql, classify_statement, CommandClass};
 pub use engine::{Engine, ExecutionModel, QueryResult};
 pub use error::{DbError, ErrorCode};
+pub use segments::{Segments, SEGMENT_ROWS};
 pub use snapshot::EngineSnapshot;
 pub use storage::{FsyncPolicy, StorageOptions, StorageStats};
 pub use table::Table;

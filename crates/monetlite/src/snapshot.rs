@@ -6,11 +6,18 @@
 //! [`EngineSnapshot`] — a clone of the catalog plus the engine settings —
 //! and reader threads *hydrate* a private engine from it.
 //!
-//! The snapshot is cheap by construction: tables share column storage via
-//! `Arc` (see [`crate::table::Table`]), so cloning the catalog copies maps
-//! and counters, never data. A subsequent write on the live engine
-//! copies-on-write only the mutated table, leaving every published snapshot
-//! intact — MVCC at table granularity, versioned by the PR-5 epoch counters.
+//! The snapshot is cheap by construction: every column keeps its values
+//! and NULL mask in `Arc`-shared segments of
+//! [`SEGMENT_ROWS`](crate::segments::SEGMENT_ROWS) rows (see
+//! [`crate::segments`]), so cloning the catalog copies maps, counters and
+//! one pointer per segment, never data. A later write on the live engine
+//! copies only the segments it touches that a snapshot still holds: an
+//! append the tail segment of each column, an UPDATE the segments holding
+//! its rows. A DELETE under a held snapshot still rewrites (and so copies)
+//! every segment from its first removed row on, because the rows after a
+//! gap move down; no benchmark workload deletes while a snapshot is held.
+//! Every published snapshot stays intact — MVCC at segment granularity,
+//! versioned by the catalog's epoch counters.
 //!
 //! What a snapshot does **not** carry: the engine's virtual filesystem and
 //! in-flight extraction state. Command classification

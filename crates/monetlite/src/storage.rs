@@ -95,6 +95,7 @@ use codecs::varint::{write_bytes, write_u64, write_zigzag, ReadError, Reader};
 
 use crate::catalog::{Catalog, FunctionDef, FunctionReturn};
 use crate::error::DbError;
+use crate::segments::Segments;
 use crate::table::Table;
 use crate::types::{Column, ColumnData, SqlType};
 
@@ -288,32 +289,32 @@ fn encode_column(out: &mut Vec<u8>, col: &Column) {
     write_u64(out, col.len() as u64);
     match &col.data {
         ColumnData::Int(v) => {
-            for &x in v {
+            for &x in v.iter() {
                 write_zigzag(out, x);
             }
         }
         ColumnData::Double(v) => {
-            for &x in v {
+            for &x in v.iter() {
                 out.extend_from_slice(&x.to_bits().to_le_bytes());
             }
         }
         ColumnData::Str(v) => {
-            for s in v {
+            for s in v.iter() {
                 write_bytes(out, s);
             }
         }
         ColumnData::Bool(v) => {
-            for &b in v {
+            for &b in v.iter() {
                 out.push(b as u8);
             }
         }
         ColumnData::Blob(v) => {
-            for b in v {
+            for b in v.iter() {
                 write_bytes(out, b);
             }
         }
     }
-    if col.nulls.iter().any(|n| *n) {
+    if col.has_nulls() {
         out.push(1);
         for i in 0..col.len() {
             out.push(col.is_null(i) as u8);
@@ -333,7 +334,7 @@ fn decode_column(r: &mut Reader) -> Result<Column, DbError> {
             for _ in 0..rows {
                 v.push(r.zigzag()?);
             }
-            ColumnData::Int(v)
+            ColumnData::Int(v.into())
         }
         SqlType::Double => {
             let mut v = Vec::with_capacity(rows);
@@ -341,28 +342,28 @@ fn decode_column(r: &mut Reader) -> Result<Column, DbError> {
                 let bits = u64::from_le_bytes(r.take(8)?.try_into().expect("8-byte slice"));
                 v.push(f64::from_bits(bits));
             }
-            ColumnData::Double(v)
+            ColumnData::Double(v.into())
         }
         SqlType::String => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
                 v.push(r.str()?.to_string());
             }
-            ColumnData::Str(v)
+            ColumnData::Str(v.into())
         }
         SqlType::Boolean => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
                 v.push(r.byte()? != 0);
             }
-            ColumnData::Bool(v)
+            ColumnData::Bool(v.into())
         }
         SqlType::Blob => {
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
                 v.push(r.bytes()?.to_vec());
             }
-            ColumnData::Blob(v)
+            ColumnData::Blob(v.into())
         }
     };
     let nulls = if r.byte()? == 1 {
@@ -370,9 +371,9 @@ fn decode_column(r: &mut Reader) -> Result<Column, DbError> {
         for _ in 0..rows {
             mask.push(r.byte()? != 0);
         }
-        mask
+        mask.into()
     } else {
-        Vec::new()
+        Segments::new()
     };
     Ok(Column { name, data, nulls })
 }
@@ -985,34 +986,39 @@ mod tests {
             vec![
                 Column {
                     name: "i".into(),
-                    data: ColumnData::Int(vec![i64::MIN, -1, 0, 1, i64::MAX]),
-                    nulls: vec![false, true, false, false, false],
+                    data: ColumnData::Int(vec![i64::MIN, -1, 0, 1, i64::MAX].into()),
+                    nulls: vec![false, true, false, false, false].into(),
                 },
                 Column {
                     name: "d".into(),
-                    data: ColumnData::Double(vec![0.0, -2.5, f64::INFINITY, 1e-300, 4.0]),
-                    nulls: Vec::new(),
+                    data: ColumnData::Double(vec![0.0, -2.5, f64::INFINITY, 1e-300, 4.0].into()),
+                    nulls: Segments::new(),
                 },
                 Column {
                     name: "s".into(),
-                    data: ColumnData::Str(vec![
-                        "".into(),
-                        "héllo".into(),
-                        "a\nb".into(),
-                        "x".into(),
-                        "y".into(),
-                    ]),
-                    nulls: Vec::new(),
+                    data: ColumnData::Str(
+                        vec![
+                            "".into(),
+                            "héllo".into(),
+                            "a\nb".into(),
+                            "x".into(),
+                            "y".into(),
+                        ]
+                        .into(),
+                    ),
+                    nulls: Segments::new(),
                 },
                 Column {
                     name: "b".into(),
-                    data: ColumnData::Bool(vec![true, false, true, false, true]),
-                    nulls: Vec::new(),
+                    data: ColumnData::Bool(vec![true, false, true, false, true].into()),
+                    nulls: Segments::new(),
                 },
                 Column {
                     name: "bl".into(),
-                    data: ColumnData::Blob(vec![vec![], vec![0, 255], vec![1], vec![2], vec![3]]),
-                    nulls: Vec::new(),
+                    data: ColumnData::Blob(
+                        vec![vec![], vec![0, 255], vec![1], vec![2], vec![3]].into(),
+                    ),
+                    nulls: Segments::new(),
                 },
             ],
         )
@@ -1025,5 +1031,67 @@ mod tests {
         let t = decoded.table("mixed").unwrap();
         assert_eq!(t, catalog.table("mixed").unwrap());
         assert!(t.columns[0].is_null(1));
+    }
+    /// A catalog whose main table spans several segments (at either
+    /// segment size that was measured, 16 Ki and 64 Ki rows), with NULLs
+    /// in two columns. The digest is the one the flat-column encoder of
+    /// the previous storage layout produced for it: segmented columns
+    /// write the same bytes.
+    #[test]
+    fn a_multi_segment_catalog_encodes_to_the_flat_layouts_bytes() {
+        let rows = 2 * 65_536 + 1_234;
+        let mut t = Table::new(
+            "Gen",
+            &[
+                ("i".to_string(), SqlType::Integer),
+                ("d".to_string(), SqlType::Double),
+                ("s".to_string(), SqlType::String),
+                ("b".to_string(), SqlType::Boolean),
+                ("bl".to_string(), SqlType::Blob),
+            ],
+        );
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for r in 0..rows {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let v = (x >> 33) as i64 - (1 << 30);
+            let null = |k: u64| (x >> k).is_multiple_of(53);
+            let row = [
+                if null(3) {
+                    SqlValue::Null
+                } else {
+                    SqlValue::Int(v)
+                },
+                if null(9) {
+                    SqlValue::Null
+                } else {
+                    SqlValue::Double(v as f64 / 7.0)
+                },
+                SqlValue::Str(format!("s{}", v % 1000)),
+                SqlValue::Bool(x & 1 == 1),
+                SqlValue::Blob(vec![(x >> 8) as u8; r % 3]),
+            ];
+            t.push_row(&row).unwrap();
+        }
+        let mut small = Table::new("small", &[("k".to_string(), SqlType::Integer)]);
+        small.push_row(&[SqlValue::Int(7)]).unwrap();
+        let mut catalog = Catalog::new();
+        catalog.create_table(t).unwrap();
+        catalog.create_table(small).unwrap();
+        catalog
+            .table_mut("small")
+            .unwrap()
+            .push_row(&[SqlValue::Null])
+            .unwrap();
+        let payload = encode_snapshot(&catalog, 42);
+        assert_eq!(payload.len(), 3_068_213);
+        assert_eq!(
+            codecs::hex::to_hex(&codecs::sha256::sha256(&payload)),
+            "fd3cb7012f96e09351b4a83a4e67d3fb4d961dc3cea6cb48ac67e678d288b93a"
+        );
+        let (decoded, seq) = decode_snapshot(&payload).unwrap();
+        assert_eq!(seq, 42);
+        assert_eq!(decoded.table("gen").unwrap(), catalog.table("gen").unwrap());
     }
 }

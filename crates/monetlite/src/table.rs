@@ -1,20 +1,27 @@
 //! Tables: named collections of equal-length columns.
-
-use std::sync::Arc;
+//!
+//! Every column keeps its values and NULL mask in `Arc`-shared segments of
+//! [`SEGMENT_ROWS`](crate::segments::SEGMENT_ROWS) rows
+//! ([`crate::segments`], which records the measurement behind the size),
+//! so cloning a table copies no rows, and a write copies only the segments
+//! it touches that a clone still shares — MVCC at segment granularity. An
+//! append copies at most the tail segment of each column and an UPDATE the
+//! segments holding its rows; a DELETE under a held snapshot still
+//! rewrites every segment from its first removed row on, which no
+//! benchmark workload does.
 
 use crate::error::DbError;
 use crate::types::{Column, SqlType, SqlValue};
 
 /// A materialized table (also used for query results).
 ///
-/// Column storage is behind an `Arc` so cloning a table — and therefore
-/// snapshotting a whole catalog — is O(1) per table, no data copy. Mutation
-/// goes through [`Table::columns_mut`], which copies the column vector only
-/// when a published snapshot still holds the previous version (copy-on-write).
+/// Cloning a table — and therefore snapshotting a whole catalog — clones
+/// one `Arc` per column segment and copies no rows. A write copies a
+/// segment only when a published snapshot still holds it (copy-on-write).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Table {
     pub name: String,
-    pub columns: Arc<Vec<Column>>,
+    pub columns: Vec<Column>,
 }
 
 impl Table {
@@ -22,12 +29,10 @@ impl Table {
     pub fn new(name: impl Into<String>, schema: &[(String, SqlType)]) -> Table {
         Table {
             name: name.into(),
-            columns: Arc::new(
-                schema
-                    .iter()
-                    .map(|(n, t)| Column::empty(n.clone(), *t))
-                    .collect(),
-            ),
+            columns: schema
+                .iter()
+                .map(|(n, t)| Column::empty(n.clone(), *t))
+                .collect(),
         }
     }
 
@@ -46,19 +51,8 @@ impl Table {
         }
         Ok(Table {
             name: name.into(),
-            columns: Arc::new(columns),
+            columns,
         })
-    }
-
-    /// Mutable access to the column vector (copy-on-write: clones the storage
-    /// only if a snapshot still shares it).
-    pub fn columns_mut(&mut self) -> &mut Vec<Column> {
-        Arc::make_mut(&mut self.columns)
-    }
-
-    /// Take ownership of the column vector, cloning only if shared.
-    pub fn into_columns(self) -> Vec<Column> {
-        Arc::try_unwrap(self.columns).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Number of rows (0 for a table with no columns).
@@ -99,7 +93,7 @@ impl Table {
                 self.columns.len()
             )));
         }
-        for (col, v) in self.columns_mut().iter_mut().zip(row) {
+        for (col, v) in self.columns.iter_mut().zip(row) {
             col.push(v)?;
         }
         Ok(())
@@ -119,14 +113,15 @@ impl Table {
     pub fn filter(&self, mask: &[bool]) -> Table {
         Table {
             name: self.name.clone(),
-            columns: Arc::new(self.columns.iter().map(|c| c.filter(mask)).collect()),
+            columns: self.columns.iter().map(|c| c.filter(mask)).collect(),
         }
     }
 
     /// [`Table::filter`] in place (DELETE): the kept rows move down inside
-    /// the existing storage, which is copied only if a snapshot shares it.
+    /// the existing segments from the first removed row on, each copied
+    /// first if a snapshot shares it.
     pub fn retain_rows(&mut self, mask: &[bool]) {
-        for column in self.columns_mut() {
+        for column in &mut self.columns {
             column.retain(mask);
         }
     }
@@ -135,7 +130,7 @@ impl Table {
     pub fn permute(&self, perm: &[usize]) -> Table {
         Table {
             name: self.name.clone(),
-            columns: Arc::new(self.columns.iter().map(|c| c.permute(perm)).collect()),
+            columns: self.columns.iter().map(|c| c.permute(perm)).collect(),
         }
     }
 
@@ -143,7 +138,7 @@ impl Table {
     pub fn take(&self, n: usize) -> Table {
         Table {
             name: self.name.clone(),
-            columns: Arc::new(self.columns.iter().map(|c| c.take(n)).collect()),
+            columns: self.columns.iter().map(|c| c.take(n)).collect(),
         }
     }
 
@@ -252,16 +247,16 @@ mod tests {
         let ok = Table::from_columns(
             "r",
             vec![
-                Column::new("a", ColumnData::Int(vec![1, 2])),
-                Column::new("b", ColumnData::Int(vec![3, 4])),
+                Column::new("a", ColumnData::Int(vec![1, 2].into())),
+                Column::new("b", ColumnData::Int(vec![3, 4].into())),
             ],
         );
         assert!(ok.is_ok());
         let bad = Table::from_columns(
             "r",
             vec![
-                Column::new("a", ColumnData::Int(vec![1, 2])),
-                Column::new("b", ColumnData::Int(vec![3])),
+                Column::new("a", ColumnData::Int(vec![1, 2].into())),
+                Column::new("b", ColumnData::Int(vec![3].into())),
             ],
         );
         assert!(bad.is_err());

@@ -3,6 +3,7 @@
 use std::fmt;
 
 use crate::error::DbError;
+use crate::segments::Segments;
 
 /// SQL column types supported by the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,14 +131,29 @@ impl SqlValue {
     }
 }
 
-/// Physical column storage: one typed vector.
+/// Physical column storage: one typed vector in shared segments
+/// ([`crate::segments`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
-    Int(Vec<i64>),
-    Double(Vec<f64>),
-    Str(Vec<String>),
-    Bool(Vec<bool>),
-    Blob(Vec<Vec<u8>>),
+    Int(Segments<i64>),
+    Double(Segments<f64>),
+    Str(Segments<String>),
+    Bool(Segments<bool>),
+    Blob(Segments<Vec<u8>>),
+}
+
+/// `$body` over whichever typed segments `$data` holds, bound to `$v`, as
+/// the same variant.
+macro_rules! same_variant {
+    ($data:expr, |$v:ident| $body:expr) => {
+        match $data {
+            ColumnData::Int($v) => ColumnData::Int($body),
+            ColumnData::Double($v) => ColumnData::Double($body),
+            ColumnData::Str($v) => ColumnData::Str($body),
+            ColumnData::Bool($v) => ColumnData::Bool($body),
+            ColumnData::Blob($v) => ColumnData::Blob($body),
+        }
+    };
 }
 
 impl ColumnData {
@@ -168,11 +184,11 @@ impl ColumnData {
     /// Empty storage of the given type.
     pub fn empty(t: SqlType) -> ColumnData {
         match t {
-            SqlType::Integer => ColumnData::Int(Vec::new()),
-            SqlType::Double => ColumnData::Double(Vec::new()),
-            SqlType::String => ColumnData::Str(Vec::new()),
-            SqlType::Boolean => ColumnData::Bool(Vec::new()),
-            SqlType::Blob => ColumnData::Blob(Vec::new()),
+            SqlType::Integer => ColumnData::Int(Segments::new()),
+            SqlType::Double => ColumnData::Double(Segments::new()),
+            SqlType::String => ColumnData::Str(Segments::new()),
+            SqlType::Boolean => ColumnData::Bool(Segments::new()),
+            SqlType::Blob => ColumnData::Blob(Segments::new()),
         }
     }
 }
@@ -182,8 +198,9 @@ impl ColumnData {
 pub struct Column {
     pub name: String,
     pub data: ColumnData,
-    /// `nulls[i]` is true when row `i` is NULL. Empty vec = no nulls.
-    pub nulls: Vec<bool>,
+    /// `nulls[i]` is true when row `i` is NULL. Empty = no nulls;
+    /// otherwise as long as `data`, so it splits at the same rows.
+    pub nulls: Segments<bool>,
 }
 
 impl Column {
@@ -192,7 +209,7 @@ impl Column {
         Column {
             name: name.into(),
             data,
-            nulls: Vec::new(),
+            nulls: Segments::new(),
         }
     }
 
@@ -218,7 +235,7 @@ impl Column {
     }
 
     pub fn has_nulls(&self) -> bool {
-        self.nulls.iter().any(|n| *n)
+        self.nulls.slices().any(|s| s.contains(&true))
     }
 
     /// Fetch a scalar value (NULL-aware). Caller bounds-checks.
@@ -237,62 +254,74 @@ impl Column {
 
     /// Append a value, coercing to the column's type; NULL extends the mask.
     pub fn push(&mut self, value: &SqlValue) -> Result<(), DbError> {
-        let len_before = self.len();
-        if value.is_null() {
-            // Materialize the mask lazily.
-            if self.nulls.len() < len_before {
-                self.nulls.resize(len_before, false);
-            }
-            self.nulls.push(true);
-            match &mut self.data {
-                ColumnData::Int(v) => v.push(0),
-                ColumnData::Double(v) => v.push(0.0),
-                ColumnData::Str(v) => v.push(String::new()),
-                ColumnData::Bool(v) => v.push(false),
-                ColumnData::Blob(v) => v.push(Vec::new()),
-            }
-            return Ok(());
-        }
         let coerced = value.coerce(self.sql_type())?;
-        if !self.nulls.is_empty() {
-            if self.nulls.len() < len_before {
-                self.nulls.resize(len_before, false);
-            }
-            self.nulls.push(false);
-        }
-        match (&mut self.data, coerced) {
-            (ColumnData::Int(v), SqlValue::Int(x)) => v.push(x),
-            (ColumnData::Double(v), SqlValue::Double(x)) => v.push(x),
-            (ColumnData::Str(v), SqlValue::Str(x)) => v.push(x),
-            (ColumnData::Bool(v), SqlValue::Bool(x)) => v.push(x),
-            (ColumnData::Blob(v), SqlValue::Blob(x)) => v.push(x),
-            _ => unreachable!("coerce() returned a matching variant"),
-        }
+        self.extend_coerced(std::iter::once(&coerced));
         Ok(())
+    }
+
+    /// Append values already coerced to the column's type
+    /// ([`SqlValue::coerce`]), a segment at a time. A NULL zeroes its slot
+    /// and sets its bit in the mask, which is made only once a NULL comes.
+    pub fn extend_coerced<'v>(&mut self, values: impl Iterator<Item = &'v SqlValue> + Clone) {
+        if !self.nulls.is_empty() || values.clone().any(SqlValue::is_null) {
+            self.nulls.resize(self.len(), false);
+            self.nulls.extend(values.clone().map(SqlValue::is_null));
+        }
+        fn wrong<T>() -> T {
+            unreachable!("extend_coerced() takes values coerced to the column's type")
+        }
+        match &mut self.data {
+            ColumnData::Int(v) => v.extend(values.map(|x| match x {
+                SqlValue::Int(i) => *i,
+                SqlValue::Null => 0,
+                _ => wrong(),
+            })),
+            ColumnData::Double(v) => v.extend(values.map(|x| match x {
+                SqlValue::Double(d) => *d,
+                SqlValue::Null => 0.0,
+                _ => wrong(),
+            })),
+            ColumnData::Str(v) => v.extend(values.map(|x| match x {
+                SqlValue::Str(s) => s.clone(),
+                SqlValue::Null => String::new(),
+                _ => wrong(),
+            })),
+            ColumnData::Bool(v) => v.extend(values.map(|x| match x {
+                SqlValue::Bool(b) => *b,
+                SqlValue::Null => false,
+                _ => wrong(),
+            })),
+            ColumnData::Blob(v) => v.extend(values.map(|x| match x {
+                SqlValue::Blob(b) => b.clone(),
+                SqlValue::Null => Vec::new(),
+                _ => wrong(),
+            })),
+        }
     }
 
     /// Overwrite row `row` with a value already coerced to the column's
     /// type ([`SqlValue::coerce`]). NULL sets the mask and zeroes the slot,
-    /// as [`Column::push`] does.
+    /// as [`Column::push`] does. Only the segments written are copied if a
+    /// snapshot shares them.
     pub fn set(&mut self, row: usize, value: SqlValue) {
         let null = value.is_null();
-        if null && self.nulls.len() < self.len() {
+        if null {
             self.nulls.resize(self.len(), false);
         }
-        if let Some(flag) = self.nulls.get_mut(row) {
-            *flag = null;
+        if self.nulls.get(row).is_some_and(|&flag| flag != null) {
+            self.nulls.set(row, null);
         }
         match (&mut self.data, value) {
-            (ColumnData::Int(v), SqlValue::Int(x)) => v[row] = x,
-            (ColumnData::Double(v), SqlValue::Double(x)) => v[row] = x,
-            (ColumnData::Str(v), SqlValue::Str(x)) => v[row] = x,
-            (ColumnData::Bool(v), SqlValue::Bool(x)) => v[row] = x,
-            (ColumnData::Blob(v), SqlValue::Blob(x)) => v[row] = x,
-            (ColumnData::Int(v), SqlValue::Null) => v[row] = 0,
-            (ColumnData::Double(v), SqlValue::Null) => v[row] = 0.0,
-            (ColumnData::Str(v), SqlValue::Null) => v[row] = String::new(),
-            (ColumnData::Bool(v), SqlValue::Null) => v[row] = false,
-            (ColumnData::Blob(v), SqlValue::Null) => v[row] = Vec::new(),
+            (ColumnData::Int(v), SqlValue::Int(x)) => v.set(row, x),
+            (ColumnData::Double(v), SqlValue::Double(x)) => v.set(row, x),
+            (ColumnData::Str(v), SqlValue::Str(x)) => v.set(row, x),
+            (ColumnData::Bool(v), SqlValue::Bool(x)) => v.set(row, x),
+            (ColumnData::Blob(v), SqlValue::Blob(x)) => v.set(row, x),
+            (ColumnData::Int(v), SqlValue::Null) => v.set(row, 0),
+            (ColumnData::Double(v), SqlValue::Null) => v.set(row, 0.0),
+            (ColumnData::Str(v), SqlValue::Null) => v.set(row, String::new()),
+            (ColumnData::Bool(v), SqlValue::Null) => v.set(row, false),
+            (ColumnData::Blob(v), SqlValue::Null) => v.set(row, Vec::new()),
             _ => unreachable!("set() takes a value coerced to the column's type"),
         }
     }
@@ -319,79 +348,52 @@ impl Column {
         Ok(col)
     }
 
-    /// Keep only rows where `mask[i]` is true.
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        fn pick<T: Clone>(v: &[T], mask: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(mask)
-                .filter(|(_, m)| **m)
-                .map(|(x, _)| x.clone())
-                .collect()
-        }
-        let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(pick(v, mask)),
-            ColumnData::Double(v) => ColumnData::Double(pick(v, mask)),
-            ColumnData::Str(v) => ColumnData::Str(pick(v, mask)),
-            ColumnData::Bool(v) => ColumnData::Bool(pick(v, mask)),
-            ColumnData::Blob(v) => ColumnData::Blob(pick(v, mask)),
-        };
-        let nulls = if self.nulls.is_empty() {
-            Vec::new()
-        } else {
-            pick(&self.nulls, mask)
-        };
+    /// This column's name over `data`, with the mask that `mask` derives
+    /// from this column's (none if it has none).
+    fn with_data(
+        &self,
+        data: ColumnData,
+        mask: impl Fn(&Segments<bool>) -> Segments<bool>,
+    ) -> Column {
         Column {
             name: self.name.clone(),
             data,
-            nulls,
+            nulls: if self.nulls.is_empty() {
+                Segments::new()
+            } else {
+                mask(&self.nulls)
+            },
         }
+    }
+
+    /// Keep only rows where `mask[i]` is true.
+    pub fn filter(&self, mask: &[bool]) -> Column {
+        let data = same_variant!(&self.data, |v| v.filter(mask));
+        self.with_data(data, |n| n.filter(mask))
     }
 
     /// [`Column::filter`] in place.
     pub fn retain(&mut self, mask: &[bool]) {
-        fn keep<T>(v: &mut Vec<T>, mask: &[bool]) {
-            let mut mask = mask.iter();
-            v.retain(|_| mask.next().copied().unwrap_or(false));
-        }
         match &mut self.data {
-            ColumnData::Int(v) => keep(v, mask),
-            ColumnData::Double(v) => keep(v, mask),
-            ColumnData::Str(v) => keep(v, mask),
-            ColumnData::Bool(v) => keep(v, mask),
-            ColumnData::Blob(v) => keep(v, mask),
+            ColumnData::Int(v) => v.retain(mask),
+            ColumnData::Double(v) => v.retain(mask),
+            ColumnData::Str(v) => v.retain(mask),
+            ColumnData::Bool(v) => v.retain(mask),
+            ColumnData::Blob(v) => v.retain(mask),
         }
-        keep(&mut self.nulls, mask);
+        self.nulls.retain(mask);
     }
 
     /// Reorder rows by `perm` (row `i` of the result is old row `perm[i]`).
     pub fn permute(&self, perm: &[usize]) -> Column {
-        fn pick<T: Clone>(v: &[T], perm: &[usize]) -> Vec<T> {
-            perm.iter().map(|&i| v[i].clone()).collect()
-        }
-        let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(pick(v, perm)),
-            ColumnData::Double(v) => ColumnData::Double(pick(v, perm)),
-            ColumnData::Str(v) => ColumnData::Str(pick(v, perm)),
-            ColumnData::Bool(v) => ColumnData::Bool(pick(v, perm)),
-            ColumnData::Blob(v) => ColumnData::Blob(pick(v, perm)),
-        };
-        let nulls = if self.nulls.is_empty() {
-            Vec::new()
-        } else {
-            pick(&self.nulls, perm)
-        };
-        Column {
-            name: self.name.clone(),
-            data,
-            nulls,
-        }
+        let data = same_variant!(&self.data, |v| v.permute(perm));
+        self.with_data(data, |n| n.permute(perm))
     }
 
-    /// First `n` rows.
+    /// First `n` rows, sharing the whole segments among them.
     pub fn take(&self, n: usize) -> Column {
-        let n = n.min(self.len());
-        let perm: Vec<usize> = (0..n).collect();
-        self.permute(&perm)
+        let data = same_variant!(&self.data, |v| v.take(n));
+        self.with_data(data, |m| m.take(n))
     }
 }
 

@@ -80,8 +80,10 @@ pub fn scalar_to_py(v: &SqlValue) -> Value {
 
 /// Convert a column to the interpreter value a UDF receives.
 ///
-/// Numeric/string/bool columns become vectorized [`Array`]s; blob columns
-/// become a single `bytes` when they hold one row (the common
+/// Numeric/string/bool columns become vectorized [`Array`]s, whose one
+/// flat vector is the column's only copy here: its segments are
+/// concatenated, or moved when there is one that nothing shares. Blob
+/// columns become a single `bytes` when they hold one row (the common
 /// pickled-classifier case) or a list of `bytes` otherwise.
 pub fn column_to_py(c: Column) -> Result<Value, DbError> {
     if c.has_nulls() {
@@ -91,11 +93,12 @@ pub fn column_to_py(c: Column) -> Result<Value, DbError> {
         )));
     }
     Ok(match c.data {
-        ColumnData::Int(v) => Value::array(Array::Int(v)),
-        ColumnData::Double(v) => Value::array(Array::Float(v)),
-        ColumnData::Bool(v) => Value::array(Array::Bool(v)),
-        ColumnData::Str(v) => Value::array(Array::Str(v)),
-        ColumnData::Blob(mut v) => {
+        ColumnData::Int(v) => Value::array(Array::Int(v.into_vec())),
+        ColumnData::Double(v) => Value::array(Array::Float(v.into_vec())),
+        ColumnData::Bool(v) => Value::array(Array::Bool(v.into_vec())),
+        ColumnData::Str(v) => Value::array(Array::Str(v.into_vec())),
+        ColumnData::Blob(v) => {
+            let mut v = v.into_vec();
             if v.len() == 1 {
                 Value::bytes(v.remove(0))
             } else {
@@ -128,10 +131,10 @@ pub fn py_to_column(name: &str, v: &Value) -> Result<Column, DbError> {
     match v {
         Value::Array(a) => {
             let data = match a.as_ref() {
-                Array::Int(v) => ColumnData::Int(v.clone()),
-                Array::Float(v) => ColumnData::Double(v.clone()),
-                Array::Bool(v) => ColumnData::Bool(v.clone()),
-                Array::Str(v) => ColumnData::Str(v.clone()),
+                Array::Int(v) => ColumnData::Int(v.as_slice().into()),
+                Array::Float(v) => ColumnData::Double(v.as_slice().into()),
+                Array::Bool(v) => ColumnData::Bool(v.as_slice().into()),
+                Array::Str(v) => ColumnData::Str(v.as_slice().into()),
             };
             Ok(Column::new(name, data))
         }
@@ -639,7 +642,7 @@ mod tests {
 
     #[test]
     fn column_to_py_is_vectorized() {
-        let c = Column::new("i", ColumnData::Int(vec![1, 2, 3]));
+        let c = Column::new("i", ColumnData::Int(vec![1, 2, 3].into()));
         match column_to_py(c).unwrap() {
             Value::Array(a) => assert_eq!(a.len(), 3),
             other => panic!("{other:?}"),
@@ -665,7 +668,7 @@ mod tests {
 
     #[test]
     fn single_blob_column_collapses_to_bytes() {
-        let c = Column::new("clf", ColumnData::Blob(vec![vec![9, 9]]));
+        let c = Column::new("clf", ColumnData::Blob(vec![vec![9, 9]].into()));
         match column_to_py(c).unwrap() {
             Value::Bytes(b) => assert_eq!(b.to_vec(), vec![9, 9]),
             other => panic!("{other:?}"),
@@ -677,8 +680,8 @@ mod tests {
         let table = Table::from_columns(
             "r",
             vec![
-                Column::new("data", ColumnData::Int(vec![1, 2, 3])),
-                Column::new("labels", ColumnData::Int(vec![0, 1, 0])),
+                Column::new("data", ColumnData::Int(vec![1, 2, 3].into())),
+                Column::new("labels", ColumnData::Int(vec![0, 1, 0].into())),
             ],
         )
         .unwrap();
